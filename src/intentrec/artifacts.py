@@ -1,29 +1,13 @@
-"""End-to-end model fitting: turns training sessions into the bundle of
-per-user graphs, cluster factorizations, Kalman states and rank models used
-at serving and evaluation time."""
+"""The fitted model that serving and evaluation read: per-user graphs, the
+user clustering, Kalman serving states and rank models."""
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import context, kalman, navgraph, parafac2, ranksvm
-from .models import HitRecord, Session, group_by_user
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class FitConfig:
-    rank: int = parafac2.DEFAULT_RANK
-    tol: float = parafac2.DEFAULT_TOL
-    max_iters: int = parafac2.DEFAULT_MAX_ITERS
-    process_noise: float = kalman.DEFAULT_PROCESS_NOISE
-    transition_ridge: float = 1e-3
-    rank_lambda: float = ranksvm.DEFAULT_LAMBDA
-    rank_epochs: int = ranksvm.DEFAULT_EPOCHS
-    seed: int = 0
+from . import context, kalman, navgraph, ranksvm
+from .models import HitRecord
 
 
 @dataclass
@@ -32,12 +16,7 @@ class UserServing:
 
     user_id: str
     layout: context.FeatureLayout
-    Lam: np.ndarray  # loading matrix, N_u x R
-    Lam_pinv: np.ndarray
-    A: np.ndarray
-    Q: np.ndarray
-    Psi: np.ndarray
-    f_init: np.ndarray  # first column of the shared initial latent factors
+    Lam_pinv: np.ndarray  # pseudo-inverse of the N_u x R loading matrix
     final_state: kalman.KalmanState
     evolved: list[np.ndarray]  # a posteriori factor per training view
 
@@ -46,11 +25,8 @@ class UserServing:
 class TrainedModel:
     graphs: dict[str, navgraph.NavGraph]
     clustering: context.UserClustering
-    factors: dict[int, parafac2.Parafac2Factors]
-    fits: dict[int, parafac2.FitReport]
     rank_models: dict[str, ranksvm.RankModel]  # per user; latent spaces differ
     serving: dict[str, UserServing]
-    frequency_only: set[str] = field(default_factory=set)
 
     def intent_scores(self, user_id: str, f: np.ndarray) -> dict[str, float]:
         """Scores of the user's graph targets under the current factor f."""
@@ -67,7 +43,8 @@ class TrainedModel:
         return scores
 
 
-def _observation(x: np.ndarray):
+def observation(x: np.ndarray):
+    """A context vector as a Kalman observation; all-zero means missing."""
     return kalman.MISSING if not np.any(x) else x
 
 
@@ -77,127 +54,6 @@ def serving_factor(serving: UserServing, state: kalman.KalmanState, hit: HitReco
     Returns (kalman factor, parafac2-only factor, new state).
     """
     x = context.context_vector(serving.layout, hit)
-    state = kalman.step(state, _observation(x))
+    state = kalman.step(state, observation(x))
     f_pf2 = serving.Lam_pinv @ x
     return state.f_post.copy(), f_pf2, state
-
-
-def fit(train_sessions: list[Session], config: FitConfig | None = None) -> TrainedModel:
-    config = config or FitConfig()
-    per_user = group_by_user(train_sessions)
-    user_ids = sorted(per_user)
-
-    graphs: dict[str, navgraph.NavGraph] = {}
-    matrices: dict[str, context.ContextMatrix] = {}
-    features: dict[str, np.ndarray] = {}
-    for uid in user_ids:
-        sessions = sorted(per_user[uid], key=lambda s: s.hits[0].timestamp)
-        per_user[uid] = sessions
-        g = navgraph.build_graph(sessions)
-        navgraph.detect_targets(g)
-        graphs[uid] = g
-        matrices[uid] = context.build_matrix(sessions)
-        features[uid] = context.usage_features(sessions)
-
-    clustering = context.cluster_users(features, seed=config.seed)
-
-    factors: dict[int, parafac2.Parafac2Factors] = {}
-    fits: dict[int, parafac2.FitReport] = {}
-    serving: dict[str, UserServing] = {}
-    frequency_only: set[str] = set()
-
-    for cluster_id in range(context.N_CLUSTERS):
-        members = sorted(
-            uid for uid, c in clustering.assignments.items() if c == cluster_id
-        )
-        members = [
-            uid for uid in members if matrices[uid].layout.width >= config.rank
-        ]
-        dropped = [
-            uid
-            for uid, c in clustering.assignments.items()
-            if c == cluster_id and matrices[uid].layout.width < config.rank
-        ]
-        for uid in dropped:
-            log.warning("user %s too small for rank %d; frequency-only", uid, config.rank)
-            frequency_only.add(uid)
-        if not members:
-            continue
-        tensor = context.assemble_tensor(
-            [matrices[uid] for uid in members], clustering, cluster_id
-        )
-        rank = min(config.rank, tensor.T, min(m.shape[0] for m in tensor.matrices))
-        fac, rep = parafac2.decompose(
-            tensor,
-            rank=rank,
-            tol=config.tol,
-            max_iters=config.max_iters,
-            seed=config.seed + cluster_id,
-        )
-        factors[cluster_id] = fac
-        fits[cluster_id] = rep
-        f_initial = parafac2.initial_latent_factors(fac)
-
-        for idx, uid in enumerate(tensor.users):
-            lam = parafac2.loading_matrix(fac, idx)
-            t_u = matrices[uid].X.shape[1]
-            X_u = matrices[uid].X
-            psi_scale = kalman.estimate_measurement_noise(
-                tensor.matrices[idx], lam, f_initial
-            )
-            A = kalman.estimate_transition(f_initial, ridge=config.transition_ridge)
-            Q = config.process_noise * np.eye(rank)
-            Psi = psi_scale * np.eye(lam.shape[0])
-            obs = [_observation(X_u[:, t]) for t in range(t_u)]
-            evolved, state = kalman.evolve_sequence(
-                lam, A, Q, Psi, obs, f_initial[:, 0].copy()
-            )
-            serving[uid] = UserServing(
-                user_id=uid,
-                layout=matrices[uid].layout,
-                Lam=lam,
-                Lam_pinv=np.linalg.pinv(lam),
-                A=A,
-                Q=Q,
-                Psi=Psi,
-                f_init=f_initial[:, 0].copy(),
-                final_state=state,
-                evolved=evolved,
-            )
-
-    # per-session evolved factors for rank training, one model per user
-    # (factor coordinates live in that user's loading space)
-    rank_models: dict[str, ranksvm.RankModel] = {}
-    for idx, uid in enumerate(user_ids):
-        if uid not in serving:
-            continue
-        targets = set(graphs[uid].targets())
-        evolved = serving[uid].evolved
-        endings: dict[str, list[np.ndarray]] = {}
-        pos = 0
-        for sess in per_user[uid]:
-            n = len(sess.hits)
-            sess_factors = evolved[pos : pos + n]
-            pos += n
-            final = ranksvm.session_final_target(sess.reports, targets)
-            if final is None:
-                continue
-            endings.setdefault(final, []).extend(sess_factors)
-        training_sets = ranksvm.training_sets_from_endings(endings)
-        if training_sets:
-            rank_models[uid] = ranksvm.train_all(
-                training_sets,
-                lam=config.rank_lambda,
-                epochs=config.rank_epochs,
-                seed=config.seed + idx,
-            )
-
-    return TrainedModel(
-        graphs=graphs,
-        clustering=clustering,
-        factors=factors,
-        fits=fits,
-        rank_models=rank_models,
-        serving=serving,
-        frequency_only=frequency_only,
-    )

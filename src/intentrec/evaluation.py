@@ -115,21 +115,6 @@ def summarize(method: str, events: list[EvalEvent], k: int = DEFAULT_K) -> EvalR
     )
 
 
-def _relevances(
-    distances: dict[str, dict[str, float]],
-    nodes: list[str],
-    intent_scores: dict[str, float],
-    variant: RelevanceVariant,
-) -> dict[str, float]:
-    out = {}
-    for v in nodes:
-        dist = distances[v]
-        reachable = {t: s for t, s in intent_scores.items() if t in dist}
-        # empty reachable sets are routine during evaluation; score 0 quietly
-        out[v] = recommender.relevance(variant, reachable, dist) if reachable else 0.0
-    return out
-
-
 def _method_scores(
     method: str,
     graph,
@@ -148,7 +133,9 @@ def _method_scores(
         scores = {v: w for v, w, _ in candidates}
     elif method in ("context", "parafac2"):
         intent_scores = intent_scores_kal if method == "context" else intent_scores_pf2
-        scores = _relevances(distances, nodes, intent_scores, RelevanceVariant.SUM_I)
+        scores = recommender.candidate_relevances(
+            nodes, distances, intent_scores, RelevanceVariant.SUM_I
+        )
         # context-only score (alpha=1, W stripped, beta=0); ties resolved with
         # the standard rank-order chain over W, M, node id
         weights = {v: w for v, w, _ in candidates}
@@ -159,7 +146,7 @@ def _method_scores(
         return scores, shown[:k]
     else:
         variant = RelevanceVariant(method)
-        rels = _relevances(distances, nodes, intent_scores_kal, variant)
+        rels = recommender.candidate_relevances(nodes, distances, intent_scores_kal, variant)
         recs = recommender.score_candidates(graph, u, rels, variant)
         ranked = recommender.rank(recs, k=k)
         return {r.node: r.score for r in recs}, [r.node for r in ranked]

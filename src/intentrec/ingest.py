@@ -26,7 +26,8 @@ class ParseResult:
     skipped: int
 
 
-def _record_from_mapping(row: dict) -> HitRecord:
+def hit_from_doc(row: dict) -> HitRecord:
+    """One hit from a parsed JSON-lines or CSV row; raises ValueError if malformed."""
     missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {missing}")
@@ -44,6 +45,20 @@ def _record_from_mapping(row: dict) -> HitRecord:
         values=tuple(float(v) for v in values),
         session_hint=row.get("session") or None,
     )
+
+
+def hit_to_doc(h: HitRecord) -> dict:
+    """The JSON-lines row that hit_from_doc reads back as h."""
+    return {
+        "user_id": h.user_id,
+        "ts": h.timestamp,
+        "report_id": h.report_id,
+        "kind": h.report_kind.value,
+        "metric": h.metric,
+        "dim_element": h.dimension_element,
+        "values": list(h.values),
+        "session": h.session_hint,
+    }
 
 
 def parse_hits(source, format: str = "jsonl") -> ParseResult:
@@ -69,7 +84,7 @@ def parse_hits(source, format: str = "jsonl") -> ParseResult:
                 continue
             total += 1
             try:
-                records.append(_record_from_mapping(json.loads(line)))
+                records.append(hit_from_doc(json.loads(line)))
             except (ValueError, TypeError, KeyError) as exc:
                 skipped += 1
                 log.debug("skipping malformed row: %s", exc)
@@ -78,7 +93,7 @@ def parse_hits(source, format: str = "jsonl") -> ParseResult:
         for row in reader:
             total += 1
             try:
-                records.append(_record_from_mapping(row))
+                records.append(hit_from_doc(row))
             except (ValueError, TypeError, KeyError) as exc:
                 skipped += 1
                 log.debug("skipping malformed row: %s", exc)

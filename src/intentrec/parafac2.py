@@ -133,8 +133,12 @@ def reconstruct(factors: Parafac2Factors, user_index: int) -> np.ndarray:
 
 
 def initial_latent_factors(factors: Parafac2Factors) -> np.ndarray:
-    """Shared initial latent factors V' (R x T), identical for every user."""
-    return factors.V.T.copy()
+    """Shared initial latent factors V' (R x T), identical for every user.
+
+    Column-major, the layout of the transposed view V.T: BLAS products of
+    it then sum in the same order as products of V.T itself.
+    """
+    return factors.V.T.copy(order="F")
 
 
 def loading_matrix(factors: Parafac2Factors, user_index: int) -> np.ndarray:

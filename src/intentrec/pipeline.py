@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, recommender, synth
-from .artifacts import FitConfig, TrainedModel, UserServing, serving_factor
-from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
+from .artifacts import TrainedModel, UserServing, observation
+from .models import Dataset, Session, group_by_user
 
 log = logging.getLogger(__name__)
+
+TRANSITION_RIDGE = 1e-3
 
 
 class MissingArtifact(FileNotFoundError):
@@ -39,17 +41,6 @@ class PipelineConfig:
     seed: int = 0
     min_unique_reports: int = 5
 
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            rank=self.rank,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            rank_lambda=self.rank_lambda,
-            rank_epochs=self.rank_epochs,
-            process_noise=self.process_noise,
-            seed=self.seed,
-        )
-
 
 def _require(path: Path) -> Path:
     if not path.exists():
@@ -57,75 +48,63 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _read_json(path: Path):
+    return json.loads(_require(path).read_text())
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _note_manifest(workdir: Path, stage: str, inputs: list[Path], config: dict, t0: float):
+def _note_manifest(
+    workdir: Path, stage: str, inputs: list[Path], config: dict, t0: float, **details
+):
     manifest_path = workdir / "manifest.json"
     manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     manifest[stage] = {
         "inputs": {p.name: _sha256(p) for p in inputs if p.is_file()},
         "config": config,
         "elapsed_s": round(time.time() - t0, 3),
+        **details,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _hit_to_doc(h: HitRecord) -> dict:
-    return {
-        "user_id": h.user_id,
-        "ts": h.timestamp,
-        "report_id": h.report_id,
-        "kind": h.report_kind.value,
-        "metric": h.metric,
-        "dim_element": h.dimension_element,
-        "values": list(h.values),
-        "session": h.session_hint,
-    }
-
-
-def _hit_from_doc(d: dict) -> HitRecord:
-    return HitRecord(
-        user_id=d["user_id"],
-        timestamp=d["ts"],
-        report_id=d["report_id"],
-        report_kind=ReportKind(d["kind"]),
-        metric=d["metric"],
-        dimension_element=d["dim_element"],
-        values=tuple(d["values"]),
-        session_hint=d.get("session"),
-    )
 
 
 def save_dataset(dataset: Dataset, path: Path):
     doc = {
         "split_instant": dataset.split_instant,
-        "train": [[_hit_to_doc(h) for h in s.hits] for s in dataset.train],
-        "test": [[_hit_to_doc(h) for h in s.hits] for s in dataset.test],
+        "train": [[ingest.hit_to_doc(h) for h in s.hits] for s in dataset.train],
+        "test": [[ingest.hit_to_doc(h) for h in s.hits] for s in dataset.test],
     }
     path.write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_dataset(path: Path) -> Dataset:
-    doc = json.loads(_require(path).read_text())
+    doc = _read_json(path)
 
     def sessions(key):
         out = []
         for hits in doc[key]:
-            parsed = [_hit_from_doc(h) for h in hits]
+            parsed = [ingest.hit_from_doc(h) for h in hits]
             out.append(Session(user_id=parsed[0].user_id, hits=parsed))
         return out
 
     return Dataset(train=sessions("train"), test=sessions("test"), split_instant=doc["split_instant"])
 
 
-def _save_matrix(path: Path, M: np.ndarray):
-    np.savetxt(path, M, delimiter=",", header=f"shape: {M.shape[0]} {M.shape[1]}")
+def _load_npz(path: Path) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """A cluster's .npz: the per-user arrays, saved positionally in user
+    order, and the named arrays the cluster shares."""
+    with np.load(_require(path)) as z:
+        arrays = dict(z)
+    n_users = sum(name.startswith("arr_") for name in arrays)
+    return [arrays.pop(f"arr_{i}") for i in range(n_users)], arrays
 
 
-def _load_matrix(path: Path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(_require(path), delimiter=",", comments="#"))
+def _load_factors(path: Path) -> parafac2.Parafac2Factors:
+    G, shared = _load_npz(path)
+    S = shared["S"]
+    return parafac2.Parafac2Factors(rank=S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
 
 
 # ---------------------------------------------------------------- stages
@@ -177,7 +156,7 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
 
 
 def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
-    docs = json.loads(_require(workdir / "graphs.json").read_text())
+    docs = _read_json(workdir / "graphs.json")
     graphs = {}
     for doc in docs:
         g = navgraph.NavGraph.from_json(doc)
@@ -208,29 +187,31 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
 
     matrices = {uid: context.build_matrix(s) for uid, s in per_user.items()}
     tensor_root = workdir / "tensors"
+    tensor_root.mkdir(parents=True, exist_ok=True)
     for cluster_id in range(context.N_CLUSTERS):
         members = sorted(u for u, c in clustering.assignments.items() if c == cluster_id)
         if not members:
             continue
         tensor = context.assemble_tensor([matrices[u] for u in members], clustering, cluster_id)
-        cdir = tensor_root / f"cluster_{cluster_id}"
-        cdir.mkdir(parents=True, exist_ok=True)
         layout_doc = {
             "users": tensor.users,
             "T": tensor.T,
             "orig_cols": {u: matrices[u].X.shape[1] for u in tensor.users},
             "slots": {u: matrices[u].layout.slots for u in tensor.users},
-            "files": {u: f"u{idx}.csv" for idx, u in enumerate(tensor.users)},
         }
-        (cdir / "layout.json").write_text(json.dumps(layout_doc, sort_keys=True))
-        for idx, u in enumerate(tensor.users):
-            _save_matrix(cdir / f"u{idx}.csv", tensor.matrices[idx])
+        (tensor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(layout_doc, sort_keys=True))
+        # Padding by column indexing leaves the panels column-major; stored
+        # row-major, they give the factorization a fixed summation order.
+        np.savez(
+            tensor_root / f"cluster_{cluster_id}.npz",
+            *(np.ascontiguousarray(m) for m in tensor.matrices),
+        )
     _note_manifest(workdir, "tensor", [workdir / "sessions.json"], {"seed": config.seed}, t0)
     return tensor_root
 
 
 def load_clustering(workdir: Path) -> context.UserClustering:
-    doc = json.loads(_require(workdir / "clustering.json").read_text())
+    doc = _read_json(workdir / "clustering.json")
     return context.UserClustering(
         assignments=doc["assignments"],
         centroids=np.asarray(doc["centroids"]),
@@ -239,29 +220,27 @@ def load_clustering(workdir: Path) -> context.UserClustering:
     )
 
 
-def _cluster_dirs(root: Path) -> list[tuple[int, Path]]:
-    out = []
-    for p in sorted(root.glob("cluster_*")):
-        out.append((int(p.name.split("_")[1]), p))
-    return out
+def _cluster_ids(tensor_root: Path) -> list[int]:
+    return sorted(int(p.stem.split("_")[1]) for p in tensor_root.glob("cluster_*.json"))
 
 
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
+    """PARAFAC2 per cluster. A cluster's rank is clamped to
+    min(rank, T, smallest N_u), so every member keeps a context model."""
     t0 = time.time()
     tensor_root = _require(workdir / "tensors")
     factor_root = workdir / "factors"
-    for cluster_id, cdir in _cluster_dirs(tensor_root):
-        layout_doc = json.loads((cdir / "layout.json").read_text())
-        users = layout_doc["users"]
-        mats = [_load_matrix(cdir / layout_doc["files"][u]) for u in users]
-        keep = [i for i, m in enumerate(mats) if m.shape[0] >= 1]
+    factor_root.mkdir(parents=True, exist_ok=True)
+    clusters: dict[str, dict] = {}
+    for cluster_id in _cluster_ids(tensor_root):
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
         tensor = context.ContextTensor(
-            cluster_id=cluster_id,
-            users=[users[i] for i in keep],
-            matrices=[mats[i] for i in keep],
-            T=layout_doc["T"],
+            cluster_id=cluster_id, users=layout_doc["users"], matrices=mats, T=layout_doc["T"]
         )
-        rank = min(config.rank, tensor.T, min(m.shape[0] for m in tensor.matrices))
+        rank = min(config.rank, tensor.T, min(m.shape[0] for m in mats))
+        if rank < config.rank:
+            log.warning("cluster %d: rank %d clamped to %d", cluster_id, config.rank, rank)
         factors, report = parafac2.decompose(
             tensor,
             rank=rank,
@@ -269,14 +248,11 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
             max_iters=config.max_iters,
             seed=config.seed + cluster_id,
         )
-        fdir = factor_root / f"cluster_{cluster_id}"
-        fdir.mkdir(parents=True, exist_ok=True)
-        _save_matrix(fdir / "V.csv", factors.V)
-        _save_matrix(fdir / "H.csv", factors.H)
-        for idx, u in enumerate(tensor.users):
-            _save_matrix(fdir / f"G_u{idx}.csv", factors.G[idx])
-            np.savetxt(fdir / f"S_u{idx}.csv", factors.S[idx], delimiter=",")
-        (fdir / "fit.json").write_text(
+        np.savez(
+            factor_root / f"cluster_{cluster_id}.npz",
+            *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
+        )
+        (factor_root / f"cluster_{cluster_id}.json").write_text(
             json.dumps(
                 {
                     "users": tensor.users,
@@ -289,53 +265,52 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
                 sort_keys=True,
             )
         )
-    _note_manifest(workdir, "factorize", [], {"rank": config.rank, "seed": config.seed}, t0)
+        clusters[str(cluster_id)] = {
+            "requested_rank": config.rank,
+            "rank": rank,
+            "iterations": report.iterations,
+            "converged": report.converged,
+        }
+    _note_manifest(
+        workdir, "factorize", [], {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
+    )
     return factor_root
 
 
 def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
+    """Evolve each member's latent factor over its training views. The
+    transition A is fitted once per cluster, from the cluster's shared V."""
     t0 = time.time()
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
     kdir = workdir / "kalman"
     kdir.mkdir(parents=True, exist_ok=True)
     state_doc: dict[str, dict] = {}
-    for cluster_id, cdir in _cluster_dirs(tensor_root):
-        fdir = factor_root / f"cluster_{cluster_id}"
-        if not fdir.exists():
-            continue
-        layout_doc = json.loads((cdir / "layout.json").read_text())
-        fit_doc = json.loads(_require(fdir / "fit.json").read_text())
-        users = fit_doc["users"]
-        rank = fit_doc["rank"]
-        V = _load_matrix(fdir / "V.csv")
-        H = _load_matrix(fdir / "H.csv")
-        f_initial = V.T
-        for idx, uid in enumerate(users):
-            G = _load_matrix(fdir / f"G_u{idx}.csv")
-            S = np.atleast_1d(np.loadtxt(fdir / f"S_u{idx}.csv", delimiter=","))
-            lam = G @ H @ np.diag(S)
-            X = _load_matrix(cdir / layout_doc["files"][uid])
-            t_u = layout_doc["orig_cols"][uid]
+    for cluster_id in _cluster_ids(tensor_root):
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
+        factors = _load_factors(factor_root / f"cluster_{cluster_id}.npz")
+        f_initial = parafac2.initial_latent_factors(factors)
+        A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
+        Q = config.process_noise * np.eye(factors.rank)
+        evolved_per_user = []
+        for idx, uid in enumerate(layout_doc["users"]):
+            lam = parafac2.loading_matrix(factors, idx)
+            X = mats[idx]
             psi_scale = kalman.estimate_measurement_noise(X, lam, f_initial)
-            A = kalman.estimate_transition(f_initial, ridge=1e-3)
-            Q = config.process_noise * np.eye(rank)
             Psi = psi_scale * np.eye(lam.shape[0])
-            obs = [
-                kalman.MISSING if not np.any(X[:, t]) else X[:, t] for t in range(t_u)
-            ]
+            obs = [observation(X[:, t]) for t in range(layout_doc["orig_cols"][uid])]
             evolved, final = kalman.evolve_sequence(lam, A, Q, Psi, obs, f_initial[:, 0].copy())
-            _save_matrix(kdir / f"fhat_c{cluster_id}_u{idx}.csv", np.array(evolved))
+            evolved_per_user.append(np.array(evolved))
             state_doc[uid] = {
                 "cluster": cluster_id,
                 "index": idx,
-                "A": A.tolist(),
                 "q": config.process_noise,
                 "psi": psi_scale,
-                "f_init": f_initial[:, 0].tolist(),
                 "f_post": final.f_post.tolist(),
                 "P_post": final.P_post.tolist(),
             }
+        np.savez(kdir / f"cluster_{cluster_id}.npz", *evolved_per_user, A=A)
     (kdir / "states.json").write_text(json.dumps(state_doc, sort_keys=True))
     _note_manifest(workdir, "kalman", [], {"process_noise": config.process_noise}, t0)
     return kdir
@@ -345,49 +320,37 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
     kdir = _require(workdir / "kalman")
-    states = json.loads(_require(kdir / "states.json").read_text())
+    states = _read_json(kdir / "states.json")
+    clusters: dict[int, tuple] = {}
     serving: dict[str, UserServing] = {}
-    layout_cache: dict[int, dict] = {}
-    factor_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for uid, st in states.items():
         cluster_id = st["cluster"]
         idx = st["index"]
-        if cluster_id not in layout_cache:
-            layout_cache[cluster_id] = json.loads(
-                (tensor_root / f"cluster_{cluster_id}" / "layout.json").read_text()
+        if cluster_id not in clusters:
+            name = f"cluster_{cluster_id}"
+            evolved, shared = _load_npz(kdir / f"{name}.npz")
+            clusters[cluster_id] = (
+                _load_factors(factor_root / f"{name}.npz"),
+                evolved,
+                shared["A"],
+                _read_json(tensor_root / f"{name}.json")["slots"],
             )
-            fdir = factor_root / f"cluster_{cluster_id}"
-            factor_cache[cluster_id] = (_load_matrix(fdir / "V.csv"), _load_matrix(fdir / "H.csv"))
-        layout_doc = layout_cache[cluster_id]
-        V, H = factor_cache[cluster_id]
-        fdir = factor_root / f"cluster_{cluster_id}"
-        G = _load_matrix(fdir / f"G_u{idx}.csv")
-        S = np.atleast_1d(np.loadtxt(fdir / f"S_u{idx}.csv", delimiter=","))
-        lam = G @ H @ np.diag(S)
-        rank = lam.shape[1]
-        slots = [tuple(p) for p in layout_doc["slots"][uid]]
-        layout = context.FeatureLayout(user_id=uid, slots=slots)
-        A = np.asarray(st["A"])
+        factors, evolved, A, slots = clusters[cluster_id]
+        lam = parafac2.loading_matrix(factors, idx)
         state = kalman.KalmanState(
             A=A,
-            Q=st["q"] * np.eye(rank),
+            Q=st["q"] * np.eye(factors.rank),
             Psi=st["psi"] * np.eye(lam.shape[0]),
             Lam=lam,
             f_post=np.asarray(st["f_post"]),
             P_post=np.asarray(st["P_post"]),
         )
-        evolved_matrix = _load_matrix(kdir / f"fhat_c{cluster_id}_u{idx}.csv")
         serving[uid] = UserServing(
             user_id=uid,
-            layout=layout,
-            Lam=lam,
+            layout=context.FeatureLayout(user_id=uid, slots=[tuple(p) for p in slots[uid]]),
             Lam_pinv=np.linalg.pinv(lam),
-            A=A,
-            Q=state.Q,
-            Psi=state.Psi,
-            f_init=np.asarray(st["f_init"]),
             final_state=state,
-            evolved=[evolved_matrix[t] for t in range(evolved_matrix.shape[0])],
+            evolved=list(evolved[idx]),
         )
     return serving
 
@@ -402,19 +365,13 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     for idx, (uid, sessions) in enumerate(sorted(group_by_user(dataset.train).items())):
         if uid not in serving:
             continue
-        targets = set(graphs[uid].targets())
         evolved = serving[uid].evolved
-        endings: dict[str, list[np.ndarray]] = {}
+        session_factors = []
         pos = 0
         for sess in sorted(sessions, key=lambda s: s.hits[0].timestamp):
-            n = len(sess.hits)
-            sess_factors = evolved[pos : pos + n]
-            pos += n
-            final = ranksvm.session_final_target(sess.reports, targets)
-            if final is None:
-                continue
-            endings.setdefault(final, []).extend(sess_factors)
-        training_sets = ranksvm.training_sets_from_endings(endings)
+            session_factors.append((sess.reports, evolved[pos : pos + len(sess)]))
+            pos += len(sess)
+        training_sets = ranksvm.build_training_sets(session_factors, set(graphs[uid].targets()))
         if training_sets:
             models[uid] = ranksvm.train_all(
                 training_sets,
@@ -439,16 +396,13 @@ def load_model(workdir: Path) -> TrainedModel:
     graphs = load_graphs(workdir)
     clustering = load_clustering(workdir)
     serving = _load_serving(workdir)
-    doc = json.loads(_require(workdir / "rankmodel.json").read_text())
+    doc = _read_json(workdir / "rankmodel.json")
     rank_models = {u: ranksvm.RankModel.from_json(m) for u, m in doc.items()}
     return TrainedModel(
         graphs=graphs,
         clustering=clustering,
-        factors={},
-        fits={},
         rank_models=rank_models,
         serving=serving,
-        frequency_only={u for u in graphs if u not in serving},
     )
 
 

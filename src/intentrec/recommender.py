@@ -3,14 +3,11 @@ node mass; rank candidates; source group-based recommendations; apply
 feedback updates."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 from .context import UserClustering
 from .navgraph import ALPHA_BETA_FLOOR, NavGraph, intent_distances
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 10
 DEFAULT_FEEDBACK_RATE = 0.1
@@ -65,7 +62,6 @@ def relevance(
     """Collapse intent scores (and, for IxD variants, path probabilities to
     the intents) into a single per-candidate relevance value."""
     if not intent_scores:
-        log.warning("no intent scores available; relevance 0")
         return 0.0
     if variant is RelevanceVariant.SUM_I:
         return sum(intent_scores.values())
@@ -80,19 +76,24 @@ def relevance(
 
 
 def candidate_relevances(
-    graph: NavGraph,
     candidates: list[str],
+    distances: dict[str, dict[str, float]],
     intent_scores: dict[str, float],
     variant: RelevanceVariant,
 ) -> dict[str, float]:
     """Per-candidate relevance: the intent scores of the current context,
-    restricted to the intents reachable from each candidate."""
+    restricted to the intents reachable from each candidate. distances maps
+    each candidate to its intent_distances(...).per_target."""
     out: dict[str, float] = {}
     for v in candidates:
-        dist = intent_distances(graph, v).per_target
+        dist = distances[v]
         reachable = {t: s for t, s in intent_scores.items() if t in dist}
         out[v] = relevance(variant, reachable, dist)
     return out
+
+
+def _distances(graph: NavGraph, candidates: list[str]) -> dict[str, dict[str, float]]:
+    return {v: intent_distances(graph, v).per_target for v in candidates}
 
 
 def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]]:
@@ -155,7 +156,7 @@ def recommend(
     collaborative: bool = False,
 ) -> list[Recommendation]:
     candidates = [v for v, _, _ in enumerate_candidates(graph, u)]
-    rels = candidate_relevances(graph, candidates, intent_scores, variant)
+    rels = candidate_relevances(candidates, _distances(graph, candidates), intent_scores, variant)
     return score_candidates(graph, u, rels, variant, collaborative=collaborative)
 
 
@@ -205,7 +206,7 @@ def group_recommend(
         ]
         if not candidates:
             continue
-        rels = candidate_relevances(g, candidates, intent_scores, variant)
+        rels = candidate_relevances(candidates, _distances(g, candidates), intent_scores, variant)
         for rec in score_candidates(g, u, rels, variant, collaborative=True):
             if rec.node in own_nodes:
                 continue

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import hit_to_doc
 from .models import HitRecord, ReportKind
 
 SERIES_LEN = 8
@@ -138,21 +139,4 @@ def generate(config: SynthConfig) -> list[HitRecord]:
 
 
 def to_jsonl(hits: list[HitRecord]) -> str:
-    lines = []
-    for h in hits:
-        lines.append(
-            json.dumps(
-                {
-                    "user_id": h.user_id,
-                    "ts": h.timestamp,
-                    "report_id": h.report_id,
-                    "kind": h.report_kind.value,
-                    "metric": h.metric,
-                    "dim_element": h.dimension_element,
-                    "values": list(h.values),
-                    "session": h.session_hint,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(json.dumps(hit_to_doc(h), sort_keys=True) for h in hits) + "\n"

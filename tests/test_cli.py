@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,23 @@ def workdir(tmp_path_factory):
     return wd
 
 
+def _assert_serving_shapes(workdir: Path):
+    """Every training user is served with an R x N_u Lam_pinv, R being its
+    cluster's fitted rank, and one R-vector per training view."""
+    model = pipeline.load_model(workdir)
+    dataset = pipeline.load_dataset(workdir / "sessions.json")
+    views = Counter(h.user_id for s in dataset.train for h in s.hits)
+    assert model.rank_models
+    assert set(model.serving) == set(views)
+    for uid, serving in model.serving.items():
+        cluster = model.clustering.assignments[uid]
+        fit = json.loads((workdir / "factors" / f"cluster_{cluster}.json").read_text())
+        rank = fit["rank"]
+        assert serving.Lam_pinv.shape == (rank, serving.layout.width)
+        assert len(serving.evolved) == views[uid]
+        assert all(f.shape == (rank,) for f in serving.evolved)
+
+
 class TestStages:
     def test_artifacts_exist(self, workdir):
         for name in (
@@ -51,8 +69,26 @@ class TestStages:
         assert {"mass", "frequency", "context", "sum-i"} <= methods
 
     def test_loaded_model_reproduces_fit(self, workdir):
-        model = pipeline.load_model(workdir)
-        assert model.graphs and model.serving and model.rank_models
+        _assert_serving_shapes(workdir)
+
+    def test_undersized_cluster_rank_is_clamped(self, tmp_path):
+        # every synthetic user views a single (metric, dimension) pair, so
+        # N_u = 6 and a requested rank of 8 must drop to 6 in every cluster
+        scfg = synth.SynthConfig(n_users=8, n_reports=40, sessions_per_user=8, seed=3)
+        pipeline.stage_synth(tmp_path, scfg)
+        cfg = PipelineConfig(seed=3, rank=8, max_iters=5)
+        pipeline.stage_ingest(tmp_path, cfg, tmp_path / "hits.jsonl")
+        pipeline.stage_tensor(tmp_path, cfg)
+        pipeline.stage_factorize(tmp_path, cfg)
+        clusters = json.loads((tmp_path / "manifest.json").read_text())["factorize"]["clusters"]
+        assert clusters
+        for cluster, entry in clusters.items():
+            assert entry["requested_rank"] == 8
+            assert entry["rank"] == 6
+            assert entry["iterations"] >= 1
+            assert isinstance(entry["converged"], bool)
+            fit = json.loads((tmp_path / "factors" / f"cluster_{cluster}.json").read_text())
+            assert fit["rank"] == 6
 
     def test_recommend_stage(self, workdir):
         model = pipeline.load_model(workdir)
@@ -115,3 +151,20 @@ class TestCliExitCodes:
         assert cli.main(
             ["recommend", "--workdir", str(tmp_path), "--user", uid, "--current", node]
         ) == cli.EXIT_OK
+
+    def test_rank_one_run_and_sweep(self, tmp_path):
+        assert cli.main(
+            ["synth", "--workdir", str(tmp_path), "--users", "8", "--reports", "40",
+             "--sessions-per-user", "6", "--seed", "2"]
+        ) == cli.EXIT_OK
+        common = ["--max-iters", "15", "--rank-epochs", "15", "--seed", "2"]
+        assert cli.main(
+            ["run", "--workdir", str(tmp_path), "--input", str(tmp_path / "hits.jsonl"),
+             "--rank", "1", *common]
+        ) == cli.EXIT_OK
+        _assert_serving_shapes(tmp_path)
+        assert cli.main(
+            ["sweep", "--workdir", str(tmp_path), "--ranks", "1", "2", *common]
+        ) == cli.EXIT_OK
+        for r in (1, 2):
+            _assert_serving_shapes(tmp_path / f"sweep_R{r}")

@@ -5,6 +5,8 @@ import pytest
 from intentrec.ingest import (
     DEFAULT_SESSION_TIMEOUT,
     FormatError,
+    hit_from_doc,
+    hit_to_doc,
     parse_hits,
     sessionize,
     temporal_split,
@@ -13,6 +15,10 @@ from intentrec.models import ReportKind
 
 from conftest import make_hit, make_session
 
+# The input fields as the README lists them, in its order.
+DOCUMENTED_FIELDS = (
+    "user_id", "report_id", "ts", "session", "kind", "metric", "dim_element", "values",
+)
 
 def _row(**overrides):
     row = {
@@ -41,6 +47,15 @@ class TestParseHits:
         assert rec.report_kind is ReportKind.TIME_SERIES
         assert rec.values == (1.0, 2.0, 3.0)
         assert rec.session_hint == "s1"
+
+    def test_documented_fields_parse_and_roundtrip(self):
+        row = _row()
+        assert set(row) == set(DOCUMENTED_FIELDS)
+        result = parse_hits(json.dumps(row))
+        assert result.skipped == 0
+        rec = result.records[0]
+        assert hit_to_doc(rec) == row
+        assert hit_from_doc(hit_to_doc(rec)) == rec
 
     def test_csv(self):
         header = "user_id,ts,report_id,kind,metric,dim_element,values,session"
