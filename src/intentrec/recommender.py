@@ -161,14 +161,21 @@ def recommend(
 
 
 def rank(recs: list[Recommendation], k: int = DEFAULT_TOP_K) -> list[Recommendation]:
-    """Order by K desc, own-graph before collaborative, then R, W, M desc."""
+    """Order by K desc, own-graph before collaborative, then R, W, M desc,
+    and keep the first k distinct nodes: a node offered by several source
+    graphs is listed once, at its best entry."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ordered = sorted(
         recs,
         key=lambda r: (-r.score, r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
     )
-    return ordered[:k]
+    top: dict[str, Recommendation] = {}
+    for r in ordered:
+        top.setdefault(r.node, r)
+        if len(top) == k:
+            break
+    return list(top.values())
 
 
 def group_recommend(

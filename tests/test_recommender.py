@@ -155,6 +155,21 @@ class TestGroupRecommend:
         assert all(r.source_user == "expert" for r in recs)
         assert "x" not in nodes  # already known to the novice
 
+    def test_ranked_list_holds_distinct_nodes(self):
+        graphs, clustering = self._setup()
+        graphs["expert2"] = build_graph(
+            [make_session("expert2", ["hub", "deep", "t"], gap=30)] * 2
+        )
+        detect_targets(graphs["expert2"])
+        clustering.assignments["expert2"] = 3
+        recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
+        assert [r.node for r in recs].count("deep") == 2
+        ranked = rank(recs, k=10)
+        nodes = [r.node for r in ranked]
+        assert len(nodes) == len(set(nodes))
+        assert set(nodes) == {r.node for r in recs}
+        assert ranked[nodes.index("deep")].source_user == "expert"
+
     def test_less_experienced_users_excluded(self):
         graphs, clustering = self._setup()
         clustering.assignments["expert"] = 0
