@@ -135,8 +135,8 @@ def reconstruct(factors: Parafac2Factors, user_index: int) -> np.ndarray:
 def initial_latent_factors(factors: Parafac2Factors) -> np.ndarray:
     """Shared initial latent factors V' (R x T), identical for every user.
 
-    Column-major, the layout of the transposed view V.T: BLAS products of
-    it then sum in the same order as products of V.T itself.
+    Column-major, the layout of the view V.T. BLAS sums in a layout-dependent
+    order, so this keeps Kalman fits bit-identical to ones computed from V.T.
     """
     return factors.V.T.copy(order="F")
 

@@ -200,8 +200,9 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
             "slots": {u: matrices[u].layout.slots for u in tensor.users},
         }
         (tensor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(layout_doc, sort_keys=True))
-        # Padding by column indexing leaves the panels column-major; stored
-        # row-major, they give the factorization a fixed summation order.
+        # Padding leaves the panels column-major. BLAS sums in a
+        # layout-dependent order, and the fitted model's last bits (so
+        # results.csv) are pinned to row-major panels.
         np.savez(
             tensor_root / f"cluster_{cluster_id}.npz",
             *(np.ascontiguousarray(m) for m in tensor.matrices),
