@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -28,12 +29,26 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--tol", type=float)
     p.add_argument("--rank-lambda", type=float, dest="rank_lambda")
-    p.add_argument("--rank-epochs", type=int, dest="rank_epochs")
     p.add_argument("--process-noise", type=float, dest="process_noise")
     p.add_argument("--variant", choices=[v for v in evaluation.VARIANTS])
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--min-unique-reports", type=int, dest="min_unique_reports")
+
+
+class ConfigKeyError(Exception):
+    """A --config file names a field the config class does not have."""
+
+
+def _config(cls, doc: dict):
+    accepted = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(doc) - set(accepted))
+    if unknown:
+        raise ConfigKeyError(
+            f"unknown config key(s) {', '.join(unknown)}; "
+            f"{cls.__name__} accepts {', '.join(accepted)}"
+        )
+    return cls(**doc)
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -42,12 +57,12 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         base = json.loads(args.config.read_text())
     for name in (
         "timeout", "train_fraction", "rank", "max_iters", "tol", "rank_lambda",
-        "rank_epochs", "process_noise", "variant", "k", "seed", "min_unique_reports",
+        "process_noise", "variant", "k", "seed", "min_unique_reports",
     ):
         value = getattr(args, name, None)
         if value is not None:
             base[name] = value
-    return PipelineConfig(**base)
+    return _config(PipelineConfig, base)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +126,7 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
         "seed": args.seed,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    return synth.SynthConfig(**base)
+    return _config(synth.SynthConfig, base)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -174,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         print(f"wrote {out}")
         return EXIT_OK
+    except ConfigKeyError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except MissingArtifact as exc:
         print(f"missing artifact: {exc} (run the preceding stage first)", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT

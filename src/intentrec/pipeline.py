@@ -30,10 +30,9 @@ class PipelineConfig:
     timeout: float = ingest.DEFAULT_SESSION_TIMEOUT
     train_fraction: float = 0.7
     rank: int = parafac2.DEFAULT_RANK
-    max_iters: int = 50
+    max_iters: int = parafac2.DEFAULT_MAX_ITERS
     tol: float = 1e-6
     rank_lambda: float = ranksvm.DEFAULT_LAMBDA
-    rank_epochs: int = 50
     process_noise: float = kalman.DEFAULT_PROCESS_NOISE
     feedback_rate: float = recommender.DEFAULT_FEEDBACK_RATE
     variant: str = "sum-i"
@@ -249,6 +248,11 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
             max_iters=config.max_iters,
             seed=config.seed + cluster_id,
         )
+        if not report.converged:
+            log.warning(
+                "cluster %d: PARAFAC2 did not converge in %d iterations",
+                cluster_id, report.iterations,
+            )
         np.savez(
             factor_root / f"cluster_{cluster_id}.npz",
             *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
@@ -363,7 +367,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     serving = _load_serving(workdir)
 
     models: dict[str, ranksvm.RankModel] = {}
-    for idx, (uid, sessions) in enumerate(sorted(group_by_user(dataset.train).items())):
+    for uid, sessions in sorted(group_by_user(dataset.train).items()):
         if uid not in serving:
             continue
         evolved = serving[uid].evolved
@@ -374,21 +378,25 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
             pos += len(sess)
         training_sets = ranksvm.build_training_sets(session_factors, set(graphs[uid].targets()))
         if training_sets:
-            models[uid] = ranksvm.train_all(
-                training_sets,
-                lam=config.rank_lambda,
-                epochs=config.rank_epochs,
-                seed=config.seed + idx,
-            )
+            models[uid] = ranksvm.train_all(training_sets, lam=config.rank_lambda)
     out = workdir / "rankmodel.json"
     out.write_text(
         json.dumps({u: m.to_json() for u, m in models.items()}, sort_keys=True)
     )
+    weights = [iw for m in models.values() for iw in m.weights.values()]
+    trained = [iw for iw in weights if not iw.degenerate]
+    rates = [iw.violation_rate for iw in trained]
     _note_manifest(
         workdir, "train-rank",
         [workdir / "sessions.json", workdir / "graphs.json"],
-        {"lambda": config.rank_lambda, "epochs": config.rank_epochs, "seed": config.seed},
+        {"lambda": config.rank_lambda},
         t0,
+        intents_trained=len(trained),
+        intents_degenerate=len(weights) - len(trained),
+        pairs=sum(iw.pairs for iw in trained),
+        violation_rate_mean=float(np.mean(rates)) if rates else 0.0,
+        violation_rate_max=max(rates, default=0.0),
+        newton_iterations_max=max((iw.iterations for iw in trained), default=0),
     )
     return out
 

@@ -12,8 +12,8 @@ log = logging.getLogger(__name__)
 
 WEIGHT_NORM_CAP = 4.0
 DEFAULT_LAMBDA = 1.0
-DEFAULT_EPOCHS = 200
-MAX_PAIRS = 5000
+MAX_NEWTON_ITERS = 50
+MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -29,6 +29,8 @@ class IntentWeights:
     objective: float = 0.0
     violation_rate: float = 0.0
     degenerate: bool = False
+    pairs: int = 0
+    iterations: int = 0  # Newton steps taken
 
 
 @dataclass
@@ -36,19 +38,11 @@ class RankModel:
     weights: dict[str, IntentWeights] = field(default_factory=dict)
     trade_off: float = DEFAULT_LAMBDA
 
-    def intents(self) -> list[str]:
-        return sorted(self.weights)
-
     def to_json(self) -> dict:
         return {
             "lambda": self.trade_off,
             "intents": {
-                intent: {
-                    "w": iw.w.tolist(),
-                    "objective": iw.objective,
-                    "violation_rate": iw.violation_rate,
-                    "degenerate": iw.degenerate,
-                }
+                intent: {**vars(iw), "w": iw.w.tolist()}
                 for intent, iw in sorted(self.weights.items())
             },
         }
@@ -58,10 +52,7 @@ class RankModel:
         model = cls(trade_off=doc["lambda"])
         for intent, entry in doc["intents"].items():
             model.weights[intent] = IntentWeights(
-                w=np.asarray(entry["w"], dtype=float),
-                objective=entry["objective"],
-                violation_rate=entry["violation_rate"],
-                degenerate=entry["degenerate"],
+                **{**entry, "w": np.asarray(entry["w"], dtype=float)}
             )
         return model
 
@@ -126,21 +117,46 @@ def build_training_sets(
     return training_sets_from_endings(endings)
 
 
-def _hinge_objective(w: np.ndarray, diffs: np.ndarray, lam: float) -> float:
-    margins = 1.0 - diffs @ w
-    return float(w @ w + lam * np.clip(margins, 0.0, None).sum())
+def _pair_terms(w: np.ndarray, R1: np.ndarray, R2: np.ndarray, lam: float):
+    """Objective ||w||^2 + lam * sum_ij max(0, 1 - w.(r1_i - r2_j))^2 over all
+    pairs, with its gradient and generalized Hessian.
+
+    Pair (i, j) is active when q_j > p_i - 1 (p = R1 w, q = R2 w). With the
+    negatives sorted by q, each positive's active pairs are a suffix, so the
+    pair sums come from suffix sums of 1, q, q^2, y, q*y and y y^T.
+    """
+    dim = len(w)
+    p, q = R1 @ w, R2 @ w
+    order = np.argsort(q, kind="stable")
+    starts = np.searchsorted(q[order], p - 1.0, side="right")
+    cols = np.column_stack(
+        [np.ones_like(q), q, q * q, R2, q[:, None] * R2,
+         (R2[:, :, None] * R2[:, None, :]).reshape(len(q), -1)]
+    )[order]
+    suffix = np.zeros((len(q) + 1, cols.shape[1]))
+    suffix[:-1] = np.cumsum(cols[::-1], axis=0)[::-1]
+    n, s_q, s_qq, s_y, s_qy, s_yy = np.split(
+        suffix[starts], np.cumsum([1, 1, 1, dim, dim]), axis=1
+    )
+    a = 1.0 - p[:, None]  # the residual of pair (i, j) is a_i + q_j
+    loss = np.sum(n * a * a + 2.0 * a * s_q + s_qq)
+    # d/dw of the loss is 2 * sum_ij (a_i + q_j)(y_j - x_i) over active pairs
+    pull = (a * s_y + s_qy - R1 * (n * a + s_q)).sum(axis=0)
+    # sum_ij (x_i - y_j)(x_i - y_j)^T over active pairs
+    cross = R1.T @ s_y
+    pair_hess = (R1 * n).T @ R1 - cross - cross.T + s_yy.sum(axis=0).reshape(dim, dim)
+    return (
+        float(w @ w + lam * loss),
+        2.0 * w + 2.0 * lam * pull,
+        2.0 * np.eye(dim) + 2.0 * lam * pair_hess,
+    )
 
 
-def train(
-    ts: RankTrainingSet,
-    lam: float = DEFAULT_LAMBDA,
-    epochs: int = DEFAULT_EPOCHS,
-    seed: int = 0,
-    batch_size: int = 64,
-) -> IntentWeights:
-    """Stochastic subgradient descent on the hinge relaxation of the pairwise
-    margin problem; the weight norm is capped at 4 after training so the
-    affine score normalization stays in [0, 1].
+def train(ts: RankTrainingSet, lam: float = DEFAULT_LAMBDA) -> IntentWeights:
+    """Primal Newton solve of the squared-hinge pairwise SVM over every
+    (positive, negative) pair (Chapelle & Keerthi 2010), with Armijo
+    backtracking; the weight norm is capped at 4 after training so the affine
+    score normalization stays in [0, 1].
     """
     if len(ts.R1) == 0:
         raise ValueError("empty positive set")
@@ -151,56 +167,39 @@ def train(
         log.warning("intent %s has no negative sessions; degenerate model", ts.intent)
         return IntentWeights(w=w, degenerate=True)
 
-    rng = np.random.default_rng(seed)
-    n_pairs = len(ts.R1) * len(ts.R2)
-    if n_pairs <= MAX_PAIRS:
-        ii, jj = np.meshgrid(np.arange(len(ts.R1)), np.arange(len(ts.R2)), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-    else:
-        ii = rng.integers(len(ts.R1), size=MAX_PAIRS)
-        jj = rng.integers(len(ts.R2), size=MAX_PAIRS)
-    diffs = ts.R1[ii] - ts.R2[jj]
-    n_pairs = len(diffs)
+    w = np.zeros(ts.R1.shape[1])
+    obj, grad, hess = _pair_terms(w, ts.R1, ts.R2, lam)
+    iterations = 0
+    while iterations < MAX_NEWTON_ITERS:
+        step = np.linalg.solve(hess, grad)
+        decrease = float(grad @ step)
+        if decrease <= np.finfo(float).eps * obj:
+            break  # the predicted change is below the objective's resolution
+        for t in 0.5 ** np.arange(MAX_BACKTRACKS):
+            trial = w - t * step
+            terms = _pair_terms(trial, ts.R1, ts.R2, lam)
+            if terms[0] <= obj - 1e-4 * t * decrease:
+                break
+        else:
+            break  # the objective no longer moves
+        w, (obj, grad, hess) = trial, terms
+        iterations += 1
 
-    dim = diffs.shape[1]
-    w = np.zeros(dim)
-    best_w = w.copy()
-    best_obj = _hinge_objective(w, diffs, lam)
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, batch_size):
-            t += 1
-            batch = diffs[order[start : start + batch_size]]
-            viol = (batch @ w) < 1.0
-            # subgradient of the per-pair-averaged objective
-            grad = (2.0 / n_pairs) * w
-            if viol.any():
-                grad = grad - lam * batch[viol].sum(axis=0) / len(batch)
-            w = w - grad / (lam * t)
-        obj = _hinge_objective(w, diffs, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-
-    w = best_w
     norm = np.linalg.norm(w)
     if norm > WEIGHT_NORM_CAP:
         w = w * (WEIGHT_NORM_CAP / norm)
-    margins = diffs @ w
-    violations = float(np.mean(margins <= 0))
-    return IntentWeights(w=w, objective=_hinge_objective(w, diffs, lam), violation_rate=violations)
+        obj = _pair_terms(w, ts.R1, ts.R2, lam)[0]
+    # pair (i, j) is violated when its margin p_i - q_j is <= 0
+    p, q = ts.R1 @ w, np.sort(ts.R2 @ w)
+    pairs = len(p) * len(q)
+    rate = float(np.sum(len(q) - np.searchsorted(q, p, side="left"))) / pairs
+    return IntentWeights(w=w, objective=obj, violation_rate=rate, pairs=pairs, iterations=iterations)
 
 
-def train_all(
-    training_sets: dict[str, RankTrainingSet],
-    lam: float = DEFAULT_LAMBDA,
-    epochs: int = DEFAULT_EPOCHS,
-    seed: int = 0,
-) -> RankModel:
+def train_all(training_sets: dict[str, RankTrainingSet], lam: float = DEFAULT_LAMBDA) -> RankModel:
     model = RankModel(trade_off=lam)
-    for k, intent in enumerate(sorted(training_sets)):
-        model.weights[intent] = train(training_sets[intent], lam=lam, epochs=epochs, seed=seed + k)
+    for intent in sorted(training_sets):
+        model.weights[intent] = train(training_sets[intent], lam=lam)
     return model
 
 

@@ -27,7 +27,7 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _run_pipeline(tmp_path, seed, *, n_users, sessions_per_user, rho, n_seeds_tag,
-                  rank_epochs=200, process_noise=1.0):
+                  process_noise=1.0):
     wd = tmp_path / f"{n_seeds_tag}_{seed}"
     wd.mkdir()
     scfg = synth.SynthConfig(
@@ -35,7 +35,7 @@ def _run_pipeline(tmp_path, seed, *, n_users, sessions_per_user, rho, n_seeds_ta
         intent_count=3, context_signal_strength=rho, seed=seed,
     )
     pipeline.stage_synth(wd, scfg)
-    cfg = PipelineConfig(seed=seed, process_noise=process_noise, rank_epochs=rank_epochs)
+    cfg = PipelineConfig(seed=seed, process_noise=process_noise)
     result = pipeline.run_all(wd, cfg, wd / "hits.jsonl")
     total_hits = sum(
         1 for _ in (wd / "hits.jsonl").read_text().strip().split("\n")
@@ -91,7 +91,7 @@ class TestNullSignal:
         for seed in range(10):
             ndcg, _, _ = _run_pipeline(
                 tmp_path, seed, n_users=60, sessions_per_user=12, rho=0.0,
-                n_seeds_tag="n", rank_epochs=100,
+                n_seeds_tag="n",
             )
             diffs.append(ndcg["sum-i"] - ndcg["frequency"])
         gap = abs(float(np.mean(diffs)))
@@ -247,7 +247,7 @@ class TestRankSvm:
             elif m < -0.3 and len(neg) < 50:
                 neg.append(f)
         ts = RankTrainingSet(intent="I", R1=np.array(pos), R2=np.array(neg))
-        entry = train(ts, epochs=200, seed=0)
+        entry = train(ts)
         model = RankModel()
         model.weights["I"] = entry
 
@@ -258,7 +258,7 @@ class TestRankSvm:
             RankTrainingSet(
                 intent="I", R1=np.array([[1.0, 0.0]]), R2=np.array([[0.0, 1.0]])
             ),
-            lam=10.0, epochs=100, seed=0,
+            lam=10.0,
         )
         analytic_ok = two.w @ np.array([1.0, 0.0]) > two.w @ np.array([0.0, 1.0])
         _report(
@@ -340,7 +340,7 @@ class TestDeterminism:
                 context_signal_strength=0.8, seed=7,
             )
             pipeline.stage_synth(wd, scfg)
-            cfg = PipelineConfig(seed=7, rank=4, max_iters=30, rank_epochs=50)
+            cfg = PipelineConfig(seed=7, rank=4, max_iters=30)
             pipeline.run_all(wd, cfg, wd / "hits.jsonl")
             outputs.append((wd / "results.csv").read_bytes())
         _report(

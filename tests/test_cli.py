@@ -17,7 +17,7 @@ def workdir(tmp_path_factory):
         context_signal_strength=0.8, seed=3,
     )
     pipeline.stage_synth(wd, scfg)
-    cfg = PipelineConfig(seed=3, rank=3, max_iters=20, rank_epochs=20)
+    cfg = PipelineConfig(seed=3, rank=3, max_iters=20)
     pipeline.stage_ingest(wd, cfg, wd / "hits.jsonl")
     pipeline.stage_graph(wd, cfg)
     pipeline.stage_tensor(wd, cfg)
@@ -90,6 +90,45 @@ class TestStages:
             fit = json.loads((tmp_path / "factors" / f"cluster_{cluster}.json").read_text())
             assert fit["rank"] == 6
 
+    def test_default_config_converges(self, tmp_path, caplog):
+        # at 50 iterations cluster 1 of this log stopped unconverged
+        scfg = synth.SynthConfig(n_users=60, sessions_per_user=10, seed=1)
+        pipeline.stage_synth(tmp_path, scfg)
+        cfg = PipelineConfig(seed=1, rank=8)
+        pipeline.stage_ingest(tmp_path, cfg, tmp_path / "hits.jsonl")
+        pipeline.stage_tensor(tmp_path, cfg)
+        pipeline.stage_factorize(tmp_path, cfg)
+        clusters = json.loads((tmp_path / "manifest.json").read_text())["factorize"]["clusters"]
+        assert clusters
+        assert all(entry["converged"] for entry in clusters.values()), clusters
+        assert "did not converge" not in caplog.text
+
+    def test_unconverged_cluster_warns(self, tmp_path, caplog):
+        scfg = synth.SynthConfig(n_users=60, sessions_per_user=10, seed=1)
+        pipeline.stage_synth(tmp_path, scfg)
+        cfg = PipelineConfig(seed=1, rank=8, max_iters=2)
+        pipeline.stage_ingest(tmp_path, cfg, tmp_path / "hits.jsonl")
+        pipeline.stage_tensor(tmp_path, cfg)
+        pipeline.stage_factorize(tmp_path, cfg)
+        clusters = json.loads((tmp_path / "manifest.json").read_text())["factorize"]["clusters"]
+        warned = [r for r in caplog.records if "did not converge" in r.getMessage()]
+        assert len(warned) == sum(not e["converged"] for e in clusters.values()) > 0
+
+    def test_train_rank_manifest_matches_model(self, workdir):
+        entry = json.loads((workdir / "manifest.json").read_text())["train-rank"]
+        doc = json.loads((workdir / "rankmodel.json").read_text())
+        weights = [iw for m in doc.values() for iw in m["intents"].values()]
+        trained = [iw for iw in weights if not iw["degenerate"]]
+        rates = [iw["violation_rate"] for iw in trained]
+        assert trained
+        assert entry["config"] == {"lambda": PipelineConfig().rank_lambda}
+        assert entry["intents_trained"] == len(trained)
+        assert entry["intents_degenerate"] == len(weights) - len(trained)
+        assert entry["pairs"] == sum(iw["pairs"] for iw in trained) > 0
+        assert entry["violation_rate_mean"] == pytest.approx(sum(rates) / len(rates))
+        assert entry["violation_rate_max"] == max(rates)
+        assert entry["newton_iterations_max"] == max(iw["iterations"] for iw in trained) > 0
+
     def test_recommend_stage(self, workdir):
         model = pipeline.load_model(workdir)
         uid = sorted(model.serving)[0]
@@ -120,6 +159,23 @@ class TestCliExitCodes:
         code = cli.main(["ingest", "--workdir", str(tmp_path), "--input", str(bad)])
         assert code == cli.EXIT_DATA
 
+    def test_stale_pipeline_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rank": 3, "rank_epochs": 50}))
+        code = cli.main(["ingest", "--workdir", str(tmp_path), "--config", str(config)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "rank_epochs" in err and "rank_lambda" in err
+
+    def test_stale_synth_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_users": 4, "rank_epochs": 50}))
+        code = cli.main(["synth", "--workdir", str(tmp_path), "--config", str(config)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "rank_epochs" in err and "n_users" in err
+        assert not (tmp_path / "hits.jsonl").exists()
+
     def test_synth_and_ingest_ok(self, tmp_path):
         assert (
             cli.main(
@@ -143,7 +199,7 @@ class TestCliExitCodes:
         ) == cli.EXIT_OK
         assert cli.main(
             ["run", "--workdir", str(tmp_path), "--input", str(tmp_path / "hits.jsonl"),
-             "--rank", "3", "--max-iters", "15", "--rank-epochs", "15", "--seed", "2"]
+             "--rank", "3", "--max-iters", "15", "--seed", "2"]
         ) == cli.EXIT_OK
         model = pipeline.load_model(tmp_path)
         uid = sorted(model.serving)[0]
@@ -157,7 +213,7 @@ class TestCliExitCodes:
             ["synth", "--workdir", str(tmp_path), "--users", "8", "--reports", "40",
              "--sessions-per-user", "6", "--seed", "2"]
         ) == cli.EXIT_OK
-        common = ["--max-iters", "15", "--rank-epochs", "15", "--seed", "2"]
+        common = ["--max-iters", "15", "--seed", "2"]
         assert cli.main(
             ["run", "--workdir", str(tmp_path), "--input", str(tmp_path / "hits.jsonl"),
              "--rank", "1", *common]

@@ -4,6 +4,7 @@ import pytest
 from intentrec.ranksvm import (
     RankModel,
     RankTrainingSet,
+    _pair_terms,
     build_training_sets,
     intent_score,
     session_final_target,
@@ -48,7 +49,7 @@ class TestTrain:
             R1=np.array([[1.0, 0.0]]),
             R2=np.array([[0.0, 1.0]]),
         )
-        model = train(ts, lam=10.0, epochs=100, seed=0)
+        model = train(ts, lam=10.0)
         w = model.w
         assert w[0] > 0 > w[1]
         # the solution is proportional to (1, -1)
@@ -67,20 +68,20 @@ class TestTrain:
             elif margin < -0.3 and len(neg) < 40:
                 neg.append(f)
         ts = RankTrainingSet(intent="I", R1=np.array(pos), R2=np.array(neg))
-        model = train(ts, epochs=200, seed=1)
+        model = train(ts)
         assert model.violation_rate <= 0.05
 
     def test_identical_sides_near_zero(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0]])
         ts = RankTrainingSet(intent="I", R1=pts, R2=pts.copy())
-        model = train(ts, epochs=50, seed=0)
+        model = train(ts)
         assert np.linalg.norm(model.w) < 0.5
 
     def test_degenerate_fallback(self):
         ts = RankTrainingSet(
             intent="I", R1=np.array([[0.6, 0.8]]), R2=np.empty((0, 0))
         )
-        model = train(ts, seed=0)
+        model = train(ts)
         assert model.degenerate
         np.testing.assert_allclose(model.w, [0.6, 0.8])
 
@@ -96,7 +97,7 @@ class TestTrain:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(10)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(10)]),
         )
-        model = train(ts, epochs=100, seed=0)
+        model = train(ts)
         assert np.linalg.norm(model.w) <= 4.0 + 1e-12
 
     def test_deterministic(self):
@@ -106,8 +107,8 @@ class TestTrain:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(5)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(5)]),
         )
-        a = train(ts, epochs=30, seed=11)
-        b = train(ts, epochs=30, seed=11)
+        a = train(ts)
+        b = train(ts)
         np.testing.assert_array_equal(a.w, b.w)
 
 
@@ -117,7 +118,7 @@ class TestIntentScore:
             intent="I", R1=np.array([w]), R2=np.empty((0, 0))
         )
         model = RankModel()
-        model.weights["I"] = train(ts, seed=0)
+        model.weights["I"] = train(ts)
         model.weights["I"].w = np.asarray(w, dtype=float)
         return model
 
@@ -147,20 +148,57 @@ class TestIntentScore:
             intent_score(model, "missing", np.ones(1))
 
 
-class TestObjectiveDescent:
-    def test_objective_non_increasing_on_average(self):
-        rng = np.random.default_rng(6)
-        drops = 0
-        for seed in range(10):
-            w_true = _unit(rng.normal(size=4))
-            pos = np.array([_unit(w_true + 0.3 * rng.normal(size=4)) for _ in range(15)])
-            neg = np.array([_unit(-w_true + 0.3 * rng.normal(size=4)) for _ in range(15)])
-            ts = RankTrainingSet(intent="I", R1=pos, R2=neg)
-            early = train(ts, epochs=5, seed=seed).objective
-            late = train(ts, epochs=100, seed=seed).objective
-            if late <= early * 1.01:
-                drops += 1
-        assert drops == 10
+def _brute_force_terms(w, R1, R2, lam):
+    """Objective, gradient and generalized Hessian from every pair difference."""
+    diffs = (R1[:, None, :] - R2[None, :, :]).reshape(-1, len(w))
+    residual = 1.0 - diffs @ w
+    act = residual > 0
+    return (
+        w @ w + lam * np.sum(residual[act] ** 2),
+        2.0 * w - 2.0 * lam * diffs[act].T @ residual[act],
+        2.0 * np.eye(len(w)) + 2.0 * lam * diffs[act].T @ diffs[act],
+    )
+
+
+class TestNewtonSolver:
+    def _assert_terms_match(self, w, R1, R2, lam):
+        got = _pair_terms(np.asarray(w, dtype=float), R1, R2, lam)
+        want = _brute_force_terms(np.asarray(w, dtype=float), R1, R2, lam)
+        for g, e in zip(got, want):
+            np.testing.assert_allclose(g, e, rtol=1e-10, atol=1e-10)
+
+    def test_sorted_sums_match_all_pairs(self):
+        rng = np.random.default_rng(8)
+        for trial in range(100):
+            dim = int(rng.integers(1, 6))
+            R1 = rng.normal(size=(int(rng.integers(1, 25)), dim))
+            R2 = rng.normal(size=(int(rng.integers(1, 25)), dim))
+            if trial % 2:
+                R1[1:] = R1[0]  # duplicate rows on both sides
+                R2[len(R2) // 2 :] = R2[0]
+            w = rng.normal(size=dim) * rng.uniform(0.0, 3.0)
+            self._assert_terms_match(w, R1, R2, float(rng.uniform(0.1, 10.0)))
+
+    def test_single_negative_and_pair_at_margin_one(self):
+        R1 = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        R2 = np.array([[0.0, 1.0]])
+        # w.(r1_0 - r2_0) is exactly 1: the pair sits on the hinge
+        self._assert_terms_match([1.0, 0.0], R1, R2, 2.0)
+        self._assert_terms_match([0.3, -0.2], R1, R2, 2.0)
+        R2 = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+        self._assert_terms_match([1.0, 0.0], R1, R2, 0.5)
+
+    def test_optimum_has_zero_gradient(self):
+        rng = np.random.default_rng(9)
+        R1 = np.array([_unit(rng.normal(size=5) + 0.5) for _ in range(30)])
+        R2 = np.array([_unit(rng.normal(size=5) - 0.5) for _ in range(40)])
+        ts = RankTrainingSet(intent="I", R1=R1, R2=R2)
+        model = train(ts)
+        assert np.linalg.norm(model.w) < 4.0
+        _, grad, _ = _brute_force_terms(model.w, R1, R2, 1.0)
+        assert np.linalg.norm(grad) <= 1e-8
+        assert model.pairs == 30 * 40
+        assert 0 < model.iterations <= 50
 
 
 class TestPersistence:
@@ -171,7 +209,7 @@ class TestPersistence:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(4)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(4)]),
         )
-        model = train_all({"I": ts}, epochs=20, seed=0)
+        model = train_all({"I": ts})
         again = RankModel.loads(model.dumps())
         np.testing.assert_allclose(again.weights["I"].w, model.weights["I"].w)
         assert again.trade_off == model.trade_off
