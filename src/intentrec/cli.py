@@ -55,13 +55,10 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     base = {}
     if args.config:
         base = json.loads(args.config.read_text())
-    for name in (
-        "timeout", "train_fraction", "rank", "max_iters", "tol", "rank_lambda",
-        "process_noise", "variant", "k", "seed", "min_unique_reports",
-    ):
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            base[name] = value
+            base[f.name] = value
     return _config(PipelineConfig, base)
 
 

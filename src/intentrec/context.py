@@ -23,10 +23,6 @@ class FeatureLayout:
     slots: list[tuple[str, str]]
 
     @property
-    def n_pairs(self) -> int:
-        return len(self.slots)
-
-    @property
     def width(self) -> int:
         return SLOTS_PER_PAIR * len(self.slots)
 

@@ -6,7 +6,7 @@ import copy
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,11 +14,10 @@ from . import recommender
 from .artifacts import TrainedModel, serving_factor
 from .models import Dataset, group_by_user
 from .navgraph import intent_distances
-from .recommender import RelevanceVariant
+from .recommender import DEFAULT_TOP_K, RelevanceVariant
 
 log = logging.getLogger(__name__)
 
-DEFAULT_K = 10
 DEFAULT_MIN_UNIQUE_REPORTS = 5
 
 BASELINES = ("mass", "frequency", "context", "parafac2")
@@ -50,10 +49,9 @@ class BenchmarkResult:
     reports: list[EvalReport]
     skipped_unseen: int = 0
     skipped_filtered: int = 0
-    per_user_events: dict[str, int] = field(default_factory=dict)
 
 
-def ndcg_at_k(shown: list[str], true_next: str, k: int = DEFAULT_K) -> float:
+def ndcg_at_k(shown: list[str], true_next: str, k: int = DEFAULT_TOP_K) -> float:
     """Binary-relevance NDCG with a single relevant item (ideal DCG = 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -64,7 +62,7 @@ def ndcg_at_k(shown: list[str], true_next: str, k: int = DEFAULT_K) -> float:
 
 
 def precision_recall_at_k(
-    shown: list[str], true_next: str, k: int = DEFAULT_K
+    shown: list[str], true_next: str, k: int = DEFAULT_TOP_K
 ) -> tuple[float, float]:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -96,7 +94,7 @@ def weighted_auc(events: list[EvalEvent]) -> float:
     return sum(len(v) * (sum(v) / len(v)) for v in per_user.values()) / total
 
 
-def summarize(method: str, events: list[EvalEvent], k: int = DEFAULT_K) -> EvalReport:
+def summarize(method: str, events: list[EvalEvent], k: int = DEFAULT_TOP_K) -> EvalReport:
     if not events:
         return EvalReport(method=method, ndcg=0.0, precision=0.0, recall=0.0, wauc=0.0, events=0)
     ndcgs, precs, recs = [], [], []
@@ -118,7 +116,6 @@ def summarize(method: str, events: list[EvalEvent], k: int = DEFAULT_K) -> EvalR
 def _method_scores(
     method: str,
     graph,
-    u: str,
     candidates: list[tuple[str, float, int]],
     distances: dict[str, dict[str, float]],
     intent_scores_kal: dict[str, float],
@@ -126,31 +123,25 @@ def _method_scores(
     k: int,
 ) -> tuple[dict[str, float], list[str]]:
     """Candidate scores plus the shown (top-k) ordering for one event."""
-    nodes = [v for v, _, _ in candidates]
     if method == "mass":
-        scores = {v: graph.nodes[v].mass for v in nodes}
+        scores = {v: graph.nodes[v].mass for v, _, _ in candidates}
     elif method == "frequency":
         scores = {v: w for v, w, _ in candidates}
-    elif method in ("context", "parafac2"):
-        intent_scores = intent_scores_kal if method == "context" else intent_scores_pf2
-        scores = recommender.candidate_relevances(
-            nodes, distances, intent_scores, RelevanceVariant.SUM_I
-        )
-        # context-only score (alpha=1, W stripped, beta=0); ties resolved with
-        # the standard rank-order chain over W, M, node id
-        weights = {v: w for v, w, _ in candidates}
-        shown = sorted(
-            scores,
-            key=lambda v: (-scores[v], -weights[v], -graph.nodes[v].mass, v),
-        )
-        return scores, shown[:k]
     else:
-        variant = RelevanceVariant(method)
-        rels = recommender.candidate_relevances(nodes, distances, intent_scores_kal, variant)
-        recs = recommender.score_candidates(graph, u, rels, variant)
+        context_only = method in ("context", "parafac2")
+        intent_scores = intent_scores_pf2 if method == "parafac2" else intent_scores_kal
+        variant = RelevanceVariant.SUM_I if context_only else RelevanceVariant(method)
+        nodes = [v for v, _, _ in candidates]
+        rels = recommender.candidate_relevances(nodes, distances, intent_scores, variant)
+        recs = recommender.score_candidates(graph, candidates, rels)
+        if context_only:
+            # context-only score (alpha=1, W stripped, beta=0); rank still
+            # breaks its ties on W, M and node id
+            for r in recs:
+                r.score = r.relevance
         ranked = recommender.rank(recs, k=k)
         return {r.node: r.score for r in recs}, [r.node for r in ranked]
-    shown = [v for v, _ in sorted(scores.items(), key=lambda it: (-it[1], it[0]))]
+    shown = sorted(scores, key=lambda v: (-scores[v], v))
     return scores, shown[:k]
 
 
@@ -158,7 +149,7 @@ def run_benchmark(
     dataset: Dataset,
     model: TrainedModel,
     methods: tuple[str, ...] = ALL_METHODS,
-    k: int = DEFAULT_K,
+    k: int = DEFAULT_TOP_K,
     min_unique_reports: int = DEFAULT_MIN_UNIQUE_REPORTS,
 ) -> BenchmarkResult:
     """One EvalEvent per consecutive test-session pair, scored per method.
@@ -174,7 +165,6 @@ def run_benchmark(
     per_method: dict[str, list[EvalEvent]] = {m: [] for m in methods}
     skipped_unseen = 0
     skipped_filtered = 0
-    per_user_events: dict[str, int] = {}
 
     test_by_user = group_by_user(dataset.test)
     for uid in sorted(test_by_user):
@@ -189,8 +179,7 @@ def run_benchmark(
         state = copy.deepcopy(serving.final_state) if serving else None
         dist_cache: dict[str, dict[str, float]] = {}
 
-        sessions = sorted(test_by_user[uid], key=lambda s: s.hits[0].timestamp)
-        for sess in sessions:
+        for sess in test_by_user[uid]:
             f_kal = np.zeros(1)
             f_pf2 = np.zeros(1)
             for i, hit in enumerate(sess.hits):
@@ -206,12 +195,12 @@ def run_benchmark(
                 candidates = recommender.enumerate_candidates(graph, u)
                 for v, _, _ in candidates:
                     if v not in dist_cache:
-                        dist_cache[v] = intent_distances(graph, v).per_target
+                        dist_cache[v] = intent_distances(graph, v)
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
                 for method in methods:
                     scores, shown = _method_scores(
-                        method, graph, u, candidates, dist_cache, scores_kal, scores_pf2, k
+                        method, graph, candidates, dist_cache, scores_kal, scores_pf2, k
                     )
                     per_method[method].append(
                         EvalEvent(
@@ -222,7 +211,6 @@ def run_benchmark(
                             scores=scores,
                         )
                     )
-                per_user_events[uid] = per_user_events.get(uid, 0) + 1
 
     reports = [summarize(m, per_method[m], k) for m in methods]
     if not any(r.events for r in reports):
@@ -231,7 +219,6 @@ def run_benchmark(
         reports=reports,
         skipped_unseen=skipped_unseen,
         skipped_filtered=skipped_filtered,
-        per_user_events=per_user_events,
     )
 
 

@@ -61,7 +61,10 @@ class Dataset:
 
 
 def group_by_user(sessions: list[Session]) -> dict[str, list[Session]]:
+    """Each user's sessions, in start-time order."""
     out: dict[str, list[Session]] = {}
     for s in sessions:
         out.setdefault(s.user_id, []).append(s)
+    for user_sessions in out.values():
+        user_sessions.sort(key=lambda s: s.hits[0].timestamp)
     return out

@@ -2,7 +2,6 @@
 node masses and probabilistic distances to targets."""
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -60,18 +59,6 @@ class NavGraph:
             g.transition_counts[(e["from"], e["to"])] = e["count"]
         return g
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "NavGraph":
-        return cls.from_json(json.loads(s))
-
-
-@dataclass
-class IntentDistances:
-    source: str
-    per_target: dict[str, float]
 
 
 def build_graph(sessions: list[Session]) -> NavGraph:
@@ -142,7 +129,7 @@ def detect_targets(graph: NavGraph) -> set[str]:
     return targets
 
 
-def intent_distances(graph: NavGraph, source: str) -> IntentDistances:
+def intent_distances(graph: NavGraph, source: str) -> dict[str, float]:
     """Max path probability from source to each reachable target.
 
     Dijkstra over edge lengths -ln(W); an empty path has probability 1, so a
@@ -169,7 +156,4 @@ def intent_distances(graph: NavGraph, source: str) -> IntentDistances:
                 dist[v] = nd
                 heappush(heap, (nd, v))
 
-    per_target = {
-        t: math.exp(-dist[t]) for t in graph.targets() if t in dist
-    }
-    return IntentDistances(source=source, per_target=per_target)
+    return {t: math.exp(-dist[t]) for t in graph.targets() if t in dist}

@@ -34,11 +34,10 @@ class PipelineConfig:
     tol: float = 1e-6
     rank_lambda: float = ranksvm.DEFAULT_LAMBDA
     process_noise: float = kalman.DEFAULT_PROCESS_NOISE
-    feedback_rate: float = recommender.DEFAULT_FEEDBACK_RATE
     variant: str = "sum-i"
-    k: int = 10
+    k: int = recommender.DEFAULT_TOP_K
     seed: int = 0
-    min_unique_reports: int = 5
+    min_unique_reports: int = evaluation.DEFAULT_MIN_UNIQUE_REPORTS
 
 
 def _require(path: Path) -> Path:
@@ -145,7 +144,7 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
     dataset = load_dataset(workdir / "sessions.json")
     docs = []
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
-        g = navgraph.build_graph(sorted(sessions, key=lambda s: s.hits[0].timestamp))
+        g = navgraph.build_graph(sessions)
         navgraph.detect_targets(g)
         docs.append(g.to_json())
     out = workdir / "graphs.json"
@@ -166,10 +165,7 @@ def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     t0 = time.time()
     dataset = load_dataset(workdir / "sessions.json")
-    per_user = {
-        uid: sorted(sessions, key=lambda s: s.hits[0].timestamp)
-        for uid, sessions in group_by_user(dataset.train).items()
-    }
+    per_user = group_by_user(dataset.train)
     features = {uid: context.usage_features(s) for uid, s in per_user.items()}
     clustering = context.cluster_users(features, seed=config.seed)
     (workdir / "clustering.json").write_text(
@@ -373,7 +369,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
         evolved = serving[uid].evolved
         session_factors = []
         pos = 0
-        for sess in sorted(sessions, key=lambda s: s.hits[0].timestamp):
+        for sess in sessions:
             session_factors.append((sess.reports, evolved[pos : pos + len(sess)]))
             pos += len(sess)
         training_sets = ranksvm.build_training_sets(session_factors, set(graphs[uid].targets()))

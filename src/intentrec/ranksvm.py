@@ -2,7 +2,6 @@
 factors, plus the normalized intent score."""
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -55,13 +54,6 @@ class RankModel:
                 **{**entry, "w": np.asarray(entry["w"], dtype=float)}
             )
         return model
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "RankModel":
-        return cls.from_json(json.loads(s))
 
 
 def _unit_rows(factors) -> np.ndarray:

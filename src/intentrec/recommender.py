@@ -83,17 +83,13 @@ def candidate_relevances(
 ) -> dict[str, float]:
     """Per-candidate relevance: the intent scores of the current context,
     restricted to the intents reachable from each candidate. distances maps
-    each candidate to its intent_distances(...).per_target."""
+    each candidate to its intent_distances(...)."""
     out: dict[str, float] = {}
     for v in candidates:
         dist = distances[v]
         reachable = {t: s for t, s in intent_scores.items() if t in dist}
         out[v] = relevance(variant, reachable, dist)
     return out
-
-
-def _distances(graph: NavGraph, candidates: list[str]) -> dict[str, dict[str, float]]:
-    return {v: intent_distances(graph, v).per_target for v in candidates}
 
 
 def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]]:
@@ -120,14 +116,13 @@ def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]
 
 def score_candidates(
     graph: NavGraph,
-    u: str,
+    candidates: list[tuple[str, float, int]],
     relevances: dict[str, float],
-    variant: RelevanceVariant = RelevanceVariant.SUM_I,
     collaborative: bool = False,
 ) -> list[Recommendation]:
-    """Score every 1-step and 2-step candidate with K = a*W*R + b*M."""
+    """Score each enumerate_candidates entry with K = a*W*R + b*M."""
     recs: list[Recommendation] = []
-    for v, w_uv, step in enumerate_candidates(graph, u):
+    for v, w_uv, step in candidates:
         attrs = graph.nodes[v]
         r_v = relevances.get(v, 0.0)
         k = attrs.alpha * w_uv * r_v + attrs.beta * attrs.mass
@@ -148,16 +143,27 @@ def score_candidates(
     return recs
 
 
+def _scored(
+    graph: NavGraph,
+    candidates: list[tuple[str, float, int]],
+    intent_scores: dict[str, float],
+    variant: RelevanceVariant,
+    collaborative: bool,
+) -> list[Recommendation]:
+    """Relevance and K of enumerated candidates, from graph's own paths."""
+    nodes = [v for v, _, _ in candidates]
+    distances ={v: intent_distances(graph, v) for v in nodes}
+    rels = candidate_relevances(nodes, distances, intent_scores, variant)
+    return score_candidates(graph, candidates, rels, collaborative)
+
+
 def recommend(
     graph: NavGraph,
     u: str,
     intent_scores: dict[str, float],
     variant: RelevanceVariant = RelevanceVariant.SUM_I,
-    collaborative: bool = False,
 ) -> list[Recommendation]:
-    candidates = [v for v, _, _ in enumerate_candidates(graph, u)]
-    rels = candidate_relevances(candidates, _distances(graph, candidates), intent_scores, variant)
-    return score_candidates(graph, u, rels, variant, collaborative=collaborative)
+    return _scored(graph, enumerate_candidates(graph, u), intent_scores, variant, False)
 
 
 def rank(recs: list[Recommendation], k: int = DEFAULT_TOP_K) -> list[Recommendation]:
@@ -208,16 +214,8 @@ def group_recommend(
         g = graphs[other_id]
         if u not in g.nodes or not g.targets():
             continue
-        candidates = [
-            v for v, _, _ in enumerate_candidates(g, u) if v not in own_nodes
-        ]
-        if not candidates:
-            continue
-        rels = candidate_relevances(candidates, _distances(g, candidates), intent_scores, variant)
-        for rec in score_candidates(g, u, rels, variant, collaborative=True):
-            if rec.node in own_nodes:
-                continue
-            recs.append(rec)
+        candidates = [c for c in enumerate_candidates(g, u) if c[0] not in own_nodes]
+        recs += _scored(g, candidates, intent_scores, variant, True)
     return recs
 
 

@@ -34,10 +34,6 @@ class SynthConfig:
         if not 0.0 <= self.context_signal_strength <= 1.0:
             raise ValueError("context_signal_strength must lie in [0, 1]")
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SynthConfig":
-        return cls(**doc)
-
 
 def _report_id(idx: int) -> str:
     return f"r{idx:03d}"

@@ -217,7 +217,7 @@ class TestDijkstraOracle:
                 return top
 
             source = sorted(g.nodes)[0]
-            d = intent_distances(g, source).per_target
+            d = intent_distances(g, source)
             for t in g.targets():
                 expected = best(source, t)
                 if expected is None:

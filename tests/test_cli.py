@@ -1,11 +1,19 @@
+import argparse
+import copy
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from intentrec import cli, pipeline, synth
+from intentrec.artifacts import serving_factor
+from intentrec.evaluation import ndcg_at_k
+from intentrec.models import group_by_user
 from intentrec.pipeline import PipelineConfig
+from intentrec.recommender import RelevanceVariant, rank, recommend
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +75,35 @@ class TestStages:
         assert (workdir / "results.csv").exists()
         methods = {r.method for r in result.reports}
         assert {"mass", "frequency", "context", "sum-i"} <= methods
+
+    def test_evaluation_measures_the_served_path(self, workdir):
+        # replaying the test split through the serving calls gives exactly
+        # the NDCG that evaluation reports for the served variant
+        cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
+        report = next(
+            r for r in pipeline.stage_evaluate(workdir, cfg).reports if r.method == cfg.variant
+        )
+        model = pipeline.load_model(workdir)
+        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        variant = RelevanceVariant(cfg.variant)
+        ndcgs = []
+        for uid, sessions in sorted(group_by_user(dataset.test).items()):
+            graph = model.graphs.get(uid)
+            if graph is None or len(graph.nodes) < cfg.min_unique_reports:
+                continue
+            serving = model.serving.get(uid)
+            state = copy.deepcopy(serving.final_state) if serving else None
+            for sess in sessions:
+                for hit, nxt in zip(sess.hits, sess.hits[1:] + [None]):
+                    if serving is not None:
+                        f, _, state = serving_factor(serving, state, hit)
+                    if nxt is None or hit.report_id not in graph.nodes:
+                        continue
+                    scores = model.intent_scores(uid, f) if serving else {}
+                    ranked = rank(recommend(graph, hit.report_id, scores, variant), cfg.k)
+                    ndcgs.append(ndcg_at_k([r.node for r in ranked], nxt.report_id, cfg.k))
+        assert len(ndcgs) == report.events > 0
+        assert float(np.mean(ndcgs)) == report.ndcg
 
     def test_loaded_model_reproduces_fit(self, workdir):
         _assert_serving_shapes(workdir)
@@ -146,6 +183,23 @@ class TestStages:
 
 
 class TestCliExitCodes:
+    def test_every_config_field_has_a_flag(self):
+        parser = argparse.ArgumentParser()
+        cli._add_common(parser)
+        flags = {a.dest: a for a in parser._actions}
+        fields = dataclasses.fields(PipelineConfig)
+        assert [f.name for f in fields if f.name not in flags] == []
+        argv = ["--workdir", "w"]
+        for f in fields:
+            action = flags[f.name]
+            if action.choices:
+                value = next(c for c in action.choices if c != f.default)
+            else:
+                value = f.default + 1
+            argv += [action.option_strings[0], str(value)]
+        config = cli._pipeline_config(parser.parse_args(argv))
+        assert [f.name for f in fields if getattr(config, f.name) == f.default] == []
+
     def test_usage_error(self):
         assert cli.main(["definitely-not-a-command"]) == cli.EXIT_USAGE
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,6 @@ class TestPersistence:
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(4)]),
         )
         model = train_all({"I": ts})
-        again = RankModel.loads(model.dumps())
+        again = RankModel.from_json(json.loads(json.dumps(model.to_json())))
         np.testing.assert_allclose(again.weights["I"].w, model.weights["I"].w)
         assert again.trade_off == model.trade_off

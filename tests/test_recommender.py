@@ -87,7 +87,7 @@ class TestScoreCandidates:
         g.nodes["a"].alpha = 1.5
         g.nodes["a"].beta = 0.5
         rels = {"a": 0.8, "b": 0.2}
-        recs = score_candidates(g, "u", rels)
+        recs = score_candidates(g, enumerate_candidates(g, "u"), rels)
         for r in recs:
             attrs = g.nodes[r.node]
             expected = attrs.alpha * r.weight * r.relevance + attrs.beta * r.mass
@@ -186,7 +186,7 @@ class TestGroupRecommend:
 class TestFeedback:
     def _shown(self, g):
         rels = {v: 0.5 for v in g.nodes}
-        return score_candidates(g, "u", rels)
+        return score_candidates(g, enumerate_candidates(g, "u"), rels)
 
     def _graph(self):
         gr = NavGraph(user_id="u1")
