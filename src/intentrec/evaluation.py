@@ -50,6 +50,11 @@ class BenchmarkResult:
     skipped_unseen: int = 0
     skipped_filtered: int = 0
 
+    @property
+    def events(self) -> int:
+        """Evaluated events; every method scores each one."""
+        return max((r.events for r in self.reports), default=0)
+
 
 def ndcg_at_k(shown: list[str], true_next: str, k: int = DEFAULT_TOP_K) -> float:
     """Binary-relevance NDCG with a single relevant item (ideal DCG = 1)."""
@@ -177,7 +182,6 @@ def run_benchmark(
             continue
         serving = model.serving.get(uid)
         state = copy.deepcopy(serving.final_state) if serving else None
-        dist_cache: dict[str, dict[str, float]] = {}
 
         for sess in test_by_user[uid]:
             f_kal = np.zeros(1)
@@ -193,14 +197,12 @@ def run_benchmark(
                     skipped_unseen += 1
                     continue
                 candidates = recommender.enumerate_candidates(graph, u)
-                for v, _, _ in candidates:
-                    if v not in dist_cache:
-                        dist_cache[v] = intent_distances(graph, v)
+                distances = {v: intent_distances(graph, v) for v, _, _ in candidates}
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
                 for method in methods:
                     scores, shown = _method_scores(
-                        method, graph, candidates, dist_cache, scores_kal, scores_pf2, k
+                        method, graph, candidates, distances, scores_kal, scores_pf2, k
                     )
                     per_method[method].append(
                         EvalEvent(

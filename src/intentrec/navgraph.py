@@ -22,17 +22,48 @@ class NodeAttrs:
 
 
 @dataclass
+class _Index:
+    """What queries read from a graph: adjacency sorted by successor id, as
+    weights and as Dijkstra lengths -ln(W), the sorted targets, and each
+    queried source's intent distances."""
+    successors: dict[str, tuple[tuple[str, float], ...]]
+    lengths: dict[str, tuple[tuple[str, float], ...]]
+    targets: tuple[str, ...]
+    distances: dict[str, dict[str, float]] = field(default_factory=dict)
+
+
+@dataclass
 class NavGraph:
+    """A user's navigation graph.
+
+    The first query (successors, targets, intent_distances) indexes the
+    edges and target flags; detect_targets drops the index. Feedback only
+    scales alpha/beta, which no query reads, so the index stays valid between
+    fits. Query results are shared with the index and must not be mutated.
+    """
     user_id: str
     nodes: dict[str, NodeAttrs] = field(default_factory=dict)
     edges: dict[tuple[str, str], float] = field(default_factory=dict)
     transition_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
-    def successors(self, u: str) -> list[tuple[str, float]]:
-        return sorted((v, w) for (a, v), w in self.edges.items() if a == u)
+    def _indexed(self) -> _Index:
+        if self._index is None:
+            adjacency: dict[str, list[tuple[str, float]]] = {n: [] for n in self.nodes}
+            for (u, v), w in sorted(self.edges.items()):
+                adjacency.setdefault(u, []).append((v, w))
+            self._index = _Index(
+                successors={u: tuple(vs) for u, vs in adjacency.items()},
+                lengths={u: tuple((v, -math.log(w)) for v, w in vs) for u, vs in adjacency.items()},
+                targets=tuple(sorted(n for n, a in self.nodes.items() if a.target)),
+            )
+        return self._index
 
-    def targets(self) -> list[str]:
-        return sorted(n for n, a in self.nodes.items() if a.target)
+    def successors(self, u: str) -> tuple[tuple[str, float], ...]:
+        return self._indexed().successors.get(u, ())
+
+    def targets(self) -> tuple[str, ...]:
+        return self._indexed().targets
 
     def to_json(self) -> dict:
         return {
@@ -58,7 +89,6 @@ class NavGraph:
             g.edges[(e["from"], e["to"])] = e["w"]
             g.transition_counts[(e["from"], e["to"])] = e["count"]
         return g
-
 
 
 def build_graph(sessions: list[Session]) -> NavGraph:
@@ -126,6 +156,7 @@ def detect_targets(graph: NavGraph) -> set[str]:
     targets = {n for n, d in indeg.items() if d >= mean}
     for n, attrs in graph.nodes.items():
         attrs.target = 1 if n in targets else 0
+    graph._index = None
     return targets
 
 
@@ -133,14 +164,15 @@ def intent_distances(graph: NavGraph, source: str) -> dict[str, float]:
     """Max path probability from source to each reachable target.
 
     Dijkstra over edge lengths -ln(W); an empty path has probability 1, so a
-    source that is itself a target maps to 1.
+    source that is itself a target maps to 1. The result is memoized on the
+    graph's index.
     """
     if source not in graph.nodes:
         raise KeyError(f"unknown source node: {source!r}")
-
-    adjacency: dict[str, list[tuple[str, float]]] = {n: [] for n in graph.nodes}
-    for (u, v), w in sorted(graph.edges.items()):
-        adjacency[u].append((v, -math.log(w)))
+    index = graph._indexed()
+    memo = index.distances.get(source)
+    if memo is not None:
+        return memo
 
     dist: dict[str, float] = {source: 0.0}
     done: set[str] = set()
@@ -150,10 +182,12 @@ def intent_distances(graph: NavGraph, source: str) -> dict[str, float]:
         if u in done:
             continue
         done.add(u)
-        for v, length in adjacency[u]:
+        for v, length in index.lengths.get(u, ()):
             nd = d + length
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 heappush(heap, (nd, v))
 
-    return {t: math.exp(-dist[t]) for t in graph.targets() if t in dist}
+    out = {t: math.exp(-dist[t]) for t in index.targets if t in dist}
+    index.distances[source] = out
+    return out

@@ -19,6 +19,7 @@ from .models import Dataset, Session, group_by_user
 log = logging.getLogger(__name__)
 
 TRANSITION_RIDGE = 1e-3
+PARAFAC2_TOL = 1e-6  # parafac2.DEFAULT_TOL (1e-7) costs ~12x the iterations for no NDCG gain
 
 
 class MissingArtifact(FileNotFoundError):
@@ -31,7 +32,7 @@ class PipelineConfig:
     train_fraction: float = 0.7
     rank: int = parafac2.DEFAULT_RANK
     max_iters: int = parafac2.DEFAULT_MAX_ITERS
-    tol: float = 1e-6
+    tol: float = PARAFAC2_TOL
     rank_lambda: float = ranksvm.DEFAULT_LAMBDA
     process_noise: float = kalman.DEFAULT_PROCESS_NOISE
     variant: str = "sum-i"
@@ -464,6 +465,9 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
         [workdir / "sessions.json", workdir / "graphs.json", workdir / "rankmodel.json"],
         {"k": config.k, "min_unique_reports": config.min_unique_reports},
         t0,
+        events=result.events,
+        skipped_unseen=result.skipped_unseen,
+        skipped_filtered=result.skipped_filtered,
     )
     return result
 

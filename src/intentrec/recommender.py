@@ -152,7 +152,7 @@ def _scored(
 ) -> list[Recommendation]:
     """Relevance and K of enumerated candidates, from graph's own paths."""
     nodes = [v for v, _, _ in candidates]
-    distances ={v: intent_distances(graph, v) for v in nodes}
+    distances = {v: intent_distances(graph, v) for v in nodes}
     rels = candidate_relevances(nodes, distances, intent_scores, variant)
     return score_candidates(graph, candidates, rels, collaborative)
 

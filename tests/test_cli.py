@@ -76,6 +76,15 @@ class TestStages:
         methods = {r.method for r in result.reports}
         assert {"mass", "frequency", "context", "sum-i"} <= methods
 
+    def test_evaluate_manifest_counts_events(self, workdir):
+        cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
+        result = pipeline.stage_evaluate(workdir, cfg)
+        entry = json.loads((workdir / "manifest.json").read_text())["evaluate"]
+        assert entry["events"] == result.events > 0
+        assert {r.events for r in result.reports} == {entry["events"]}
+        assert entry["skipped_unseen"] == result.skipped_unseen
+        assert entry["skipped_filtered"] == result.skipped_filtered
+
     def test_evaluation_measures_the_served_path(self, workdir):
         # replaying the test split through the serving calls gives exactly
         # the NDCG that evaluation reports for the served variant

@@ -12,6 +12,7 @@ from intentrec.navgraph import (
     detect_targets,
     intent_distances,
 )
+from intentrec.recommender import FeedbackKind, apply_feedback, rank, recommend
 
 from conftest import make_session, random_sessions
 
@@ -211,3 +212,54 @@ class TestSerialization:
             assert g2.nodes[n].mass == pytest.approx(g.nodes[n].mass)
             assert g2.nodes[n].target == g.nodes[n].target
         assert g2.edges == pytest.approx(g.edges)
+
+
+def _cold(g: NavGraph) -> NavGraph:
+    """A copy of g that has answered no query yet."""
+    return NavGraph.from_json(g.to_json())
+
+
+class TestIndex:
+    def test_memoized_distances_match_cold_queries(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            g = build_graph(random_sessions(rng, n_sessions=5))
+            detect_targets(g)
+            scores = {t: float(rng.uniform()) for t in g.targets()}
+            for _ in range(4):
+                for source in sorted(g.nodes):
+                    cold = _cold(g)
+                    assert intent_distances(g, source) == intent_distances(cold, source)
+                    assert intent_distances(g, source) is intent_distances(g, source)
+                current = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+                shown = rank(recommend(g, current, scores))
+                if shown:
+                    apply_feedback(g, shown, FeedbackKind.EXPLICIT_POS, node=shown[0].node)
+                    apply_feedback(g, shown, FeedbackKind.IMPLICIT_NEG)
+
+    def test_detect_targets_refreshes_index(self):
+        g = NavGraph(user_id="u1")
+        for n in "ABCD":
+            g.nodes[n] = NodeAttrs()
+        g.edges[("A", "C")] = 1.0
+        g.edges[("B", "C")] = 1.0
+        detect_targets(g)
+        assert g.targets() == ("C",)
+        assert intent_distances(g, "A") == {"C": 1.0}
+        assert g.successors("C") == ()
+
+        g.edges[("C", "D")] = 0.5
+        assert detect_targets(g) == {"C", "D"}
+        assert g.targets() == ("C", "D")
+        assert g.successors("C") == (("D", 0.5),)
+        assert intent_distances(g, "A") == {"C": 1.0, "D": 0.5}
+        assert intent_distances(g, "A") == intent_distances(_cold(g), "A")
+
+    def test_successors_match_edge_scan(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            g = build_graph(random_sessions(rng))
+            for u in sorted(g.nodes) + ["missing"]:
+                scan = sorted((v, w) for (a, v), w in g.edges.items() if a == u)
+                assert g.successors(u) == tuple(scan)
+                assert isinstance(g.successors(u), tuple)

@@ -15,7 +15,7 @@ from intentrec.recommender import (
     score_candidates,
 )
 
-from conftest import make_session
+from conftest import make_session, random_sessions
 
 
 def _graph(edges, masses=None, targets=()):
@@ -238,3 +238,40 @@ class TestFeedback:
         g = self._graph()
         with pytest.raises(ValueError):
             apply_feedback(g, self._shown(g), FeedbackKind.EXPLICIT_POS, node="zzz")
+
+
+class TestWarmGraphs:
+    def test_warm_replay_serves_cold_lists(self):
+        # graphs that keep their index across requests serve the same lists
+        # as graphs rebuilt cold before every request
+        rng = np.random.default_rng(23)
+        users = [f"u{i}" for i in range(6)]
+        warm = {}
+        for uid in users:
+            warm[uid] = build_graph(random_sessions(rng, user=uid, n_sessions=6, n_reports=8))
+            detect_targets(warm[uid])
+        clustering = UserClustering(
+            assignments={uid: i % 3 for i, uid in enumerate(users)}, centroids=np.zeros((3, 2))
+        )
+        cold = {uid: NavGraph.from_json(g.to_json()) for uid, g in warm.items()}
+
+        def serve(graphs, uid, current, scores):
+            recs = recommend(graphs[uid], current, scores)
+            recs += group_recommend(uid, clustering, graphs, current, scores)
+            shown = rank(recs)
+            own = [r for r in shown if r.node in graphs[uid].nodes]
+            if own:
+                apply_feedback(graphs[uid], own, FeedbackKind.EXPLICIT_POS, node=own[0].node)
+                apply_feedback(graphs[uid], own, FeedbackKind.IMPLICIT_NEG)
+            return [(r.node, r.score, r.source_user) for r in shown]
+
+        served = 0
+        for _ in range(60):
+            uid = users[int(rng.integers(len(users)))]
+            current = sorted(warm[uid].nodes)[int(rng.integers(len(warm[uid].nodes)))]
+            scores = {f"r{i}": float(rng.uniform()) for i in range(8)}
+            cold = {u: NavGraph.from_json(g.to_json()) for u, g in cold.items()}
+            lists = serve(warm, uid, current, scores)
+            assert lists == serve(cold, uid, current, scores)
+            served += bool(lists)
+        assert served > 0
