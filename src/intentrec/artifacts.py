@@ -14,11 +14,9 @@ from .models import HitRecord
 class UserServing:
     """Everything needed to score one user's context at serving time."""
 
-    user_id: str
     layout: context.FeatureLayout
     Lam_pinv: np.ndarray  # pseudo-inverse of the N_u x R loading matrix
     final_state: kalman.KalmanState
-    evolved: list[np.ndarray]  # a posteriori factor per training view
 
 
 @dataclass

@@ -61,7 +61,10 @@ def _note_manifest(
     manifest_path = workdir / "manifest.json"
     manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     manifest[stage] = {
-        "inputs": {p.name: _sha256(p) for p in inputs if p.is_file()},
+        "inputs": {
+            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name): _sha256(p)
+            for p in inputs if p.is_file()
+        },
         "config": config,
         "elapsed_s": round(time.time() - t0, 3),
         **details,
@@ -100,10 +103,11 @@ def _load_npz(path: Path) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     return [arrays.pop(f"arr_{i}") for i in range(n_users)], arrays
 
 
-def _load_factors(path: Path) -> parafac2.Parafac2Factors:
-    G, shared = _load_npz(path)
-    S = shared["S"]
-    return parafac2.Parafac2Factors(rank=S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
+def _fresh_dir(path: Path) -> Path:
+    """An empty directory, so a stage's output replaces the previous run's."""
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir(parents=True)
+    return path
 
 
 # ---------------------------------------------------------------- stages
@@ -182,8 +186,7 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     )
 
     matrices = {uid: context.build_matrix(s) for uid, s in per_user.items()}
-    tensor_root = workdir / "tensors"
-    tensor_root.mkdir(parents=True, exist_ok=True)
+    tensor_root = _fresh_dir(workdir / "tensors")
     for cluster_id in range(context.N_CLUSTERS):
         members = sorted(u for u, c in clustering.assignments.items() if c == cluster_id)
         if not members:
@@ -226,8 +229,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     min(rank, T, smallest N_u), so every member keeps a context model."""
     t0 = time.time()
     tensor_root = _require(workdir / "tensors")
-    factor_root = workdir / "factors"
-    factor_root.mkdir(parents=True, exist_ok=True)
+    factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
     for cluster_id in _cluster_ids(tensor_root):
         layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
@@ -238,12 +240,9 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
         rank = min(config.rank, tensor.T, min(m.shape[0] for m in mats))
         if rank < config.rank:
             log.warning("cluster %d: rank %d clamped to %d", cluster_id, config.rank, rank)
+        seed = config.seed + cluster_id
         factors, report = parafac2.decompose(
-            tensor,
-            rank=rank,
-            tol=config.tol,
-            max_iters=config.max_iters,
-            seed=config.seed + cluster_id,
+            tensor, rank=rank, tol=config.tol, max_iters=config.max_iters, seed=seed
         )
         if not report.converged:
             log.warning(
@@ -254,106 +253,94 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
             factor_root / f"cluster_{cluster_id}.npz",
             *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
         )
-        (factor_root / f"cluster_{cluster_id}.json").write_text(
-            json.dumps(
-                {
-                    "users": tensor.users,
-                    "rank": rank,
-                    "seed": config.seed + cluster_id,
-                    "iterations": report.iterations,
-                    "converged": report.converged,
-                    "errors": report.errors,
-                },
-                sort_keys=True,
-            )
-        )
-        clusters[str(cluster_id)] = {
+        norm_sq = sum(float((m**2).sum()) for m in mats)
+        clusters[str(cluster_id)] = entry = {
             "requested_rank": config.rank,
             "rank": rank,
             "iterations": report.iterations,
             "converged": report.converged,
+            "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
         }
+        fit_doc = {**entry, "users": tensor.users, "seed": seed, "errors": report.errors}
+        (factor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(fit_doc, sort_keys=True))
     _note_manifest(
-        workdir, "factorize", [], {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
+        workdir, "factorize", sorted(tensor_root.iterdir()),
+        {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters,
     )
     return factor_root
 
 
 def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
-    """Evolve each member's latent factor over its training views. The
-    transition A is fitted once per cluster, from the cluster's shared V."""
+    """Build each member's filter (the only code that does) and evolve its
+    latent factor over its training views. `kalman/cluster_<c>.npz` holds the
+    cluster's A (fitted once, from the shared V) and Q; `psi`, `Lam` rows,
+    `f_post` and `P_post` stacked in member order; and each member's evolved
+    factors, positionally."""
     t0 = time.time()
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
-    kdir = workdir / "kalman"
-    kdir.mkdir(parents=True, exist_ok=True)
-    state_doc: dict[str, dict] = {}
+    kdir = _fresh_dir(workdir / "kalman")
+    views = missing = 0
     for cluster_id in _cluster_ids(tensor_root):
         layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
         mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
-        factors = _load_factors(factor_root / f"cluster_{cluster_id}.npz")
+        G, shared = _load_npz(factor_root / f"cluster_{cluster_id}.npz")
+        S = shared["S"]
+        factors = parafac2.Parafac2Factors(S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
         f_initial = parafac2.initial_latent_factors(factors)
         A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
         Q = config.process_noise * np.eye(factors.rank)
-        evolved_per_user = []
+        evolved, lams, psis, finals = [], [], [], []
         for idx, uid in enumerate(layout_doc["users"]):
             lam = parafac2.loading_matrix(factors, idx)
             X = mats[idx]
-            psi_scale = kalman.estimate_measurement_noise(X, lam, f_initial)
-            Psi = psi_scale * np.eye(lam.shape[0])
+            psi = kalman.estimate_measurement_noise(X, lam, f_initial)
             obs = [observation(X[:, t]) for t in range(layout_doc["orig_cols"][uid])]
-            evolved, final = kalman.evolve_sequence(lam, A, Q, Psi, obs, f_initial[:, 0].copy())
-            evolved_per_user.append(np.array(evolved))
-            state_doc[uid] = {
-                "cluster": cluster_id,
-                "index": idx,
-                "q": config.process_noise,
-                "psi": psi_scale,
-                "f_post": final.f_post.tolist(),
-                "P_post": final.P_post.tolist(),
-            }
-        np.savez(kdir / f"cluster_{cluster_id}.npz", *evolved_per_user, A=A)
-    (kdir / "states.json").write_text(json.dumps(state_doc, sort_keys=True))
-    _note_manifest(workdir, "kalman", [], {"process_noise": config.process_noise}, t0)
+            f_seq, final = kalman.evolve_sequence(
+                lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
+            )
+            views += len(obs)
+            missing += sum(x is kalman.MISSING for x in obs)
+            evolved.append(np.array(f_seq))
+            lams.append(lam)
+            psis.append(psi)
+            finals.append(final)
+        np.savez(
+            kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=np.array(psis),
+            Lam=np.vstack(lams), f_post=np.array([s.f_post for s in finals]),
+            P_post=np.array([s.P_post for s in finals]),
+        )
+    _note_manifest(
+        workdir, "kalman", [*sorted(tensor_root.iterdir()), *sorted(factor_root.glob("*.npz"))],
+        {"process_noise": config.process_noise}, t0, views=views, missing_views=missing,
+    )
     return kdir
 
 
 def _load_serving(workdir: Path) -> dict[str, UserServing]:
+    """Each member's filter as `stage_kalman` wrote it, read from `kalman/`
+    and the member lists and feature slots in `tensors/`."""
     tensor_root = _require(workdir / "tensors")
-    factor_root = _require(workdir / "factors")
     kdir = _require(workdir / "kalman")
-    states = _read_json(kdir / "states.json")
-    clusters: dict[int, tuple] = {}
     serving: dict[str, UserServing] = {}
-    for uid, st in states.items():
-        cluster_id = st["cluster"]
-        idx = st["index"]
-        if cluster_id not in clusters:
-            name = f"cluster_{cluster_id}"
-            evolved, shared = _load_npz(kdir / f"{name}.npz")
-            clusters[cluster_id] = (
-                _load_factors(factor_root / f"{name}.npz"),
-                evolved,
-                shared["A"],
-                _read_json(tensor_root / f"{name}.json")["slots"],
+    for cluster_id in _cluster_ids(tensor_root):
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        with np.load(_require(kdir / f"cluster_{cluster_id}.npz")) as z:
+            A, Q, psi, Lam, f_post, P_post = (
+                z[key] for key in ("A", "Q", "psi", "Lam", "f_post", "P_post")
             )
-        factors, evolved, A, slots = clusters[cluster_id]
-        lam = parafac2.loading_matrix(factors, idx)
-        state = kalman.KalmanState(
-            A=A,
-            Q=st["q"] * np.eye(factors.rank),
-            Psi=st["psi"] * np.eye(lam.shape[0]),
-            Lam=lam,
-            f_post=np.asarray(st["f_post"]),
-            P_post=np.asarray(st["P_post"]),
-        )
-        serving[uid] = UserServing(
-            user_id=uid,
-            layout=context.FeatureLayout(user_id=uid, slots=[tuple(p) for p in slots[uid]]),
-            Lam_pinv=np.linalg.pinv(lam),
-            final_state=state,
-            evolved=list(evolved[idx]),
-        )
+        row = 0
+        for idx, uid in enumerate(layout_doc["users"]):
+            layout = context.FeatureLayout(
+                user_id=uid, slots=[tuple(p) for p in layout_doc["slots"][uid]]
+            )
+            lam = Lam[row : row + layout.width]
+            row += layout.width
+            state = kalman.KalmanState(
+                A=A, Q=Q, Psi=psi[idx] * np.eye(layout.width), Lam=lam,
+                f_post=f_post[idx], P_post=P_post[idx],
+            )
+            serving[uid] = UserServing(layout, Lam_pinv=np.linalg.pinv(lam), final_state=state)
     return serving
 
 
@@ -361,13 +348,19 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     t0 = time.time()
     dataset = load_dataset(workdir / "sessions.json")
     graphs = load_graphs(workdir)
-    serving = _load_serving(workdir)
+    tensor_root = _require(workdir / "tensors")
+    kdir = _require(workdir / "kalman")
+    evolved_per_user: dict[str, np.ndarray] = {}
+    for cluster_id in _cluster_ids(tensor_root):
+        users = _read_json(tensor_root / f"cluster_{cluster_id}.json")["users"]
+        evolved, _ = _load_npz(kdir / f"cluster_{cluster_id}.npz")
+        evolved_per_user.update(zip(users, evolved))
 
     models: dict[str, ranksvm.RankModel] = {}
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
-        if uid not in serving:
+        if uid not in evolved_per_user:
             continue
-        evolved = serving[uid].evolved
+        evolved = evolved_per_user[uid]
         session_factors = []
         pos = 0
         for sess in sessions:
@@ -385,7 +378,8 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     rates = [iw.violation_rate for iw in trained]
     _note_manifest(
         workdir, "train-rank",
-        [workdir / "sessions.json", workdir / "graphs.json"],
+        [workdir / "sessions.json", workdir / "graphs.json",
+         *sorted(tensor_root.glob("*.json")), *sorted(kdir.iterdir())],
         {"lambda": config.rank_lambda},
         t0,
         intents_trained=len(trained),
@@ -491,9 +485,7 @@ def stage_sweep(workdir: Path, config: PipelineConfig, ranks: list[int]):
         for name in ("sessions.json", "graphs.json", "clustering.json"):
             src = _require(workdir / name)
             (sub / name).write_text(src.read_text())
-        if (sub / "tensors").exists():
-            shutil.rmtree(sub / "tensors")
-        shutil.copytree(workdir / "tensors", sub / "tensors")
+        shutil.copytree(workdir / "tensors", _fresh_dir(sub / "tensors"), dirs_exist_ok=True)
         cfg = PipelineConfig(**{**asdict(config), "rank": r})
         stage_factorize(sub, cfg)
         stage_kalman(sub, cfg)

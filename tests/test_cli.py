@@ -1,7 +1,9 @@
 import argparse
 import copy
 import dataclasses
+import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -37,7 +39,7 @@ def workdir(tmp_path_factory):
 
 def _assert_serving_shapes(workdir: Path):
     """Every training user is served with an R x N_u Lam_pinv, R being its
-    cluster's fitted rank, and one R-vector per training view."""
+    cluster's fitted rank, and kalman/ holds one R-vector per training view."""
     model = pipeline.load_model(workdir)
     dataset = pipeline.load_dataset(workdir / "sessions.json")
     views = Counter(h.user_id for s in dataset.train for h in s.hits)
@@ -48,8 +50,9 @@ def _assert_serving_shapes(workdir: Path):
         fit = json.loads((workdir / "factors" / f"cluster_{cluster}.json").read_text())
         rank = fit["rank"]
         assert serving.Lam_pinv.shape == (rank, serving.layout.width)
-        assert len(serving.evolved) == views[uid]
-        assert all(f.shape == (rank,) for f in serving.evolved)
+        with np.load(workdir / "kalman" / f"cluster_{cluster}.npz") as z:
+            evolved = z[f"arr_{fit['users'].index(uid)}"]
+        assert evolved.shape == (views[uid], rank)
 
 
 class TestStages:
@@ -116,6 +119,103 @@ class TestStages:
 
     def test_loaded_model_reproduces_fit(self, workdir):
         _assert_serving_shapes(workdir)
+
+    def test_serving_reads_no_factors(self, workdir, tmp_path):
+        # kalman/ holds every filter and evolved factor that serving,
+        # train-rank and evaluate read
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = PipelineConfig(seed=3, rank=3, max_iters=20, min_unique_reports=3)
+        pipeline.stage_evaluate(wd, cfg)
+        expected = {n: (wd / n).read_bytes() for n in ("rankmodel.json", "results.csv")}
+        served = set(pipeline.load_model(wd).serving)
+        shutil.rmtree(wd / "factors")
+        assert set(pipeline.load_model(wd).serving) == served
+        pipeline.stage_train_rank(wd, cfg)
+        pipeline.stage_evaluate(wd, cfg)
+        assert {n: (wd / n).read_bytes() for n in expected} == expected
+
+    def test_rerun_on_smaller_log_leaves_no_stale_clusters(self, tmp_path):
+        # a 3-user log fitted where a 40-user log was fitted before gives
+        # the artifacts and results of a fresh workdir
+        def fit(wd: Path, n_users: int):
+            scfg = synth.SynthConfig(n_users=n_users, n_reports=40, sessions_per_user=8, seed=3)
+            pipeline.stage_synth(wd, scfg)
+            cfg = PipelineConfig(seed=3, rank=3, max_iters=20, min_unique_reports=3)
+            pipeline.run_all(wd, cfg, wd / "hits.jsonl")
+
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        fit(reused, 40)
+        fit(reused, 3)
+        fit(fresh, 3)
+        for sub in ("tensors", "factors", "kalman"):
+            listing = [sorted(p.name for p in (wd / sub).iterdir()) for wd in (reused, fresh)]
+            assert listing[0] == listing[1], sub
+        for name in ("rankmodel.json", "results.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        model = pipeline.load_model(reused)
+        assert len(model.graphs) == 3
+        assert set(model.serving) == set(model.graphs)
+
+    def test_manifest_hashes_stage_inputs(self, workdir):
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
+        assert clusters
+        expected = {
+            "factorize": {f"tensors/{c}.{ext}" for c in clusters for ext in ("json", "npz")},
+            "kalman": {
+                path for c in clusters
+                for path in (f"tensors/{c}.json", f"tensors/{c}.npz", f"factors/{c}.npz")
+            },
+            "train-rank": {
+                "sessions.json", "graphs.json",
+                *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
+            },
+            "graph": {"sessions.json"},
+        }
+        for stage, keys in expected.items():
+            inputs = manifest[stage]["inputs"]
+            assert set(inputs) == keys, stage
+            for key, digest in inputs.items():
+                assert digest == hashlib.sha256((workdir / key).read_bytes()).hexdigest(), key
+
+    def test_manifest_fit_counters(self, workdir, tmp_path):
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        for cluster, entry in manifest["factorize"]["clusters"].items():
+            fit = json.loads((workdir / "factors" / f"cluster_{cluster}.json").read_text())
+            with np.load(workdir / "tensors" / f"cluster_{cluster}.npz") as z:
+                norm_sq = sum(float((z[name] ** 2).sum()) for name in z.files)
+            assert entry["relative_error"] == pytest.approx(fit["errors"][-1] / norm_sq)
+            assert 0 <= entry["relative_error"] < 1
+
+        def view_counts(wd: Path) -> tuple[int, int]:
+            views = missing = 0
+            for path in (wd / "tensors").glob("cluster_*.json"):
+                layout = json.loads(path.read_text())
+                with np.load(path.with_suffix(".npz")) as z:
+                    for i, uid in enumerate(layout["users"]):
+                        X = z[f"arr_{i}"][:, : layout["orig_cols"][uid]]
+                        views += X.shape[1]
+                        missing += int((~X.any(axis=0)).sum())
+            return views, missing
+
+        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        entry = manifest["kalman"]
+        assert (entry["views"], entry["missing_views"]) == view_counts(workdir)
+        assert entry["views"] == sum(len(s.hits) for s in dataset.train)
+
+        # a view whose context vector is all zero is a missing observation
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        panel = wd / "tensors" / "cluster_0.npz"
+        with np.load(panel) as z:
+            mats = [z[f"arr_{i}"] for i in range(len(z.files))]
+        mats[0][:, 0] = 0.0
+        np.savez(panel, *mats)
+        pipeline.stage_kalman(wd, PipelineConfig(seed=3, rank=3))
+        entry = json.loads((wd / "manifest.json").read_text())["kalman"]
+        assert (entry["views"], entry["missing_views"]) == view_counts(wd)
+        assert entry["missing_views"] == manifest["kalman"]["missing_views"] + 1
 
     def test_undersized_cluster_rank_is_clamped(self, tmp_path):
         # every synthetic user views a single (metric, dimension) pair, so
