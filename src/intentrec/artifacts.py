@@ -47,11 +47,12 @@ def observation(x: np.ndarray):
 
 
 def serving_factor(serving: UserServing, state: kalman.KalmanState, hit: HitRecord):
-    """Advance the user's filter by one step for a new view.
+    """Advance the user's filter by one step for a new view, with the
+    settled gain once the filter's covariance has settled (`kalman.serve_step`).
 
     Returns (kalman factor, parafac2-only factor, new state).
     """
     x = context.context_vector(serving.layout, hit)
-    state = kalman.step(state, observation(x))
+    state = kalman.serve_step(state, observation(x))
     f_pf2 = serving.Lam_pinv @ x
     return state.f_post.copy(), f_pf2, state

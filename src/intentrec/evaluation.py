@@ -49,6 +49,8 @@ class BenchmarkResult:
     reports: list[EvalReport]
     skipped_unseen: int = 0
     skipped_filtered: int = 0
+    views: int = 0  # test views stepped through serving_factor
+    steady_views: int = 0  # of those, served with the settled Kalman gain
 
     @property
     def events(self) -> int:
@@ -170,6 +172,7 @@ def run_benchmark(
     per_method: dict[str, list[EvalEvent]] = {m: [] for m in methods}
     skipped_unseen = 0
     skipped_filtered = 0
+    views = steady_views = 0
 
     test_by_user = group_by_user(dataset.test)
     for uid in sorted(test_by_user):
@@ -188,7 +191,10 @@ def run_benchmark(
             f_pf2 = np.zeros(1)
             for i, hit in enumerate(sess.hits):
                 if serving is not None:
+                    settled = state.settled is not None
                     f_kal, f_pf2, state = serving_factor(serving, state, hit)
+                    views += 1
+                    steady_views += settled and state.settled is not None
                 if i + 1 >= len(sess.hits):
                     continue
                 u = hit.report_id
@@ -221,6 +227,8 @@ def run_benchmark(
         reports=reports,
         skipped_unseen=skipped_unseen,
         skipped_filtered=skipped_filtered,
+        views=views,
+        steady_views=steady_views,
     )
 
 

@@ -1,5 +1,13 @@
 """Kalman filtering of latent factors: per-user linear dynamics over the
-PARAFAC2 factor sequence, with context vectors as observations."""
+PARAFAC2 factor sequence, with context vectors as observations.
+
+Fitting (`evolve_sequence`) runs the exact predict/update `step` on every
+view. Serving (`serve_step`) runs the same exact step until the error
+covariance settles, then serves observed views with the settled gain K as
+the steady-state filter f <- (I - K Lam) A f + K x (Simon, *Optimal State
+Estimation*, 2006, ch. 7). A missing view leaves the steady state, so it
+always takes the exact step and drops the settled gain until P settles
+again."""
 from __future__ import annotations
 
 import logging
@@ -12,6 +20,9 @@ log = logging.getLogger(__name__)
 MISSING = None  # sentinel for an absent contextual signal
 MISSING_VARIANCE_SCALE = 1e6
 DEFAULT_PROCESS_NOISE = 0.01
+# An observed exact step that moves P_post by at most this much (relative,
+# Frobenius norm) has settled P; serve_step then keeps its gain.
+SETTLED_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -25,6 +36,8 @@ class KalmanState:
     f_prior: np.ndarray | None = None
     P_prior: np.ndarray | None = None
     gain: np.ndarray | None = field(default=None, repr=False)
+    # (I - K Lam) A and K of a settled covariance; set and cleared by serve_step
+    settled: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def estimate_transition(F: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -83,6 +96,26 @@ def update(state: KalmanState, x) -> KalmanState:
 
 def step(state: KalmanState, x) -> KalmanState:
     return update(predict(state), x)
+
+
+def serve_step(state: KalmanState, x) -> KalmanState:
+    """One serving step: the settled gain for an observed view when the
+    state carries one, else the exact `step`, which caches the gain once it
+    leaves P_post (relatively) within SETTLED_TOLERANCE of where it was. A
+    missing view clears the cache. Only f_post moves on the settled path."""
+    if x is not MISSING and state.settled is not None:
+        M, K = state.settled
+        state.f_post = M @ state.f_post + K @ x
+        return state
+    P_before = state.P_post
+    state = step(state, x)
+    state.settled = None
+    if x is not MISSING and np.linalg.norm(state.P_post - P_before) <= (
+        SETTLED_TOLERANCE * np.linalg.norm(P_before)
+    ):
+        K = state.gain
+        state.settled = ((np.eye(len(state.f_post)) - K @ state.Lam) @ state.A, K)
+    return state
 
 
 def initial_state(

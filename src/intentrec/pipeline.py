@@ -388,6 +388,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
         violation_rate_mean=float(np.mean(rates)) if rates else 0.0,
         violation_rate_max=max(rates, default=0.0),
         newton_iterations_max=max((iw.iterations for iw in trained), default=0),
+        users_without_rank_model=len(graphs.keys() - models.keys()),
     )
     return out
 
@@ -462,6 +463,8 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
         events=result.events,
         skipped_unseen=result.skipped_unseen,
         skipped_filtered=result.skipped_filtered,
+        views=result.views,
+        steady_views=result.steady_views,
     )
     return result
 

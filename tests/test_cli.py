@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intentrec import cli, pipeline, synth
-from intentrec.artifacts import serving_factor
+from intentrec import cli, kalman, pipeline, synth
+from intentrec.artifacts import observation, serving_factor
+from intentrec.context import context_vector
 from intentrec.evaluation import ndcg_at_k
 from intentrec.models import group_by_user
 from intentrec.pipeline import PipelineConfig
@@ -55,6 +56,52 @@ def _assert_serving_shapes(workdir: Path):
         assert evolved.shape == (views[uid], rank)
 
 
+def _replay_test_split(workdir: Path, cfg: PipelineConfig, advance) -> list:
+    """(user, current, top-k) of every test event, each view advancing its
+    user's filter by `advance(serving, state, hit) -> (factor, state)`."""
+    model = pipeline.load_model(workdir)
+    dataset = pipeline.load_dataset(workdir / "sessions.json")
+    variant = RelevanceVariant(cfg.variant)
+    lists = []
+    for uid, sessions in sorted(group_by_user(dataset.test).items()):
+        graph = model.graphs.get(uid)
+        if graph is None or len(graph.nodes) < cfg.min_unique_reports:
+            continue
+        serving = model.serving.get(uid)
+        state = copy.deepcopy(serving.final_state) if serving else None
+        for sess in sessions:
+            for hit, nxt in zip(sess.hits, sess.hits[1:] + [None]):
+                if serving is not None:
+                    f, state = advance(serving, state, hit)
+                if nxt is None or hit.report_id not in graph.nodes:
+                    continue
+                scores = model.intent_scores(uid, f) if serving else {}
+                ranked = rank(recommend(graph, hit.report_id, scores, variant), cfg.k)
+                lists.append((uid, hit.report_id, [r.node for r in ranked]))
+    return lists
+
+
+def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
+    """The test split replayed through `serving_factor`: its top-k lists,
+    the views stepped and how many of them took the exact `kalman.step`."""
+    exact_step = kalman.step
+    counts = Counter()
+
+    def counted_step(state, x):
+        counts["exact"] += 1
+        return exact_step(state, x)
+
+    def served(serving, state, hit):
+        counts["views"] += 1
+        f, _, state = serving_factor(serving, state, hit)
+        return f, state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kalman, "step", counted_step)
+        lists = _replay_test_split(workdir, cfg, served)
+    return lists, counts["views"], counts["exact"]
+
+
 class TestStages:
     def test_artifacts_exist(self, workdir):
         for name in (
@@ -87,6 +134,25 @@ class TestStages:
         assert {r.events for r in result.reports} == {entry["events"]}
         assert entry["skipped_unseen"] == result.skipped_unseen
         assert entry["skipped_filtered"] == result.skipped_filtered
+        # a view is served with the settled gain exactly when it skips the
+        # exact Kalman step
+        _, views, exact = _served_replay(workdir, cfg)
+        assert entry["views"] == result.views == views
+        assert entry["steady_views"] == result.steady_views == views - exact
+        assert 0 < entry["steady_views"] < entry["views"]
+
+    def test_settled_gain_serves_the_exact_lists(self, workdir):
+        # every test event gets the top-10 list of the exact filter
+        cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
+
+        def exact(serving, state, hit):
+            state = kalman.step(state, observation(context_vector(serving.layout, hit)))
+            return state.f_post.copy(), state
+
+        expected = _replay_test_split(workdir, cfg, exact)
+        served, views, exact_steps = _served_replay(workdir, cfg)
+        assert served == expected
+        assert len(expected) > 0 and exact_steps < views
 
     def test_evaluation_measures_the_served_path(self, workdir):
         # replaying the test split through the serving calls gives exactly
@@ -274,6 +340,9 @@ class TestStages:
         assert entry["violation_rate_mean"] == pytest.approx(sum(rates) / len(rates))
         assert entry["violation_rate_max"] == max(rates)
         assert entry["newton_iterations_max"] == max(iw["iterations"] for iw in trained) > 0
+        # users with a graph but no rank model are served from the graph alone
+        graph_users = {g["user_id"] for g in json.loads((workdir / "graphs.json").read_text())}
+        assert entry["users_without_rank_model"] == len(graph_users - doc.keys())
 
     def test_recommend_stage(self, workdir):
         model = pipeline.load_model(workdir)

@@ -3,11 +3,13 @@ import pytest
 
 from intentrec.kalman import (
     MISSING,
+    SETTLED_TOLERANCE,
     estimate_measurement_noise,
     estimate_transition,
     evolve_sequence,
     initial_state,
     predict,
+    serve_step,
     step,
     update,
 )
@@ -105,6 +107,48 @@ class TestMultivariate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evolve_sequence(np.eye(2), np.eye(3), np.eye(3), np.eye(2), [], np.zeros(3))
+
+
+class TestServeStep:
+    def test_settled_gain_tracks_the_exact_filter(self):
+        # from P = I the covariance settles within the first 60 views; one
+        # missing view at 60 and three at 90-92 leave the steady state
+        rng = np.random.default_rng(3)
+        n, T = 6, 150
+        missing = {60, 90, 91, 92}
+        for r in range(1, 6):
+            for _ in range(4):
+                Lam = rng.normal(size=(n, r))
+                A = rng.normal(size=(r, r))
+                A *= rng.uniform(0.3, 1.2) / max(abs(np.linalg.eigvals(A)))
+                Q = rng.uniform(0.05, 1.0) * np.eye(r)
+                Psi = rng.uniform(0.1, 2.0) * np.eye(n)
+                f0 = rng.normal(size=r)
+                exact = initial_state(Lam, A, Q, Psi, f0.copy())
+                served = initial_state(Lam, A, Q, Psi, f0.copy())
+                settled_at = None
+                for t in range(T):
+                    x = MISSING if t in missing else rng.normal(scale=2.0, size=n)
+                    P_before = exact.P_post
+                    exact = step(exact, x)
+                    served = serve_step(served, x)
+                    scale = max(np.linalg.norm(exact.f_post), 1.0)
+                    assert np.linalg.norm(served.f_post - exact.f_post) <= 1e-9 * scale, (r, t)
+                    if x is MISSING:
+                        assert served.settled is None, (r, t)
+                        continue
+                    if settled_at is None and served.settled is not None:
+                        settled_at = t
+                        # cached on the first step that leaves P (relatively) in place
+                        moved = np.linalg.norm(exact.P_post - P_before) / np.linalg.norm(P_before)
+                        assert moved <= SETTLED_TOLERANCE, (r, t)
+                        M, K = served.settled
+                        np.testing.assert_allclose(K, exact.gain, rtol=1e-9, atol=1e-12)
+                        np.testing.assert_allclose(
+                            M, (np.eye(r) - exact.gain @ Lam) @ A, rtol=1e-9, atol=1e-12
+                        )
+                assert settled_at is not None and 0 < settled_at < min(missing), r
+                assert served.settled is not None, r
 
 
 class TestEstimators:
