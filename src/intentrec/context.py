@@ -72,9 +72,10 @@ def extract_features(hit: HitRecord) -> np.ndarray:
     if v.size == 1:
         return np.array([v[0], v[0], v[0], 0.0, 0.0, 0.0])
     diffs = np.diff(v)
+    # on doubles b > a exactly when b - a > 0; Python floats compare faster
     longest = run = 0
-    for d in diffs:
-        run = run + 1 if d > 0 else 0
+    for a, b in zip(hit.values, hit.values[1:]):
+        run = run + 1 if b > a else 0
         longest = max(longest, run)
     return np.array(
         [v.sum(), v.max(), v.min(), float(np.argmax(v)), float(longest), np.abs(diffs).mean()]
@@ -88,15 +89,11 @@ def build_layout(sessions: list[Session]) -> FeatureLayout:
 
 def build_matrix(sessions: list[Session]) -> ContextMatrix:
     """Stack per-view context vectors into the user's context matrix."""
-    hits = [h for s in sessions for h in s.hits]
+    hits = sorted((h for s in sessions for h in s.hits), key=lambda h: h.timestamp)
     if not hits:
         raise ValueError("no hits for user")
     layout = build_layout(sessions)
-    hits.sort(key=lambda h: h.timestamp)
-    X = np.zeros((layout.width, len(hits)))
-    for t, hit in enumerate(hits):
-        row = layout.segment(hit.metric, hit.dimension_element)
-        X[row : row + SLOTS_PER_PAIR, t] = extract_features(hit)
+    X = np.column_stack([context_vector(layout, hit) for hit in hits])
     return ContextMatrix(user_id=layout.user_id, layout=layout, X=X)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from . import recommender
 from .artifacts import TrainedModel, serving_factor
 from .models import Dataset, group_by_user
-from .navgraph import intent_distances
 from .recommender import DEFAULT_TOP_K, RelevanceVariant
 
 log = logging.getLogger(__name__)
@@ -124,7 +123,6 @@ def _method_scores(
     method: str,
     graph,
     candidates: list[tuple[str, float, int]],
-    distances: dict[str, dict[str, float]],
     intent_scores_kal: dict[str, float],
     intent_scores_pf2: dict[str, float],
     k: int,
@@ -138,9 +136,7 @@ def _method_scores(
         context_only = method in ("context", "parafac2")
         intent_scores = intent_scores_pf2 if method == "parafac2" else intent_scores_kal
         variant = RelevanceVariant.SUM_I if context_only else RelevanceVariant(method)
-        nodes = [v for v, _, _ in candidates]
-        rels = recommender.candidate_relevances(nodes, distances, intent_scores, variant)
-        recs = recommender.score_candidates(graph, candidates, rels)
+        recs = recommender.score(graph, candidates, intent_scores, variant)
         if context_only:
             # context-only score (alpha=1, W stripped, beta=0); rank still
             # breaks its ties on W, M and node id
@@ -203,12 +199,11 @@ def run_benchmark(
                     skipped_unseen += 1
                     continue
                 candidates = recommender.enumerate_candidates(graph, u)
-                distances = {v: intent_distances(graph, v) for v, _, _ in candidates}
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
                 for method in methods:
                     scores, shown = _method_scores(
-                        method, graph, candidates, distances, scores_kal, scores_pf2, k
+                        method, graph, candidates, scores_kal, scores_pf2, k
                     )
                     per_method[method].append(
                         EvalEvent(

@@ -1,13 +1,15 @@
 """Kalman filtering of latent factors: per-user linear dynamics over the
 PARAFAC2 factor sequence, with context vectors as observations.
 
-Fitting (`evolve_sequence`) runs the exact predict/update `step` on every
-view. Serving (`serve_step`) runs the same exact step until the error
-covariance settles, then serves observed views with the settled gain K as
-the steady-state filter f <- (I - K Lam) A f + K x (Simon, *Optimal State
-Estimation*, 2006, ch. 7). A missing view leaves the steady state, so it
-always takes the exact step and drops the settled gain until P settles
-again."""
+`step` is the one exact predict/update. A missing view has no measurement,
+so its posterior is its prediction: f <- A f, P <- A P A' + Q (Durbin &
+Koopman, *Time Series Analysis by State Space Methods*, 2nd ed., 2012,
+sec. 4.10). Fitting (`evolve_sequence`) runs `step` on every view. Serving
+(`serve_step`) runs it until the error covariance settles, then serves
+observed views with the settled gain K as the steady-state filter
+f <- (I - K Lam) A f + K x (Simon, *Optimal State Estimation*, 2006, ch. 7).
+A missing view grows P away from the steady state, so it always takes the
+exact step and drops the settled gain until P settles again."""
 from __future__ import annotations
 
 import logging
@@ -18,7 +20,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MISSING = None  # sentinel for an absent contextual signal
-MISSING_VARIANCE_SCALE = 1e6
 DEFAULT_PROCESS_NOISE = 0.01
 # An observed exact step that moves P_post by at most this much (relative,
 # Frobenius norm) has settled P; serve_step then keeps its gain.
@@ -33,8 +34,7 @@ class KalmanState:
     Lam: np.ndarray  # N x R loading matrix
     f_post: np.ndarray  # a posteriori latent factor
     P_post: np.ndarray  # a posteriori error covariance
-    f_prior: np.ndarray | None = None
-    P_prior: np.ndarray | None = None
+    # gain of the last step; None after a missing view
     gain: np.ndarray | None = field(default=None, repr=False)
     # (I - K Lam) A and K of a settled covariance; set and cleared by serve_step
     settled: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -56,46 +56,35 @@ def estimate_transition(F: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return rhs @ np.linalg.pinv(lhs)
 
 
-def predict(state: KalmanState) -> KalmanState:
-    """Time update: propagate the posterior through the dynamics."""
-    state.f_prior = state.A @ state.f_post
-    P = state.A @ state.P_post @ state.A.T + state.Q
-    state.P_prior = (P + P.T) / 2
-    return state
-
-
-def update(state: KalmanState, x) -> KalmanState:
-    """Measurement update; pass MISSING to apply the large-variance limit."""
-    if state.f_prior is None or state.P_prior is None:
-        raise ValueError("predict must run before update")
+def step(state: KalmanState, x) -> KalmanState:
+    """One exact predict/update for observation x, or MISSING, whose
+    posterior is the prediction and whose gain is None."""
+    A = state.A
+    f_prior = A @ state.f_post
+    P = A @ state.P_post @ A.T + state.Q
+    P_prior = (P + P.T) / 2
+    if x is MISSING:
+        state.f_post, state.P_post, state.gain = f_prior, P_prior, None
+        return state
     Lam = state.Lam
     n = Lam.shape[0]
-    if x is MISSING:
-        psi = state.Psi * MISSING_VARIANCE_SCALE
-        x_obs = np.zeros(n)
-    else:
-        psi = state.Psi
-        x_obs = np.asarray(x, dtype=float)
-        if x_obs.shape != (n,):
-            raise ValueError(f"observation shape {x_obs.shape} != ({n},)")
+    x_obs = np.asarray(x, dtype=float)
+    if x_obs.shape != (n,):
+        raise ValueError(f"observation shape {x_obs.shape} != ({n},)")
 
-    innov_cov = Lam @ state.P_prior @ Lam.T + psi
+    innov_cov = Lam @ P_prior @ Lam.T + state.Psi
     try:
-        gain = np.linalg.solve(innov_cov.T, (state.P_prior @ Lam.T).T).T
+        gain = np.linalg.solve(innov_cov.T, (P_prior @ Lam.T).T).T
     except np.linalg.LinAlgError:
         log.warning("singular innovation covariance; regularizing")
         innov_cov = innov_cov + 1e-10 * np.eye(n)
-        gain = np.linalg.solve(innov_cov.T, (state.P_prior @ Lam.T).T).T
+        gain = np.linalg.solve(innov_cov.T, (P_prior @ Lam.T).T).T
 
     state.gain = gain
-    state.f_post = state.f_prior + gain @ (x_obs - Lam @ state.f_prior)
-    P = (np.eye(len(state.f_prior)) - gain @ Lam) @ state.P_prior
+    state.f_post = f_prior + gain @ (x_obs - Lam @ f_prior)
+    P = (np.eye(len(f_prior)) - gain @ Lam) @ P_prior
     state.P_post = (P + P.T) / 2
     return state
-
-
-def step(state: KalmanState, x) -> KalmanState:
-    return update(predict(state), x)
 
 
 def serve_step(state: KalmanState, x) -> KalmanState:

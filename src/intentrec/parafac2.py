@@ -127,9 +127,7 @@ def decompose(
 
 def reconstruct(factors: Parafac2Factors, user_index: int) -> np.ndarray:
     """X_hat_u = G_u H diag(s_u) V'."""
-    if not 0 <= user_index < factors.n_users:
-        raise IndexError("user_index out of range")
-    return factors.G[user_index] @ factors.H @ np.diag(factors.S[user_index]) @ factors.V.T
+    return loading_matrix(factors, user_index) @ factors.V.T
 
 
 def initial_latent_factors(factors: Parafac2Factors) -> np.ndarray:

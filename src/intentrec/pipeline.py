@@ -457,7 +457,8 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
     (workdir / "results.txt").write_text(evaluation.results_table(result.reports) + "\n")
     _note_manifest(
         workdir, "evaluate",
-        [workdir / "sessions.json", workdir / "graphs.json", workdir / "rankmodel.json"],
+        [workdir / n for n in ("sessions.json", "graphs.json", "clustering.json", "rankmodel.json")]
+        + sorted((workdir / "tensors").glob("*.json")) + sorted((workdir / "kalman").iterdir()),
         {"k": config.k, "min_unique_reports": config.min_unique_reports},
         t0,
         events=result.events,

@@ -59,37 +59,20 @@ def relevance(
     intent_scores: dict[str, float],
     distances: dict[str, float],
 ) -> float:
-    """Collapse intent scores (and, for IxD variants, path probabilities to
-    the intents) into a single per-candidate relevance value."""
-    if not intent_scores:
+    """Collapse the scores of the intents reachable in distances (for IxD
+    variants weighted by their path probabilities) into a single relevance."""
+    reachable = [t for t in intent_scores if t in distances]
+    if not reachable:
         return 0.0
     if variant is RelevanceVariant.SUM_I:
-        return sum(intent_scores.values())
+        return sum(intent_scores[t] for t in reachable)
     if variant is RelevanceVariant.MAX_I:
-        return max(intent_scores.values())
-    common = [t for t in intent_scores if t in distances]
+        return max(intent_scores[t] for t in reachable)
     if variant is RelevanceVariant.MAX_IXD:
-        return max((intent_scores[t] * distances[t] for t in common), default=0.0)
+        return max(intent_scores[t] * distances[t] for t in reachable)
     if variant is RelevanceVariant.DOT_IXD:
-        return sum(intent_scores[t] * distances[t] for t in common)
+        return sum(intent_scores[t] * distances[t] for t in reachable)
     raise ValueError(f"unknown variant: {variant}")
-
-
-def candidate_relevances(
-    candidates: list[str],
-    distances: dict[str, dict[str, float]],
-    intent_scores: dict[str, float],
-    variant: RelevanceVariant,
-) -> dict[str, float]:
-    """Per-candidate relevance: the intent scores of the current context,
-    restricted to the intents reachable from each candidate. distances maps
-    each candidate to its intent_distances(...)."""
-    out: dict[str, float] = {}
-    for v in candidates:
-        dist = distances[v]
-        reachable = {t: s for t, s in intent_scores.items() if t in dist}
-        out[v] = relevance(variant, reachable, dist)
-    return out
 
 
 def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]]:
@@ -143,18 +126,18 @@ def score_candidates(
     return recs
 
 
-def _scored(
+def score(
     graph: NavGraph,
     candidates: list[tuple[str, float, int]],
     intent_scores: dict[str, float],
     variant: RelevanceVariant,
-    collaborative: bool,
+    collaborative: bool = False,
 ) -> list[Recommendation]:
     """Relevance and K of enumerated candidates, from graph's own paths."""
-    nodes = [v for v, _, _ in candidates]
-    distances = {v: intent_distances(graph, v) for v in nodes}
-    rels = candidate_relevances(nodes, distances, intent_scores, variant)
-    return score_candidates(graph, candidates, rels, collaborative)
+    relevances = {
+        v: relevance(variant, intent_scores, intent_distances(graph, v)) for v, _, _ in candidates
+    }
+    return score_candidates(graph, candidates, relevances, collaborative)
 
 
 def recommend(
@@ -163,7 +146,7 @@ def recommend(
     intent_scores: dict[str, float],
     variant: RelevanceVariant = RelevanceVariant.SUM_I,
 ) -> list[Recommendation]:
-    return _scored(graph, enumerate_candidates(graph, u), intent_scores, variant, False)
+    return score(graph, enumerate_candidates(graph, u), intent_scores, variant)
 
 
 def rank(recs: list[Recommendation], k: int = DEFAULT_TOP_K) -> list[Recommendation]:
@@ -215,7 +198,7 @@ def group_recommend(
         if u not in g.nodes or not g.targets():
             continue
         candidates = [c for c in enumerate_candidates(g, u) if c[0] not in own_nodes]
-        recs += _scored(g, candidates, intent_scores, variant, True)
+        recs += score(g, candidates, intent_scores, variant, collaborative=True)
     return recs
 
 

@@ -13,7 +13,7 @@ import pytest
 from intentrec import cli, kalman, pipeline, synth
 from intentrec.artifacts import observation, serving_factor
 from intentrec.context import context_vector
-from intentrec.evaluation import ndcg_at_k
+from intentrec.evaluation import VARIANTS, ndcg_at_k
 from intentrec.models import group_by_user
 from intentrec.pipeline import PipelineConfig
 from intentrec.recommender import RelevanceVariant, rank, recommend
@@ -156,15 +156,12 @@ class TestStages:
 
     def test_evaluation_measures_the_served_path(self, workdir):
         # replaying the test split through the serving calls gives exactly
-        # the NDCG that evaluation reports for the served variant
+        # the NDCG that evaluation reports for each served variant
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
-        report = next(
-            r for r in pipeline.stage_evaluate(workdir, cfg).reports if r.method == cfg.variant
-        )
+        reports = {r.method: r for r in pipeline.stage_evaluate(workdir, cfg).reports}
         model = pipeline.load_model(workdir)
         dataset = pipeline.load_dataset(workdir / "sessions.json")
-        variant = RelevanceVariant(cfg.variant)
-        ndcgs = []
+        ndcgs: dict[str, list[float]] = {v: [] for v in VARIANTS}
         for uid, sessions in sorted(group_by_user(dataset.test).items()):
             graph = model.graphs.get(uid)
             if graph is None or len(graph.nodes) < cfg.min_unique_reports:
@@ -178,10 +175,13 @@ class TestStages:
                     if nxt is None or hit.report_id not in graph.nodes:
                         continue
                     scores = model.intent_scores(uid, f) if serving else {}
-                    ranked = rank(recommend(graph, hit.report_id, scores, variant), cfg.k)
-                    ndcgs.append(ndcg_at_k([r.node for r in ranked], nxt.report_id, cfg.k))
-        assert len(ndcgs) == report.events > 0
-        assert float(np.mean(ndcgs)) == report.ndcg
+                    for v in VARIANTS:
+                        recs = recommend(graph, hit.report_id, scores, RelevanceVariant(v))
+                        shown = [r.node for r in rank(recs, cfg.k)]
+                        ndcgs[v].append(ndcg_at_k(shown, nxt.report_id, cfg.k))
+        for v in VARIANTS:
+            assert len(ndcgs[v]) == reports[v].events > 0, v
+            assert float(np.mean(ndcgs[v])) == reports[v].ndcg, v
 
     def test_loaded_model_reproduces_fit(self, workdir):
         _assert_serving_shapes(workdir)
@@ -224,6 +224,7 @@ class TestStages:
         assert set(model.serving) == set(model.graphs)
 
     def test_manifest_hashes_stage_inputs(self, workdir):
+        pipeline.stage_evaluate(workdir, PipelineConfig(seed=3, rank=3, min_unique_reports=3))
         manifest = json.loads((workdir / "manifest.json").read_text())
         clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
         assert clusters
@@ -238,6 +239,11 @@ class TestStages:
                 *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
             },
             "graph": {"sessions.json"},
+            # every file load_model reads, plus the test split
+            "evaluate": {
+                "sessions.json", "graphs.json", "clustering.json", "rankmodel.json",
+                *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
+            },
         }
         for stage, keys in expected.items():
             inputs = manifest[stage]["inputs"]

@@ -37,6 +37,31 @@ class TestExtractFeatures:
         feats = extract_features(hit)
         assert feats[4] == 3  # strictly increasing throughout
 
+    def test_run_slot_matches_the_diff_loop(self):
+        # the run slot compares the Python floats of hit.values; it must equal
+        # the loop over np.diff for every double, NaN, +-inf and subnormals too
+        def diff_loop(values):
+            longest = run = 0
+            for d in np.diff(np.asarray(values, dtype=float)):
+                run = run + 1 if d > 0 else 0
+                longest = max(longest, run)
+            return float(longest)
+
+        rng = np.random.default_rng(5)
+        specials = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-323, 2.2e-308, 0.0, -0.0, 1e308]
+        for _ in range(2000):
+            size = int(rng.integers(2, 31))
+            scale = [1.0, 1e-310, 1e-320, 1e300][int(rng.integers(4))]
+            values = rng.normal(size=size) * scale
+            for i in rng.choice(size, size=int(rng.integers(0, size + 1))):
+                if rng.random() < 0.5:
+                    values[i] = specials[int(rng.integers(len(specials)))]
+                elif i:
+                    values[i] = values[i - 1]
+            hit = make_hit(values=tuple(float(x) for x in values))
+            with np.errstate(all="ignore"):
+                assert extract_features(hit)[4] == diff_loop(hit.values), hit.values
+
 
 class TestLayoutAndMatrix:
     def test_layout_sorted_pairs(self):
@@ -67,10 +92,22 @@ class TestLayoutAndMatrix:
         assert not np.any(context_vector(layout, hit))
 
     def test_context_vector_matches_matrix_column(self):
-        sessions = [make_session("u1", ["a", "b"])]
+        # two pairs viewed out of time order: column t is the context vector
+        # of the t-th view, whose features fill only its pair's segment
+        sessions = [
+            make_session("u1", ["a", "b"], start=500, metric="m2", dim="d1", values=(1, 3, 2)),
+            make_session("u1", ["c", "a"], start=0, metric="m1", dim="d2", values=(5, 4)),
+        ]
         cm = build_matrix(sessions)
-        x = context_vector(cm.layout, sessions[0].hits[0])
-        np.testing.assert_allclose(x, cm.X[:, 0])
+        hits = sorted((h for s in sessions for h in s.hits), key=lambda h: h.timestamp)
+        assert cm.X.shape == (2 * SLOTS_PER_PAIR, len(hits))
+        for t, hit in enumerate(hits):
+            x = context_vector(cm.layout, hit)
+            np.testing.assert_array_equal(cm.X[:, t], x)
+            row = cm.layout.segment(hit.metric, hit.dimension_element)
+            seg = slice(row, row + SLOTS_PER_PAIR)
+            np.testing.assert_array_equal(x[seg], extract_features(hit))
+            assert not np.any(np.delete(x, seg))
 
 
 class TestClustering:

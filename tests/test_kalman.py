@@ -8,10 +8,8 @@ from intentrec.kalman import (
     estimate_transition,
     evolve_sequence,
     initial_state,
-    predict,
     serve_step,
     step,
-    update,
 )
 
 
@@ -22,14 +20,9 @@ def scalar_filter(a, q, lam, psi, f0, p0, observations):
     for x in observations:
         f_prior = a * f
         p_prior = a * p * a + q
-        if x is None:
-            psi_eff = psi * 1e6
-            x_obs = 0.0
-        else:
-            psi_eff = psi
-            x_obs = x
-        k = p_prior * lam / (lam * p_prior * lam + psi_eff)
-        f = f_prior + k * (x_obs - lam * f_prior)
+        # a missing view takes the psi -> infinity limit of the gain: 0
+        k = 0.0 if x is None else p_prior * lam / (lam * p_prior * lam + psi)
+        f = f_prior if x is None else f_prior + k * (x - lam * f_prior)
         p = (1 - k * lam) * p_prior
         out.append((f, p, k))
     return out
@@ -76,9 +69,12 @@ class TestScalarHandCase:
         assert 2 * state.f_post[0] == pytest.approx(6.0, abs=1e-6)
 
     def test_missing_signal_keeps_prior(self):
-        state = initial_state(_mat(1), _mat(1), _mat(0.1), _mat(1.0), np.array([3.0]))
+        state = initial_state(_mat(1), _mat(0.9), _mat(0.1), _mat(1.0), np.array([3.0]))
+        state.P_post = _mat(2.0)
         state = step(state, MISSING)
-        assert state.f_post[0] == pytest.approx(state.f_prior[0], rel=1e-4)
+        assert state.f_post[0] == 0.9 * 3.0
+        assert state.P_post[0, 0] == 0.9 * 2.0 * 0.9 + 0.1
+        assert state.gain is None
 
 
 class TestMultivariate:
@@ -94,15 +90,38 @@ class TestMultivariate:
         np.testing.assert_allclose(state.P_post, state.P_post.T)
         assert np.all(np.linalg.eigvalsh(state.P_post) > -1e-10)
 
-    def test_update_requires_predict(self):
+    def test_observation_shape_checked(self):
         state = initial_state(_mat(1), _mat(1), _mat(1), _mat(1), np.zeros(1))
         with pytest.raises(ValueError):
-            update(state, np.array([1.0]))
+            step(state, np.zeros(3))
 
-    def test_observation_shape_checked(self):
-        state = predict(initial_state(_mat(1), _mat(1), _mat(1), _mat(1), np.zeros(1)))
-        with pytest.raises(ValueError):
-            update(state, np.zeros(3))
+    def test_missing_views_keep_the_prediction(self):
+        # the exact update of a missing view is the prediction itself, with
+        # no gain, alone or in a run of missing views
+        rng = np.random.default_rng(4)
+        n = 6
+        missing = {3, 7, 8, 9}
+        for r in range(1, 6):
+            Lam = rng.normal(size=(n, r))
+            A = rng.normal(size=(r, r))
+            A *= rng.uniform(0.3, 1.2) / max(abs(np.linalg.eigvals(A)))
+            B = rng.normal(size=(r, r))
+            Q = B @ B.T + 0.1 * np.eye(r)
+            C = rng.normal(size=(n, n))
+            Psi = C @ C.T + 0.1 * np.eye(n)
+            state = initial_state(Lam, A, Q, Psi, rng.normal(size=r))
+            for t in range(12):
+                if t not in missing:
+                    state = step(state, rng.normal(scale=2.0, size=n))
+                    assert state.gain is not None, (r, t)
+                    continue
+                f_pred = A @ state.f_post
+                P = A @ state.P_post @ A.T + Q
+                P_pred = (P + P.T) / 2
+                state = step(state, MISSING)
+                assert np.array_equal(state.f_post, f_pred), (r, t)
+                assert np.array_equal(state.P_post, P_pred), (r, t)
+                assert state.gain is None, (r, t)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
