@@ -49,10 +49,12 @@ def observation(x: np.ndarray):
 def serving_factor(serving: UserServing, state: kalman.KalmanState, hit: HitRecord):
     """Advance the user's filter by one step for a new view, with the
     settled gain once the filter's covariance has settled (`kalman.serve_step`).
+    The view is missing, as `observation` would find from its context vector,
+    when its pair is unknown to the layout or all its features are zero.
 
     Returns (kalman factor, parafac2-only factor, new state).
     """
-    x = context.context_vector(serving.layout, hit)
-    state = kalman.serve_step(state, observation(x))
+    x, observed = context.observed_vector(serving.layout, hit)
+    state = kalman.serve_step(state, x if observed else kalman.MISSING)
     f_pf2 = serving.Lam_pinv @ x
     return state.f_post.copy(), f_pf2, state

@@ -21,6 +21,10 @@ class FeatureLayout:
 
     user_id: str
     slots: list[tuple[str, str]]
+    _rows: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = {pair: SLOTS_PER_PAIR * i for i, pair in enumerate(self.slots)}
 
     @property
     def width(self) -> int:
@@ -28,11 +32,7 @@ class FeatureLayout:
 
     def segment(self, metric: str, dimension_element: str) -> int | None:
         """Starting row of the pair's segment, or None if the pair is unknown."""
-        try:
-            idx = self.slots.index((metric, dimension_element))
-        except ValueError:
-            return None
-        return SLOTS_PER_PAIR * idx
+        return self._rows.get((metric, dimension_element))
 
 
 @dataclass
@@ -58,28 +58,92 @@ class UserClustering:
     empty_clusters: list[int] = field(default_factory=list)
 
 
-def extract_features(hit: HitRecord) -> np.ndarray:
-    """6-slot feature vector for one report view.
+def _pairwise_sum(v: tuple[float, ...] | list[float], lo: int, n: int) -> float:
+    """NumPy's pairwise sum of v[lo:lo + n], n >= 1, in its exact order
+    (`extract_features` states it). The loops add plainly: the builtin
+    `sum` compensates its rounding since Python 3.12."""
+    if n < 8:
+        res = 0.0
+        for x in v[lo : lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[lo : lo + 8]
+        for i in range(lo + 8, end, 8):
+            r0 += v[i]
+            r1 += v[i + 1]
+            r2 += v[i + 2]
+            r3 += v[i + 3]
+            r4 += v[i + 4]
+            r5 += v[i + 5]
+            r6 += v[i + 6]
+            r7 += v[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in v[end : lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(v, lo, n2) + _pairwise_sum(v, lo + n2, n - n2)
+
+
+def _add_reduce(v: tuple[float, ...] | list[float]) -> float:
+    """`np.sum` of a float64 vector, bit for bit: add.reduce starts from
+    its identity 0.0 and adds the pairwise sum of the elements."""
+    return 0.0 + _pairwise_sum(v, 0, len(v))
+
+
+def extract_features(hit: HitRecord) -> tuple[float, ...]:
+    """6-slot feature vector for one report view, as six Python floats.
 
     Time series: [sum, max, min, argmax, longest positive run, mean |diff|].
     Histogram: only the aggregate (sum) slot is populated.
+
+    Computed on the Python floats of `hit.values` without NumPy, whose
+    per-call overhead would dominate on a few values, yet bit-identical to
+    `v.sum()`, `v.max()`, `v.min()`, `np.argmax(v)` and
+    `np.abs(np.diff(v)).mean()` of `v = np.asarray(hit.values)`:
+    - both sums add in the order of NumPy's pairwise `add.reduce`: from its
+      identity 0.0, sequentially below 8 elements, in 8 strided
+      accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) up to
+      128, and as the sum of two halves above that (`_pairwise_sum`);
+    - with a NaN anywhere, max and min are NaN and argmax is the first
+      NaN's index; otherwise argmax is the first index of the maximum.
+    When 0.0 and -0.0 tie for the max or min, NumPy's sign depends on its
+    SIMD lanes; here it is that of the first of them.
     """
-    v = np.asarray(hit.values, dtype=float)
-    if v.size == 0:
+    v = hit.values
+    n = len(v)
+    if n == 0:
         raise ValueError("empty values")
+    total = _add_reduce(v)
     if hit.report_kind is ReportKind.HISTOGRAM:
-        return np.array([v.sum(), 0.0, 0.0, 0.0, 0.0, 0.0])
-    if v.size == 1:
-        return np.array([v[0], v[0], v[0], 0.0, 0.0, 0.0])
-    diffs = np.diff(v)
-    # on doubles b > a exactly when b - a > 0; Python floats compare faster
+        return (total, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if n == 1:
+        return (v[0], v[0], v[0], 0.0, 0.0, 0.0)
+    # a NaN anywhere makes the sum NaN, so only then look for one
+    first_nan = next((i for i, x in enumerate(v) if x != x), None) if total != total else None
+    if first_nan is None:
+        top, bottom = max(v), min(v)
+        argmax = v.index(top)
+    else:
+        top = bottom = v[first_nan]
+        argmax = first_nan
+    abs_diffs = []
     longest = run = 0
-    for a, b in zip(hit.values, hit.values[1:]):
-        run = run + 1 if b > a else 0
-        longest = max(longest, run)
-    return np.array(
-        [v.sum(), v.max(), v.min(), float(np.argmax(v)), float(longest), np.abs(diffs).mean()]
-    )
+    prev = v[0]
+    for x in v[1:]:
+        d = x - prev
+        abs_diffs.append(abs(d))
+        if d > 0:
+            run += 1
+            if run > longest:
+                longest = run
+        else:
+            run = 0
+        prev = x
+    return (total, top, bottom, float(argmax), float(longest), _add_reduce(abs_diffs) / (n - 1))
 
 
 def build_layout(sessions: list[Session]) -> FeatureLayout:
@@ -103,11 +167,20 @@ def context_vector(layout: FeatureLayout, hit: HitRecord) -> np.ndarray:
     A pair unseen in the layout yields the all-zero vector (treated as a
     missing observation downstream).
     """
+    return observed_vector(layout, hit)[0]
+
+
+def observed_vector(layout: FeatureLayout, hit: HitRecord) -> tuple[np.ndarray, bool]:
+    """The view's context vector and whether it is an observation: its pair
+    is known to the layout and some feature is nonzero, which is exactly
+    when the vector is not all zero."""
     x = np.zeros(layout.width)
     row = layout.segment(hit.metric, hit.dimension_element)
-    if row is not None:
-        x[row : row + SLOTS_PER_PAIR] = extract_features(hit)
-    return x
+    if row is None:
+        return x, False
+    features = extract_features(hit)
+    x[row : row + SLOTS_PER_PAIR] = features
+    return x, any(features)
 
 
 def usage_features(sessions: list[Session]) -> np.ndarray:

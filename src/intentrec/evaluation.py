@@ -50,6 +50,7 @@ class BenchmarkResult:
     skipped_filtered: int = 0
     views: int = 0  # test views stepped through serving_factor
     steady_views: int = 0  # of those, served with the settled Kalman gain
+    missing_views: int = 0  # of those, missing observations (no gain)
 
     @property
     def events(self) -> int:
@@ -168,7 +169,7 @@ def run_benchmark(
     per_method: dict[str, list[EvalEvent]] = {m: [] for m in methods}
     skipped_unseen = 0
     skipped_filtered = 0
-    views = steady_views = 0
+    views = steady_views = missing_views = 0
 
     test_by_user = group_by_user(dataset.test)
     for uid in sorted(test_by_user):
@@ -191,6 +192,8 @@ def run_benchmark(
                     f_kal, f_pf2, state = serving_factor(serving, state, hit)
                     views += 1
                     steady_views += settled and state.settled is not None
+                    # only a missing view's exact step leaves no gain
+                    missing_views += state.gain is None
                 if i + 1 >= len(sess.hits):
                     continue
                 u = hit.report_id
@@ -224,6 +227,7 @@ def run_benchmark(
         skipped_filtered=skipped_filtered,
         views=views,
         steady_views=steady_views,
+        missing_views=missing_views,
     )
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 from .models import Dataset, HitRecord, ReportKind, Session
@@ -27,7 +28,8 @@ class ParseResult:
 
 
 def hit_from_doc(row: dict) -> HitRecord:
-    """One hit from a parsed JSON-lines or CSV row; raises ValueError if malformed."""
+    """One hit from a parsed JSON-lines or CSV row; raises ValueError if
+    malformed, which includes a NaN or infinite value."""
     missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {missing}")
@@ -35,6 +37,9 @@ def hit_from_doc(row: dict) -> HitRecord:
     values = row["values"]
     if isinstance(values, str):
         values = [float(v) for v in values.split(";") if v != ""]
+    values = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite values")
     return HitRecord(
         user_id=str(row["user_id"]),
         timestamp=int(row["ts"]),
@@ -42,7 +47,7 @@ def hit_from_doc(row: dict) -> HitRecord:
         report_kind=kind,
         metric=str(row["metric"]),
         dimension_element=str(row["dim_element"]),
-        values=tuple(float(v) for v in values),
+        values=values,
         session_hint=row.get("session") or None,
     )
 

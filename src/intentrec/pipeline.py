@@ -137,9 +137,9 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
         workdir,
         "ingest",
         [src],
-        {"timeout": config.timeout, "train_fraction": config.train_fraction,
-         "skipped_rows": parsed.skipped},
+        {"timeout": config.timeout, "train_fraction": config.train_fraction},
         t0,
+        skipped_rows=parsed.skipped,
     )
     return out
 
@@ -466,6 +466,7 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
         skipped_filtered=result.skipped_filtered,
         views=result.views,
         steady_views=result.steady_views,
+        missing_views=result.missing_views,
     )
     return result
 

@@ -141,6 +141,46 @@ class TestStages:
         assert entry["steady_views"] == result.steady_views == views - exact
         assert 0 < entry["steady_views"] < entry["views"]
 
+    def test_evaluate_manifest_counts_missing_views(self, workdir, tmp_path):
+        # a test view of a pair its user never viewed in training is missing
+        cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        pipeline.stage_evaluate(wd, cfg)
+        before = json.loads((wd / "manifest.json").read_text())["evaluate"]
+        assert before["missing_views"] == 0
+
+        model = pipeline.load_model(wd)
+        evaluated = {
+            u for u in model.serving if len(model.graphs[u].nodes) >= cfg.min_unique_reports
+        }
+        doc = json.loads((wd / "sessions.json").read_text())
+        hit = next(h for s in doc["test"] for h in s if h["user_id"] in evaluated)
+        hit["metric"] = "never-viewed"
+        (wd / "sessions.json").write_text(json.dumps(doc, sort_keys=True))
+        result = pipeline.stage_evaluate(wd, cfg)
+        entry = json.loads((wd / "manifest.json").read_text())["evaluate"]
+        assert entry["missing_views"] == result.missing_views == 1
+        assert entry["views"] == result.views == before["views"]
+
+    def test_non_finite_row_is_skipped_end_to_end(self, tmp_path):
+        # one NaN in one row of hits.jsonl costs that row, not the fit
+        scfg = synth.SynthConfig(n_users=8, n_reports=40, sessions_per_user=8, seed=3)
+        pipeline.stage_synth(tmp_path, scfg)
+        hits = tmp_path / "hits.jsonl"
+        rows = hits.read_text().splitlines()
+        row = json.loads(rows[5])
+        row["values"][1] = float("nan")
+        rows[5] = json.dumps(row)
+        hits.write_text("\n".join(rows) + "\n")
+        cfg = PipelineConfig(seed=3, rank=3, max_iters=20, min_unique_reports=3)
+        result = pipeline.run_all(tmp_path, cfg, hits)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["ingest"]["skipped_rows"] == 1
+        dataset = pipeline.load_dataset(tmp_path / "sessions.json")
+        assert sum(len(s) for s in dataset.train + dataset.test) == len(rows) - 1
+        assert result.events > 0
+
     def test_settled_gain_serves_the_exact_lists(self, workdir):
         # every test event gets the top-10 list of the exact filter
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)

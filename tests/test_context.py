@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,87 @@ class TestExtractFeatures:
             hit = make_hit(values=tuple(float(x) for x in values))
             with np.errstate(all="ignore"):
                 assert extract_features(hit)[4] == diff_loop(hit.values), hit.values
+
+
+def numpy_features(hit):
+    """The NumPy feature extraction that extract_features replaced: the
+    oracle it must match bit for bit."""
+    v = np.asarray(hit.values, dtype=float)
+    if hit.report_kind is ReportKind.HISTOGRAM:
+        return np.array([v.sum(), 0.0, 0.0, 0.0, 0.0, 0.0])
+    if v.size == 1:
+        return np.array([v[0], v[0], v[0], 0.0, 0.0, 0.0])
+    diffs = np.diff(v)
+    longest = run = 0
+    for a, b in zip(hit.values, hit.values[1:]):
+        run = run + 1 if b > a else 0
+        longest = max(longest, run)
+    return np.array(
+        [v.sum(), v.max(), v.min(), float(np.argmax(v)), float(longest), np.abs(diffs).mean()]
+    )
+
+
+def assert_matches_numpy(hit):
+    features = extract_features(hit)
+    assert len(features) == SLOTS_PER_PAIR
+    assert all(type(f) is float for f in features), features
+    got = np.array(features)
+    with np.errstate(all="ignore"):
+        want = numpy_features(hit)
+    np.testing.assert_array_equal(got, want, err_msg=str(hit.values))
+    if not all(map(math.isfinite, hit.values)):
+        return
+    same = got.view(np.uint64) == want.view(np.uint64)
+    # NumPy's sign of a zero max (min) where 0.0 and -0.0 tie for it depends
+    # on its SIMD lanes, so only the value of that slot is pinned
+    zero_signs = {math.copysign(1.0, x) for x in hit.values if x == 0}
+    if zero_signs == {1.0, -1.0}:
+        same[1:3] |= want[1:3] == 0
+    assert same.all(), (hit.values, got, want)
+
+
+class TestFeatureOracle:
+    def test_lengths_1_to_300_match_numpy(self):
+        # magnitudes spread over 16 decades make the sums depend on their
+        # order, so the pairwise order below 8, up to 128 and above is checked
+        rng = np.random.default_rng(11)
+        reordered = 0
+        for size in range(1, 301):
+            for kind in ReportKind:
+                values = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size=size)
+                hit = make_hit(kind=kind, values=tuple(values.tolist()))
+                assert_matches_numpy(hit)
+                left_to_right = 0.0
+                for x in hit.values:
+                    left_to_right += x
+                reordered += left_to_right != extract_features(hit)[0]
+        assert reordered > 100
+
+    def test_ties_match_numpy(self):
+        # repeated maxima and minima, flat runs: argmax is the first maximum
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            size = int(rng.integers(1, 40))
+            values = rng.integers(-2, 3, size=size).astype(float)
+            assert_matches_numpy(make_hit(values=tuple(values.tolist())))
+        hit = make_hit(values=(1.0, 3.0, 2.0, 3.0, 3.0))
+        assert extract_features(hit)[3] == 1.0
+
+    def test_special_values_match_numpy(self):
+        # the generator of test_run_slot_matches_the_diff_loop, for every slot
+        rng = np.random.default_rng(5)
+        specials = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-323, 2.2e-308, 0.0, -0.0, 1e308]
+        for _ in range(2000):
+            size = int(rng.integers(2, 31))
+            scale = [1.0, 1e-310, 1e-320, 1e300][int(rng.integers(4))]
+            values = rng.normal(size=size) * scale
+            for i in rng.choice(size, size=int(rng.integers(0, size + 1))):
+                if rng.random() < 0.5:
+                    values[i] = specials[int(rng.integers(len(specials)))]
+                elif i:
+                    values[i] = values[i - 1]
+            for kind in ReportKind:
+                assert_matches_numpy(make_hit(kind=kind, values=tuple(float(x) for x in values)))
 
 
 class TestLayoutAndMatrix:

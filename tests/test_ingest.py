@@ -77,6 +77,16 @@ class TestParseHits:
         assert len(result.records) == 2
         assert result.skipped == 2
 
+    def test_non_finite_values_are_malformed(self):
+        lines = [json.dumps(_row(values=[1.0, bad, 3.0])) for bad in ("NaN", "Infinity")]
+        lines += [json.dumps(_row(values=[float("-inf")]))] + [json.dumps(_row())] * 3
+        result = parse_hits("\n".join(lines))
+        assert (len(result.records), result.skipped) == (3, 3)
+        header = "user_id,ts,report_id,kind,metric,dim_element,values"
+        csv_rows = [f"u1,5,r2,timeseries,m,d,{v}" for v in ("1;nan;2", "inf", "1;2", "3")]
+        result = parse_hits("\n".join([header, *csv_rows]), format="csv")
+        assert (len(result.records), result.skipped) == (2, 2)
+
     def test_majority_malformed_raises(self):
         lines = [json.dumps(_row()), "junk", "junk", "junk"]
         with pytest.raises(FormatError):
