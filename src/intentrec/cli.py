@@ -10,11 +10,11 @@ from pathlib import Path
 
 from . import evaluation, pipeline, synth
 from .ingest import FormatError
-from .pipeline import MissingArtifact, PipelineConfig
+from .pipeline import MissingArtifact, PipelineConfig, StaleArtifact
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_MISSING_ARTIFACT = 3
+EXIT_MISSING_ARTIFACT = 3  # also a stale artifact, which its stage must rewrite
 EXIT_DATA = 4
 
 log = logging.getLogger("intentrec")
@@ -191,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MissingArtifact as exc:
         print(f"missing artifact: {exc} (run the preceding stage first)", file=sys.stderr)
+        return EXIT_MISSING_ARTIFACT
+    except StaleArtifact as exc:
+        print(f"stale artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -5,16 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import shutil
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, recommender, synth
 from .artifacts import TrainedModel, UserServing, observation
-from .models import Dataset, Session, group_by_user
+from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +26,11 @@ PARAFAC2_TOL = 1e-6  # parafac2.DEFAULT_TOL (1e-7) costs ~12x the iterations for
 
 class MissingArtifact(FileNotFoundError):
     pass
+
+
+class StaleArtifact(Exception):
+    """An artifact an earlier version (or an interrupted stage) left behind,
+    which this version cannot read: re-run the stage that writes it."""
 
 
 @dataclass
@@ -72,26 +79,78 @@ def _note_manifest(
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+# sessions.json holds each split as columns: `lengths` (hits per session) and
+# one list per HitRecord field, in field order, all sessions' hits end to end.
+_HIT_COLUMNS = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values", "session")
+_KINDS = {kind.value: kind for kind in ReportKind}
+
+
+def _split_columns(sessions: list[Session]) -> dict:
+    hits = [h for s in sessions for h in s.hits]
+    return {
+        "lengths": [len(s) for s in sessions],
+        "user_id": [h.user_id for h in hits],
+        "ts": [h.timestamp for h in hits],
+        "report_id": [h.report_id for h in hits],
+        "kind": [h.report_kind.value for h in hits],
+        "metric": [h.metric for h in hits],
+        "dim_element": [h.dimension_element for h in hits],
+        "values": [h.values for h in hits],
+        "session": [h.session_hint for h in hits],
+    }
+
+
+def _split_sessions(split: dict) -> list[Session]:
+    """The sessions of one split's columns; ValueError if they disagree."""
+    if not isinstance(split, dict) or split.keys() != {"lengths", *_HIT_COLUMNS}:
+        raise ValueError("a split is not a dict of the hit columns and `lengths`")
+    lengths = split["lengths"]
+    n_hits = sum(lengths)
+    if any(n < 1 for n in lengths):
+        raise ValueError("a session without hits")
+    short = [c for c in _HIT_COLUMNS if len(split[c]) != n_hits]
+    if short:
+        raise ValueError(f"columns {short} do not hold the {n_hits} hits of `lengths`")
+    if not all(map(math.isfinite, chain.from_iterable(split["values"]))):
+        raise ValueError("non-finite values")
+    hits = list(map(
+        HitRecord, split["user_id"], split["ts"], split["report_id"],
+        map(_KINDS.__getitem__, split["kind"]), split["metric"], split["dim_element"],
+        map(tuple, split["values"]), split["session"],
+    ))
+    sessions = []
+    end = 0
+    for n in lengths:
+        start, end = end, end + n
+        sessions.append(Session(user_id=hits[start].user_id, hits=hits[start:end]))
+    return sessions
+
+
 def save_dataset(dataset: Dataset, path: Path):
     doc = {
         "split_instant": dataset.split_instant,
-        "train": [[ingest.hit_to_doc(h) for h in s.hits] for s in dataset.train],
-        "test": [[ingest.hit_to_doc(h) for h in s.hits] for s in dataset.test],
+        "train": _split_columns(dataset.train),
+        "test": _split_columns(dataset.test),
     }
     path.write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_dataset(path: Path) -> Dataset:
-    doc = _read_json(path)
-
-    def sessions(key):
-        out = []
-        for hits in doc[key]:
-            parsed = [ingest.hit_from_doc(h) for h in hits]
-            out.append(Session(user_id=parsed[0].user_id, hits=parsed))
-        return out
-
-    return Dataset(train=sessions("train"), test=sessions("test"), split_instant=doc["split_instant"])
+    """The Dataset `save_dataset` wrote to path. The structure is checked
+    once per file, not per hit: a file of another layout, or one whose
+    columns disagree, raises StaleArtifact; so does a truncated one."""
+    try:
+        doc = _read_json(path)
+        return Dataset(
+            train=_split_sessions(doc["train"]),
+            test=_split_sessions(doc["test"]),
+            split_instant=doc["split_instant"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StaleArtifact(
+            f"{path.name} does not hold the session columns this version writes "
+            f"({type(exc).__name__}: {exc}); re-run `intentrec ingest`"
+        ) from exc
 
 
 def _load_npz(path: Path) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
@@ -140,6 +199,11 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
         {"timeout": config.timeout, "train_fraction": config.train_fraction},
         t0,
         skipped_rows=parsed.skipped,
+        train_sessions=len(dataset.train),
+        test_sessions=len(dataset.test),
+        train_hits=dataset.train_hits,
+        test_hits=dataset.test_hits,
+        split_instant=dataset.split_instant,
     )
     return out
 

@@ -14,7 +14,8 @@ from intentrec import cli, kalman, pipeline, synth
 from intentrec.artifacts import observation, serving_factor
 from intentrec.context import context_vector
 from intentrec.evaluation import VARIANTS, ndcg_at_k
-from intentrec.models import group_by_user
+from intentrec.ingest import hit_to_doc
+from intentrec.models import Dataset, HitRecord, ReportKind, Session, group_by_user
 from intentrec.pipeline import PipelineConfig
 from intentrec.recommender import RelevanceVariant, rank, recommend
 
@@ -119,6 +120,18 @@ class TestStages:
             assert stage in manifest, stage
             assert "elapsed_s" in manifest[stage]
 
+    def test_ingest_manifest_counts_the_split(self, workdir):
+        entry = json.loads((workdir / "manifest.json").read_text())["ingest"]
+        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        assert entry["train_sessions"] == len(dataset.train) > 0
+        assert entry["test_sessions"] == len(dataset.test) > 0
+        assert entry["train_hits"] == sum(len(s) for s in dataset.train)
+        assert entry["test_hits"] == sum(len(s) for s in dataset.test)
+        assert entry["split_instant"] == dataset.split_instant
+        assert entry["skipped_rows"] == 0
+        rows = (workdir / "hits.jsonl").read_text().splitlines()
+        assert entry["train_hits"] + entry["test_hits"] == len(rows)
+
     def test_evaluate_stage(self, workdir):
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         result = pipeline.stage_evaluate(workdir, cfg)
@@ -154,10 +167,10 @@ class TestStages:
         evaluated = {
             u for u in model.serving if len(model.graphs[u].nodes) >= cfg.min_unique_reports
         }
-        doc = json.loads((wd / "sessions.json").read_text())
-        hit = next(h for s in doc["test"] for h in s if h["user_id"] in evaluated)
-        hit["metric"] = "never-viewed"
-        (wd / "sessions.json").write_text(json.dumps(doc, sort_keys=True))
+        dataset = pipeline.load_dataset(wd / "sessions.json")
+        sess = next(s for s in dataset.test if s.user_id in evaluated)
+        sess.hits[0] = dataclasses.replace(sess.hits[0], metric="never-viewed")
+        pipeline.save_dataset(dataset, wd / "sessions.json")
         result = pipeline.stage_evaluate(wd, cfg)
         entry = json.loads((wd / "manifest.json").read_text())["evaluate"]
         assert entry["missing_views"] == result.missing_views == 1
@@ -406,6 +419,51 @@ class TestStages:
             )
 
 
+def _hit(user, ts, report, kind, values, session=None, metric="visits"):
+    return HitRecord(
+        user_id=user, timestamp=ts, report_id=report, report_kind=kind, metric=metric,
+        dimension_element="all", values=values, session_hint=session,
+    )
+
+
+class TestSessionsFile:
+    def test_save_load_save_round_trip(self, tmp_path):
+        series, histogram = ReportKind.TIME_SERIES, ReportKind.HISTOGRAM
+        train = [
+            Session("usuário-1", [
+                _hit("usuário-1", 0, "r1", series, (-0.0, 5e-324, 3.0), "s1"),
+                _hit("usuário-1", 60, "rapport-é", histogram, (1.7976931348623157e308,), "s1",
+                     metric="durée"),
+            ]),
+            Session("u2", [_hit("u2", 7, "r1", histogram, (2.5, -1.0))]),
+        ]
+        test = [
+            Session("usuário-1", [
+                _hit("usuário-1", 900, "r2", series, (0.1, 1e-300, -2.0)),
+                _hit("usuário-1", 960, "r1", histogram, (4.0,), "s2"),
+            ]),
+        ]
+        dataset = Dataset(train=train, test=test, split_instant=900)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        pipeline.save_dataset(dataset, first)
+        loaded = pipeline.load_dataset(first)
+        pipeline.save_dataset(loaded, second)
+        assert loaded == dataset
+        assert second.read_bytes() == first.read_bytes()
+
+        hits = [h for s in loaded.train + loaded.test for h in s.hits]
+        expected = [h for s in dataset.train + dataset.test for h in s.hits]
+        # == does not tell -0.0 from 0.0
+        assert [[v.hex() for v in h.values] for h in hits] == [
+            [v.hex() for v in h.values] for h in expected
+        ]
+        for h in hits:
+            assert type(h.values) is tuple
+            assert all(type(v) is float for v in h.values)
+            assert type(h.timestamp) is int
+            assert type(h.report_kind) is ReportKind
+
+
 class TestCliExitCodes:
     def test_every_config_field_has_a_flag(self):
         parser = argparse.ArgumentParser()
@@ -430,6 +488,51 @@ class TestCliExitCodes:
     def test_missing_artifact(self, tmp_path):
         code = cli.main(["graph", "--workdir", str(tmp_path)])
         assert code == cli.EXIT_MISSING_ARTIFACT
+
+    @pytest.fixture
+    def ingested(self, tmp_path):
+        assert cli.main(
+            ["synth", "--workdir", str(tmp_path), "--users", "8", "--reports", "40",
+             "--sessions-per-user", "6", "--seed", "2"]
+        ) == cli.EXIT_OK
+        assert cli.main(["ingest", "--workdir", str(tmp_path)]) == cli.EXIT_OK
+        return tmp_path
+
+    def _assert_stale_sessions(self, workdir, capsys):
+        capsys.readouterr()
+        assert cli.main(["graph", "--workdir", str(workdir)]) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "sessions.json" in err and "ingest" in err
+        assert not (workdir / "graphs.json").exists()
+
+    def test_row_layout_sessions_is_stale(self, ingested, capsys):
+        # sessions.json as the row layout wrote it: one dict per hit
+        path = ingested / "sessions.json"
+        dataset = pipeline.load_dataset(path)
+        doc = {
+            "split_instant": dataset.split_instant,
+            "train": [[hit_to_doc(h) for h in s.hits] for s in dataset.train],
+            "test": [[hit_to_doc(h) for h in s.hits] for s in dataset.test],
+        }
+        path.write_text(json.dumps(doc, sort_keys=True))
+        self._assert_stale_sessions(ingested, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda split: split["report_id"].pop(),
+        lambda split: split["lengths"].insert(0, 0),
+        lambda split: split["values"][3].append(float("nan")),
+    ], ids=["short-column", "empty-session", "non-finite-value"])
+    def test_disagreeing_columns_are_stale(self, ingested, capsys, edit):
+        path = ingested / "sessions.json"
+        doc = json.loads(path.read_text())
+        edit(doc["test"])
+        path.write_text(json.dumps(doc, sort_keys=True))
+        self._assert_stale_sessions(ingested, capsys)
+
+    def test_truncated_sessions_is_stale(self, ingested, capsys):
+        path = ingested / "sessions.json"
+        path.write_bytes(path.read_bytes()[:1000])
+        self._assert_stale_sessions(ingested, capsys)
 
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
