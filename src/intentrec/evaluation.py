@@ -6,7 +6,7 @@ import copy
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,15 +22,6 @@ DEFAULT_MIN_UNIQUE_REPORTS = 5
 BASELINES = ("mass", "frequency", "context", "parafac2")
 VARIANTS = ("max-ixd", "dot-ixd", "max-i", "sum-i")
 ALL_METHODS = BASELINES + VARIANTS
-
-
-@dataclass
-class EvalEvent:
-    user: str
-    current: str
-    true_next: str
-    shown: list[str]  # at most k ordered nodes
-    scores: dict[str, float]  # full candidate scores, for AUC
 
 
 @dataclass
@@ -90,83 +81,53 @@ def event_auc(scores: dict[str, float], true_next: str) -> float:
     return (below + 0.5 * ties) / len(negatives)
 
 
-def weighted_auc(events: list[EvalEvent]) -> float:
-    """Per-user mean event AUC, averaged over users weighted by event count."""
-    per_user: dict[str, list[float]] = {}
-    for ev in events:
-        per_user.setdefault(ev.user, []).append(event_auc(ev.scores, ev.true_next))
-    if not per_user:
-        return 0.0
-    total = sum(len(v) for v in per_user.values())
-    return sum(len(v) * (sum(v) / len(v)) for v in per_user.values()) / total
-
-
-def summarize(method: str, events: list[EvalEvent], k: int = DEFAULT_TOP_K) -> EvalReport:
-    if not events:
+def report(method: str, rows: list[tuple[float, float, float, float]]) -> EvalReport:
+    """Each metric's mean over the event rows. w-AUC, the per-user mean AUC
+    weighted by the user's event count, is the mean over events."""
+    if not rows:
         return EvalReport(method=method, ndcg=0.0, precision=0.0, recall=0.0, wauc=0.0, events=0)
-    ndcgs, precs, recs = [], [], []
-    for ev in events:
-        ndcgs.append(ndcg_at_k(ev.shown, ev.true_next, k))
-        p, r = precision_recall_at_k(ev.shown, ev.true_next, k)
-        precs.append(p)
-        recs.append(r)
-    return EvalReport(
-        method=method,
-        ndcg=float(np.mean(ndcgs)),
-        precision=float(np.mean(precs)),
-        recall=float(np.mean(recs)),
-        wauc=weighted_auc(events),
-        events=len(events),
-    )
+    ndcg, precision, recall, wauc = (float(np.mean(column)) for column in zip(*rows))
+    return EvalReport(method, ndcg, precision, recall, wauc, events=len(rows))
 
 
 def _method_scores(
     method: str,
     graph,
     candidates: list[tuple[str, float, int]],
-    intent_scores_kal: dict[str, float],
-    intent_scores_pf2: dict[str, float],
+    scored: dict[str, list[recommender.Recommendation]],
     k: int,
 ) -> tuple[dict[str, float], list[str]]:
-    """Candidate scores plus the shown (top-k) ordering for one event."""
+    """Candidate scores plus the shown (top-k) ordering for one event.
+
+    scored holds the event's recommender.score lists: one per variant on the
+    Kalman intent scores, and sum-i on the PARAFAC2 ones under "parafac2"."""
     if method == "mass":
         scores = {v: graph.nodes[v].mass for v, _, _ in candidates}
     elif method == "frequency":
         scores = {v: w for v, w, _ in candidates}
     else:
-        context_only = method in ("context", "parafac2")
-        intent_scores = intent_scores_pf2 if method == "parafac2" else intent_scores_kal
-        variant = RelevanceVariant.SUM_I if context_only else RelevanceVariant(method)
-        recs = recommender.score(graph, candidates, intent_scores, variant)
-        if context_only:
+        recs = scored["sum-i" if method == "context" else method]
+        if method in ("context", "parafac2"):
             # context-only score (alpha=1, W stripped, beta=0); rank still
             # breaks its ties on W, M and node id
-            for r in recs:
-                r.score = r.relevance
-        ranked = recommender.rank(recs, k=k)
-        return {r.node: r.score for r in recs}, [r.node for r in ranked]
-    shown = sorted(scores, key=lambda v: (-scores[v], v))
-    return scores, shown[:k]
+            recs = [replace(r, score=r.relevance) for r in recs]
+        return {r.node: r.score for r in recs}, [r.node for r in recommender.rank(recs, k=k)]
+    return scores, sorted(scores, key=lambda v: (-scores[v], v))[:k]
 
 
 def run_benchmark(
     dataset: Dataset,
     model: TrainedModel,
-    methods: tuple[str, ...] = ALL_METHODS,
     k: int = DEFAULT_TOP_K,
     min_unique_reports: int = DEFAULT_MIN_UNIQUE_REPORTS,
 ) -> BenchmarkResult:
-    """One EvalEvent per consecutive test-session pair, scored per method.
+    """One event per consecutive test-session pair, scored by every method.
 
     Users unseen in training (or with too few unique training reports) are
     skipped and counted. Methods needing context artifacts fall back to
     frequency-only behavior for users excluded from the factorization.
     """
-    unknown = [m for m in methods if m not in ALL_METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods: {unknown}")
-
-    per_method: dict[str, list[EvalEvent]] = {m: [] for m in methods}
+    rows: dict[str, list[tuple[float, float, float, float]]] = {m: [] for m in ALL_METHODS}
     skipped_unseen = 0
     skipped_filtered = 0
     views = steady_views = missing_views = 0
@@ -204,21 +165,20 @@ def run_benchmark(
                 candidates = recommender.enumerate_candidates(graph, u)
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
-                for method in methods:
-                    scores, shown = _method_scores(
-                        method, graph, candidates, scores_kal, scores_pf2, k
-                    )
-                    per_method[method].append(
-                        EvalEvent(
-                            user=uid,
-                            current=u,
-                            true_next=v_star,
-                            shown=shown[:k],
-                            scores=scores,
-                        )
-                    )
+                scored = {
+                    v: recommender.score(graph, candidates, scores_kal, RelevanceVariant(v))
+                    for v in VARIANTS
+                }
+                scored["parafac2"] = recommender.score(
+                    graph, candidates, scores_pf2, RelevanceVariant.SUM_I
+                )
+                for method in ALL_METHODS:
+                    scores, shown = _method_scores(method, graph, candidates, scored, k)
+                    precision, recall = precision_recall_at_k(shown, v_star, k)
+                    ndcg, auc = ndcg_at_k(shown, v_star, k), event_auc(scores, v_star)
+                    rows[method].append((ndcg, precision, recall, auc))
 
-    reports = [summarize(m, per_method[m], k) for m in methods]
+    reports = [report(m, rows[m]) for m in ALL_METHODS]
     if not any(r.events for r in reports):
         log.warning("no evaluable events in the test set")
     return BenchmarkResult(

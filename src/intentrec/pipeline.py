@@ -54,8 +54,13 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_json(path: Path):
-    return json.loads(_require(path).read_text())
+def _read_json(path: Path, stage: str):
+    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
+    one is stale."""
+    try:
+        return json.loads(_require(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
 
 
 def _sha256(path: Path) -> str:
@@ -140,7 +145,7 @@ def load_dataset(path: Path) -> Dataset:
     once per file, not per hit: a file of another layout, or one whose
     columns disagree, raises StaleArtifact; so does a truncated one."""
     try:
-        doc = _read_json(path)
+        doc = _read_json(path, "ingest")
         return Dataset(
             train=_split_sessions(doc["train"]),
             test=_split_sessions(doc["test"]),
@@ -185,6 +190,7 @@ def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
 def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = None) -> Path:
     t0 = time.time()
     src = _require(source or workdir / "hits.jsonl")
+    workdir.mkdir(parents=True, exist_ok=True)
     fmt = "csv" if src.suffix == ".csv" else "jsonl"
     with src.open() as fh:
         parsed = ingest.parse_hits(fh, format=fmt)
@@ -223,7 +229,7 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
 
 
 def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
-    docs = _read_json(workdir / "graphs.json")
+    docs = _read_json(workdir / "graphs.json", "graph")
     graphs = {}
     for doc in docs:
         g = navgraph.NavGraph.from_json(doc)
@@ -275,7 +281,7 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
 
 
 def load_clustering(workdir: Path) -> context.UserClustering:
-    doc = _read_json(workdir / "clustering.json")
+    doc = _read_json(workdir / "clustering.json", "tensor")
     return context.UserClustering(
         assignments=doc["assignments"],
         centroids=np.asarray(doc["centroids"]),
@@ -296,7 +302,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
     for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
         mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
         tensor = context.ContextTensor(
             cluster_id=cluster_id, users=layout_doc["users"], matrices=mats, T=layout_doc["T"]
@@ -346,7 +352,7 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     kdir = _fresh_dir(workdir / "kalman")
     views = missing = 0
     for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
         mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
         G, shared = _load_npz(factor_root / f"cluster_{cluster_id}.npz")
         S = shared["S"]
@@ -388,7 +394,7 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
     kdir = _require(workdir / "kalman")
     serving: dict[str, UserServing] = {}
     for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json")
+        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
         with np.load(_require(kdir / f"cluster_{cluster_id}.npz")) as z:
             A, Q, psi, Lam, f_post, P_post = (
                 z[key] for key in ("A", "Q", "psi", "Lam", "f_post", "P_post")
@@ -416,7 +422,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     kdir = _require(workdir / "kalman")
     evolved_per_user: dict[str, np.ndarray] = {}
     for cluster_id in _cluster_ids(tensor_root):
-        users = _read_json(tensor_root / f"cluster_{cluster_id}.json")["users"]
+        users = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")["users"]
         evolved, _ = _load_npz(kdir / f"cluster_{cluster_id}.npz")
         evolved_per_user.update(zip(users, evolved))
 
@@ -461,7 +467,7 @@ def load_model(workdir: Path) -> TrainedModel:
     graphs = load_graphs(workdir)
     clustering = load_clustering(workdir)
     serving = _load_serving(workdir)
-    doc = _read_json(workdir / "rankmodel.json")
+    doc = _read_json(workdir / "rankmodel.json", "train-rank")
     rank_models = {u: ranksvm.RankModel.from_json(m) for u, m in doc.items()}
     return TrainedModel(
         graphs=graphs,

@@ -97,17 +97,19 @@ def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]
     return out
 
 
-def score_candidates(
+def score(
     graph: NavGraph,
     candidates: list[tuple[str, float, int]],
-    relevances: dict[str, float],
+    intent_scores: dict[str, float],
+    variant: RelevanceVariant,
     collaborative: bool = False,
 ) -> list[Recommendation]:
-    """Score each enumerate_candidates entry with K = a*W*R + b*M."""
+    """Score each enumerate_candidates entry with K = a*W*R + b*M, its
+    relevance R taken from graph's own paths."""
     recs: list[Recommendation] = []
     for v, w_uv, step in candidates:
         attrs = graph.nodes[v]
-        r_v = relevances.get(v, 0.0)
+        r_v = relevance(variant, intent_scores, intent_distances(graph, v))
         k = attrs.alpha * w_uv * r_v + attrs.beta * attrs.mass
         recs.append(
             Recommendation(
@@ -124,20 +126,6 @@ def score_candidates(
             )
         )
     return recs
-
-
-def score(
-    graph: NavGraph,
-    candidates: list[tuple[str, float, int]],
-    intent_scores: dict[str, float],
-    variant: RelevanceVariant,
-    collaborative: bool = False,
-) -> list[Recommendation]:
-    """Relevance and K of enumerated candidates, from graph's own paths."""
-    relevances = {
-        v: relevance(variant, intent_scores, intent_distances(graph, v)) for v, _, _ in candidates
-    }
-    return score_candidates(graph, candidates, relevances, collaborative)
 
 
 def recommend(

@@ -10,7 +10,7 @@ import pytest
 
 from intentrec import pipeline, synth
 from intentrec.context import ContextTensor
-from intentrec.evaluation import EvalEvent, ndcg_at_k, precision_recall_at_k, weighted_auc
+from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
 from intentrec.parafac2 import decompose, reconstruct
@@ -273,27 +273,12 @@ class TestMetrics:
         ndcg2 = ndcg_at_k(["x", "hit"], "hit")
         p10, _ = precision_recall_at_k(["hit"] + ["x"] * 9, "hit", k=10)
         rng = np.random.default_rng(2)
-        events = []
-        for i in range(100):
+        invariant = True
+        for _ in range(100):
             scores = {f"n{j}": float(rng.uniform()) for j in range(6)}
-            shown = sorted(scores, key=lambda n: -scores[n])
-            events.append(
-                EvalEvent(
-                    user=f"u{i % 5}", current="c",
-                    true_next=f"n{int(rng.integers(6))}",
-                    shown=shown, scores=scores,
-                )
-            )
-        base = weighted_auc(events)
-        warped = [
-            EvalEvent(
-                user=e.user, current=e.current, true_next=e.true_next,
-                shown=e.shown,
-                scores={n: math.tanh(2 * s) + 5 for n, s in e.scores.items()},
-            )
-            for e in events
-        ]
-        invariant = abs(weighted_auc(warped) - base) <= 1e-12
+            true_next = f"n{int(rng.integers(6))}"
+            warped = {n: math.tanh(2 * s) + 5 for n, s in scores.items()}
+            invariant &= event_auc(warped, true_next) == event_auc(scores, true_next)
         _report(
             "metrics: hand values and monotone-invariant weighted AUC",
             abs(ndcg2 - 1 / math.log2(3)) <= 1e-12 and p10 == 0.1 and invariant,

@@ -13,7 +13,7 @@ import pytest
 from intentrec import cli, kalman, pipeline, synth
 from intentrec.artifacts import observation, serving_factor
 from intentrec.context import context_vector
-from intentrec.evaluation import VARIANTS, ndcg_at_k
+from intentrec.evaluation import VARIANTS, event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.ingest import hit_to_doc
 from intentrec.models import Dataset, HitRecord, ReportKind, Session, group_by_user
 from intentrec.pipeline import PipelineConfig
@@ -209,12 +209,13 @@ class TestStages:
 
     def test_evaluation_measures_the_served_path(self, workdir):
         # replaying the test split through the serving calls gives exactly
-        # the NDCG that evaluation reports for each served variant
+        # the NDCG, precision, recall and w-AUC that evaluation reports for
+        # each served variant
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         reports = {r.method: r for r in pipeline.stage_evaluate(workdir, cfg).reports}
         model = pipeline.load_model(workdir)
         dataset = pipeline.load_dataset(workdir / "sessions.json")
-        ndcgs: dict[str, list[float]] = {v: [] for v in VARIANTS}
+        rows: dict[str, list[tuple[float, ...]]] = {v: [] for v in VARIANTS}
         for uid, sessions in sorted(group_by_user(dataset.test).items()):
             graph = model.graphs.get(uid)
             if graph is None or len(graph.nodes) < cfg.min_unique_reports:
@@ -231,10 +232,19 @@ class TestStages:
                     for v in VARIANTS:
                         recs = recommend(graph, hit.report_id, scores, RelevanceVariant(v))
                         shown = [r.node for r in rank(recs, cfg.k)]
-                        ndcgs[v].append(ndcg_at_k(shown, nxt.report_id, cfg.k))
+                        true_next = nxt.report_id
+                        rows[v].append((
+                            ndcg_at_k(shown, true_next, cfg.k),
+                            *precision_recall_at_k(shown, true_next, cfg.k),
+                            event_auc({r.node: r.score for r in recs}, true_next),
+                        ))
         for v in VARIANTS:
-            assert len(ndcgs[v]) == reports[v].events > 0, v
-            assert float(np.mean(ndcgs[v])) == reports[v].ndcg, v
+            assert len(rows[v]) == reports[v].events > 0, v
+            ndcg, precision, recall, wauc = (float(np.mean(c)) for c in zip(*rows[v]))
+            rep = reports[v]
+            assert (rep.ndcg, rep.precision, rep.recall, rep.wauc) == (
+                ndcg, precision, recall, wauc
+            ), v
 
     def test_loaded_model_reproduces_fit(self, workdir):
         _assert_serving_shapes(workdir)
@@ -534,6 +544,27 @@ class TestCliExitCodes:
         path.write_bytes(path.read_bytes()[:1000])
         self._assert_stale_sessions(ingested, capsys)
 
+    @pytest.mark.parametrize(
+        "name", ["graphs.json", "clustering.json", "rankmodel.json", "tensors/cluster_0.json"]
+    )
+    def test_truncated_artifact_is_stale(self, workdir, tmp_path, capsys, name):
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        model = pipeline.load_model(wd)
+        uid = sorted(model.serving)[0]
+        node = sorted(model.graphs[uid].nodes)[0]
+        path = wd / name
+        text = path.read_bytes()
+        path.write_bytes(text[: len(text) // 2])
+        capsys.readouterr()
+        for argv in (
+            ["recommend", "--workdir", str(wd), "--user", uid, "--current", node],
+            ["evaluate", "--workdir", str(wd), "--rank", "3"],
+        ):
+            assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+            err = capsys.readouterr().err
+            assert "stale artifact" in err and str(path) in err, err
+
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\nnot json either\n")
@@ -588,6 +619,18 @@ class TestCliExitCodes:
         assert cli.main(
             ["recommend", "--workdir", str(tmp_path), "--user", uid, "--current", node]
         ) == cli.EXIT_OK
+
+    def test_run_into_a_fresh_workdir(self, tmp_path):
+        assert cli.main(
+            ["synth", "--workdir", str(tmp_path), "--users", "8", "--reports", "40",
+             "--sessions-per-user", "6", "--seed", "2"]
+        ) == cli.EXIT_OK
+        fresh = tmp_path / "new" / "wd"
+        assert cli.main(
+            ["run", "--workdir", str(fresh), "--input", str(tmp_path / "hits.jsonl"),
+             "--rank", "3", "--max-iters", "15", "--seed", "2"]
+        ) == cli.EXIT_OK
+        assert (fresh / "results.csv").exists()
 
     def test_rank_one_run_and_sweep(self, tmp_path):
         assert cli.main(

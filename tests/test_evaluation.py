@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from intentrec.artifacts import TrainedModel
+from intentrec.context import UserClustering
 from intentrec.evaluation import (
-    EvalEvent,
+    ALL_METHODS,
     event_auc,
     ndcg_at_k,
     precision_recall_at_k,
-    summarize,
+    report,
     results_csv,
-    weighted_auc,
+    run_benchmark,
 )
+from intentrec.models import Dataset
 
 
 class TestNdcg:
@@ -59,48 +62,59 @@ class TestEventAuc:
         assert event_auc({"pos": 0.3}, "pos") == 1.0
 
 
-def _event(user, scores, true_next):
-    shown = sorted(scores, key=lambda n: -scores[n])
-    return EvalEvent(user=user, current="c", true_next=true_next, shown=shown, scores=scores)
-
-
 class TestWeightedAuc:
     def test_monotone_transform_invariant(self):
         rng = np.random.default_rng(0)
-        events = []
-        for i in range(100):
+        base, transformed = [], []
+        for _ in range(100):
             scores = {f"n{j}": float(rng.uniform()) for j in range(5)}
-            events.append(_event(f"u{i % 7}", scores, f"n{int(rng.integers(5))}"))
-        base = weighted_auc(events)
-        transformed = [
-            _event(e.user, {n: math.exp(3 * s) for n, s in e.scores.items()}, e.true_next)
-            for e in events
-        ]
-        assert weighted_auc(transformed) == pytest.approx(base, abs=1e-12)
+            true_next = f"n{int(rng.integers(5))}"
+            base.append(event_auc(scores, true_next))
+            warped = {n: math.exp(3 * s) for n, s in scores.items()}
+            transformed.append(event_auc(warped, true_next))
+        assert transformed == base
+
+    def test_equals_per_user_event_weighted_mean(self):
+        # u1 has three events, u2 one: the per-user means 0.5 and 1.0,
+        # weighted 3:1, give (3 * 0.5 + 1.0) / 4
+        aucs = {"u1": [0.25, 0.5, 0.75], "u2": [1.0]}
+        rows = [(0.0, 0.0, 0.0, auc) for user in aucs for auc in aucs[user]]
+        per_user = sum(len(v) * (sum(v) / len(v)) for v in aucs.values()) / len(rows)
+        wauc = report("m", rows).wauc
+        assert wauc == pytest.approx(per_user, abs=1e-12)
+        assert wauc == pytest.approx(0.625, abs=1e-12)
 
     def test_empty(self):
-        assert weighted_auc([]) == 0.0
+        # a run without test sessions gives every method a zero row
+        model = TrainedModel(
+            graphs={}, clustering=UserClustering({}, np.zeros((0, 2))), rank_models={}, serving={}
+        )
+        result = run_benchmark(Dataset(train=[], test=[], split_instant=0), model)
+        assert [r.method for r in result.reports] == list(ALL_METHODS)
+        for r in result.reports:
+            assert (r.ndcg, r.precision, r.recall, r.wauc, r.events) == (0.0, 0.0, 0.0, 0.0, 0)
+        assert result.events == 0
 
 
 class TestSummarize:
     def test_aggregates(self):
-        events = [
-            _event("u1", {"hit": 0.9, "x": 0.1}, "hit"),
-            _event("u1", {"hit": 0.1, "x": 0.9}, "hit"),
-        ]
-        rep = summarize("m", events, k=1)
+        # a hit at rank 1 and a miss, at k = 1
+        rows = [(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0)]
+        rep = report("m", rows)
         assert rep.events == 2
         assert rep.ndcg == pytest.approx(0.5)
+        assert rep.precision == pytest.approx(0.5)
         assert rep.recall == pytest.approx(0.5)
+        assert rep.wauc == pytest.approx(0.5)
 
     def test_empty(self):
-        rep = summarize("m", [])
+        rep = report("m", [])
         assert rep.events == 0
         assert rep.ndcg == 0.0
 
     def test_results_csv_layout(self):
-        rep = summarize("m", [_event("u1", {"hit": 1.0}, "hit")])
+        rep = report("m", [(1.0, 0.1, 1.0, 1.0)])
         text = results_csv([rep])
         lines = text.strip().split("\n")
         assert lines[0] == "method,ndcg,precision,recall,wauc,events"
-        assert lines[1].startswith("m,1.000000")
+        assert lines[1] == "m,1.000000,0.100000,1.000000,1.000000,1"

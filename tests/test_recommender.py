@@ -12,7 +12,7 @@ from intentrec.recommender import (
     rank,
     recommend,
     relevance,
-    score_candidates,
+    score,
 )
 
 from conftest import make_session, random_sessions
@@ -81,15 +81,17 @@ class TestCandidates:
 class TestScoreCandidates:
     def test_score_identity(self):
         g = _graph(
-            {("u", "a"): 0.7, ("u", "b"): 0.3},
+            {("u", "a"): 0.7, ("u", "b"): 0.3, ("a", "t"): 1.0, ("b", "t"): 1.0},
             masses={"a": 0.4, "b": 0.1},
+            targets=("t",),
         )
         g.nodes["a"].alpha = 1.5
         g.nodes["a"].beta = 0.5
-        rels = {"a": 0.8, "b": 0.2}
-        recs = score_candidates(g, enumerate_candidates(g, "u"), rels)
+        recs = score(g, enumerate_candidates(g, "u"), {"t": 0.8}, RelevanceVariant.DOT_IXD)
+        assert {r.node for r in recs} == {"a", "b", "t"}
         for r in recs:
             attrs = g.nodes[r.node]
+            assert r.relevance > 0.0
             expected = attrs.alpha * r.weight * r.relevance + attrs.beta * r.mass
             assert r.score == pytest.approx(expected, abs=1e-15)
 
@@ -185,8 +187,7 @@ class TestGroupRecommend:
 
 class TestFeedback:
     def _shown(self, g):
-        rels = {v: 0.5 for v in g.nodes}
-        return score_candidates(g, enumerate_candidates(g, "u"), rels)
+        return recommend(g, "u", {})
 
     def _graph(self):
         gr = NavGraph(user_id="u1")
