@@ -4,12 +4,13 @@ PARAFAC2 factor sequence, with context vectors as observations.
 `step` is the one exact predict/update. A missing view has no measurement,
 so its posterior is its prediction: f <- A f, P <- A P A' + Q (Durbin &
 Koopman, *Time Series Analysis by State Space Methods*, 2nd ed., 2012,
-sec. 4.10). Fitting (`evolve_sequence`) runs `step` on every view. Serving
-(`serve_step`) runs it until the error covariance settles, then serves
-observed views with the settled gain K as the steady-state filter
-f <- (I - K Lam) A f + K x (Simon, *Optimal State Estimation*, 2006, ch. 7).
-A missing view grows P away from the steady state, so it always takes the
-exact step and drops the settled gain until P settles again."""
+sec. 4.10). Fitting (`evolve_sequence`) and serving advance a filter the
+same way, through `serve_step`: it runs `step` until the error covariance
+settles, then moves observed views with the settled gain K as the
+steady-state filter f <- (I - K Lam) A f + K x (Simon, *Optimal State
+Estimation*, 2006, ch. 7). A missing view grows P away from the steady
+state, so it always takes the exact step and drops the settled gain until P
+settles again."""
 from __future__ import annotations
 
 import logging
@@ -20,7 +21,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MISSING = None  # sentinel for an absent contextual signal
-DEFAULT_PROCESS_NOISE = 0.01
+DEFAULT_PROCESS_NOISE = 1.0
 # An observed exact step that moves P_post by at most this much (relative,
 # Frobenius norm) has settled P; serve_step then keeps its gain.
 SETTLED_TOLERANCE = 1e-12
@@ -36,7 +37,8 @@ class KalmanState:
     P_post: np.ndarray  # a posteriori error covariance
     # gain of the last step; None after a missing view
     gain: np.ndarray | None = field(default=None, repr=False)
-    # (I - K Lam) A and K of a settled covariance; set and cleared by serve_step
+    # (I - K Lam) A and K of a settled covariance; set and cleared by serve_step,
+    # and None on the state evolve_sequence returns
     settled: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
@@ -127,22 +129,27 @@ def evolve_sequence(
     Psi: np.ndarray,
     observations,
     f0: np.ndarray,
-) -> tuple[list[np.ndarray], KalmanState]:
-    """Run the filter across all observation columns.
+) -> tuple[list[np.ndarray], KalmanState, int]:
+    """Run the filter across all observation columns with `serve_step`.
 
     observations is a sequence of N-vectors (or MISSING entries). Starts from
     f0 with identity posterior covariance; returns the a posteriori factor per
-    step plus the final state for later incremental serving.
+    step, the final state for later serving and how many views took the
+    settled gain. The final state carries no settled gain, like the state
+    `pipeline.load_model` reads back, so serving re-caches it either way.
     """
     r = A.shape[0]
     if Lam.shape[1] != r or Q.shape != (r, r) or len(f0) != r:
         raise ValueError("inconsistent shapes")
     state = initial_state(Lam, A, Q, Psi, f0)
     out: list[np.ndarray] = []
+    steady = 0
     for x in observations:
-        state = step(state, x)
+        steady += x is not MISSING and state.settled is not None
+        state = serve_step(state, x)
         out.append(state.f_post.copy())
-    return out, state
+    state.settled = None
+    return out, state, steady
 
 
 def estimate_measurement_noise(X: np.ndarray, Lam: np.ndarray, F: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import logging
 import math
 import shutil
 import time
+import zipfile
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -158,11 +159,20 @@ def load_dataset(path: Path) -> Dataset:
         ) from exc
 
 
-def _load_npz(path: Path) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
-    """A cluster's .npz: the per-user arrays, saved positionally in user
-    order, and the named arrays the cluster shares."""
-    with np.load(_require(path)) as z:
-        arrays = dict(z)
+def _load_npz(
+    path: Path, stage: str, names: tuple[str, ...] | None = None
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """A cluster's .npz as `intentrec <stage>` wrote it: the per-user arrays,
+    saved positionally in user order, and the named arrays the cluster
+    shares; given `names`, only those named arrays. A truncated one, or one
+    without such a name, is stale."""
+    try:
+        with np.load(_require(path)) as z:
+            arrays = {name: z[name] for name in (z.files if names is None else names)}
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+        raise StaleArtifact(
+            f"{path} is not a whole .npz ({type(exc).__name__}: {exc}); re-run `intentrec {stage}`"
+        ) from exc
     n_users = sum(name.startswith("arr_") for name in arrays)
     return [arrays.pop(f"arr_{i}") for i in range(n_users)], arrays
 
@@ -303,7 +313,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     clusters: dict[str, dict] = {}
     for cluster_id in _cluster_ids(tensor_root):
         layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
-        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
+        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz", "tensor")
         tensor = context.ContextTensor(
             cluster_id=cluster_id, users=layout_doc["users"], matrices=mats, T=layout_doc["T"]
         )
@@ -350,11 +360,11 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
     kdir = _fresh_dir(workdir / "kalman")
-    views = missing = 0
+    views = steady = missing = 0
     for cluster_id in _cluster_ids(tensor_root):
         layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
-        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz")
-        G, shared = _load_npz(factor_root / f"cluster_{cluster_id}.npz")
+        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz", "tensor")
+        G, shared = _load_npz(factor_root / f"cluster_{cluster_id}.npz", "factorize")
         S = shared["S"]
         factors = parafac2.Parafac2Factors(S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
         f_initial = parafac2.initial_latent_factors(factors)
@@ -366,10 +376,11 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
             X = mats[idx]
             psi = kalman.estimate_measurement_noise(X, lam, f_initial)
             obs = [observation(X[:, t]) for t in range(layout_doc["orig_cols"][uid])]
-            f_seq, final = kalman.evolve_sequence(
+            f_seq, final, steady_obs = kalman.evolve_sequence(
                 lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
             )
             views += len(obs)
+            steady += steady_obs
             missing += sum(x is kalman.MISSING for x in obs)
             evolved.append(np.array(f_seq))
             lams.append(lam)
@@ -382,7 +393,8 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
         )
     _note_manifest(
         workdir, "kalman", [*sorted(tensor_root.iterdir()), *sorted(factor_root.glob("*.npz"))],
-        {"process_noise": config.process_noise}, t0, views=views, missing_views=missing,
+        {"process_noise": config.process_noise}, t0,
+        views=views, steady_views=steady, missing_views=missing,
     )
     return kdir
 
@@ -392,13 +404,12 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
     and the member lists and feature slots in `tensors/`."""
     tensor_root = _require(workdir / "tensors")
     kdir = _require(workdir / "kalman")
+    names = ("A", "Q", "psi", "Lam", "f_post", "P_post")
     serving: dict[str, UserServing] = {}
     for cluster_id in _cluster_ids(tensor_root):
         layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
-        with np.load(_require(kdir / f"cluster_{cluster_id}.npz")) as z:
-            A, Q, psi, Lam, f_post, P_post = (
-                z[key] for key in ("A", "Q", "psi", "Lam", "f_post", "P_post")
-            )
+        _, shared = _load_npz(kdir / f"cluster_{cluster_id}.npz", "kalman", names)
+        A, Q, psi, Lam, f_post, P_post = shared.values()
         row = 0
         for idx, uid in enumerate(layout_doc["users"]):
             layout = context.FeatureLayout(
@@ -423,7 +434,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     evolved_per_user: dict[str, np.ndarray] = {}
     for cluster_id in _cluster_ids(tensor_root):
         users = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")["users"]
-        evolved, _ = _load_npz(kdir / f"cluster_{cluster_id}.npz")
+        evolved, _ = _load_npz(kdir / f"cluster_{cluster_id}.npz", "kalman")
         evolved_per_user.update(zip(users, evolved))
 
     models: dict[str, ranksvm.RankModel] = {}

@@ -150,7 +150,7 @@ class TestParafac2Oracle:
 class TestKalmanOracle:
     def test_hand_case_and_random_problems(self):
         # hand case
-        (ev,), state = evolve_sequence(
+        (ev,), state, _ = evolve_sequence(
             np.eye(1), np.eye(1), np.eye(1), 2 * np.eye(1),
             [np.array([4.0])], np.zeros(1),
         )
@@ -167,7 +167,7 @@ class TestKalmanOracle:
             lam, psi = rng.uniform(0.1, 3.0), rng.uniform(0.01, 2.0)
             f, p = rng.normal(), 1.0
             obs = [float(rng.normal(scale=3)) for _ in range(6)]
-            evolved, st = evolve_sequence(
+            evolved, st, _ = evolve_sequence(
                 np.array([[lam]]), np.array([[a]]), np.array([[q]]),
                 np.array([[psi]]), [np.array([x]) for x in obs],
                 np.array([f]),

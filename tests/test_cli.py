@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,10 @@ def _replay_test_split(workdir: Path, cfg: PipelineConfig, advance) -> list:
     return lists
 
 
-def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
-    """The test split replayed through `serving_factor`: its top-k lists,
-    the views stepped and how many of them took the exact `kalman.step`."""
+@contextmanager
+def _counting_exact_steps():
+    """A Counter whose "exact" entry counts the `kalman.step` calls made
+    while the context is open."""
     exact_step = kalman.step
     counts = Counter()
 
@@ -92,13 +94,20 @@ def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
         counts["exact"] += 1
         return exact_step(state, x)
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kalman, "step", counted_step)
+        yield counts
+
+
+def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
+    """The test split replayed through `serving_factor`: its top-k lists,
+    the views stepped and how many of them took the exact `kalman.step`."""
     def served(serving, state, hit):
         counts["views"] += 1
         f, _, state = serving_factor(serving, state, hit)
         return f, state
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kalman, "step", counted_step)
+    with _counting_exact_steps() as counts:
         lists = _replay_test_split(workdir, cfg, served)
     return lists, counts["views"], counts["exact"]
 
@@ -347,10 +356,14 @@ class TestStages:
             mats = [z[f"arr_{i}"] for i in range(len(z.files))]
         mats[0][:, 0] = 0.0
         np.savez(panel, *mats)
-        pipeline.stage_kalman(wd, PipelineConfig(seed=3, rank=3))
+        with _counting_exact_steps() as counts:
+            pipeline.stage_kalman(wd, PipelineConfig(seed=3, rank=3))
         entry = json.loads((wd / "manifest.json").read_text())["kalman"]
         assert (entry["views"], entry["missing_views"]) == view_counts(wd)
         assert entry["missing_views"] == manifest["kalman"]["missing_views"] + 1
+        # a fit step takes the settled gain exactly when it skips the exact step
+        assert entry["steady_views"] == entry["views"] - counts["exact"]
+        assert 0 < entry["steady_views"] < entry["views"] - entry["missing_views"]
 
     def test_undersized_cluster_rank_is_clamped(self, tmp_path):
         # every synthetic user views a single (metric, dimension) pair, so
@@ -565,6 +578,30 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "stale artifact" in err and str(path) in err, err
 
+    @pytest.mark.parametrize("size", ["half", "empty"])
+    @pytest.mark.parametrize("name,writer,command", [
+        ("tensors/cluster_0.npz", "tensor", ["factorize", "--rank", "3"]),
+        ("factors/cluster_0.npz", "factorize", ["kalman"]),
+        ("kalman/cluster_0.npz", "kalman", ["recommend"]),
+    ], ids=["tensors", "factors", "kalman"])
+    def test_truncated_npz_is_stale(self, workdir, tmp_path, capsys, name, writer, command, size):
+        # a half-written or empty .npz names itself and the stage to re-run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        argv = [*command, "--workdir", str(wd)]
+        if command == ["recommend"]:
+            model = pipeline.load_model(wd)
+            uid = sorted(model.serving)[0]
+            argv += ["--user", uid, "--current", sorted(model.graphs[uid].nodes)[0]]
+        path = wd / name
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] if size == "half" else b"")
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and str(path) in err, err
+        assert f"intentrec {writer}`" in err, err
+
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\nnot json either\n")
@@ -631,6 +668,10 @@ class TestCliExitCodes:
              "--rank", "3", "--max-iters", "15", "--seed", "2"]
         ) == cli.EXIT_OK
         assert (fresh / "results.csv").exists()
+        # without --process-noise, `run` fits at the 1.0 the acceptance gates
+        # and the benchmark run
+        entry = json.loads((fresh / "manifest.json").read_text())["kalman"]
+        assert entry["config"] == {"process_noise": 1.0}
 
     def test_rank_one_run_and_sweep(self, tmp_path):
         assert cli.main(

@@ -53,7 +53,7 @@ class TestScalarHandCase:
                 for _ in range(8)
             ]
             expected = scalar_filter(a, q, lam, psi, f0, 1.0, obs)
-            evolved, state = evolve_sequence(
+            evolved, state, _ = evolve_sequence(
                 _mat(lam), _mat(a), _mat(q), _mat(psi),
                 [None if x is None else np.array([x]) for x in obs],
                 np.array([f0]),
@@ -86,7 +86,7 @@ class TestMultivariate:
         Q = 0.1 * np.eye(r)
         Psi = 0.5 * np.eye(n)
         obs = [rng.normal(size=n) for _ in range(6)]
-        _, state = evolve_sequence(Lam, A, Q, Psi, obs, np.zeros(r))
+        _, state, _ = evolve_sequence(Lam, A, Q, Psi, obs, np.zeros(r))
         np.testing.assert_allclose(state.P_post, state.P_post.T)
         assert np.all(np.linalg.eigvalsh(state.P_post) > -1e-10)
 
@@ -146,10 +146,13 @@ class TestServeStep:
                 exact = initial_state(Lam, A, Q, Psi, f0.copy())
                 served = initial_state(Lam, A, Q, Psi, f0.copy())
                 settled_at = None
+                views, exact_f = [], []
                 for t in range(T):
                     x = MISSING if t in missing else rng.normal(scale=2.0, size=n)
+                    views.append(x)
                     P_before = exact.P_post
                     exact = step(exact, x)
+                    exact_f.append(exact.f_post)
                     served = serve_step(served, x)
                     scale = max(np.linalg.norm(exact.f_post), 1.0)
                     assert np.linalg.norm(served.f_post - exact.f_post) <= 1e-9 * scale, (r, t)
@@ -168,6 +171,14 @@ class TestServeStep:
                         )
                 assert settled_at is not None and 0 < settled_at < min(missing), r
                 assert served.settled is not None, r
+                # fitting advances the filter through the same serving step
+                evolved, final, steady = evolve_sequence(Lam, A, Q, Psi, views, f0.copy())
+                for t, (got, want) in enumerate(zip(evolved, exact_f)):
+                    scale = max(np.linalg.norm(want), 1.0)
+                    assert np.linalg.norm(got - want) <= 1e-9 * scale, (r, t)
+                np.testing.assert_array_equal(final.f_post, served.f_post)
+                assert final.settled is None, r
+                assert 0 < steady < T - len(missing), r
 
 
 class TestEstimators:
