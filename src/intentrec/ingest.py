@@ -79,31 +79,23 @@ def parse_hits(source, format: str = "jsonl") -> ParseResult:
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
+    if format == "jsonl":
+        rows = filter(None, map(str.strip, source))  # a blank line is no row
+    elif format == "csv":
+        rows = csv.DictReader(source)
+    else:
+        raise ValueError(f"unknown format: {format!r}")
+
     records: list[HitRecord] = []
     skipped = 0
     total = 0
-    if format == "jsonl":
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            try:
-                records.append(hit_from_doc(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
-                skipped += 1
-                log.debug("skipping malformed row: %s", exc)
-    elif format == "csv":
-        reader = csv.DictReader(source)
-        for row in reader:
-            total += 1
-            try:
-                records.append(hit_from_doc(row))
-            except (ValueError, TypeError, KeyError) as exc:
-                skipped += 1
-                log.debug("skipping malformed row: %s", exc)
-    else:
-        raise ValueError(f"unknown format: {format!r}")
+    for row in rows:
+        total += 1
+        try:
+            records.append(hit_from_doc(json.loads(row) if format == "jsonl" else row))
+        except (ValueError, TypeError, KeyError) as exc:
+            skipped += 1
+            log.debug("skipping malformed row: %s", exc)
 
     if total > 0 and skipped * 2 > total:
         raise FormatError(f"{skipped}/{total} rows malformed")

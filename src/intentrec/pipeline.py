@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import shutil
 import time
 import zipfile
@@ -49,9 +50,21 @@ class PipelineConfig:
     min_unique_reports: int = evaluation.DEFAULT_MIN_UNIQUE_REPORTS
 
 
+# Every file `_require` has let the running stage read: its manifest inputs.
+_reads: set[Path] = set()
+
+
+def _begin_stage() -> float:
+    """Forget what earlier stages read; the time this one starts."""
+    _reads.clear()
+    return time.time()
+
+
 def _require(path: Path) -> Path:
+    """path, which the running stage reads; MissingArtifact if it is not there."""
     if not path.exists():
         raise MissingArtifact(str(path))
+    _reads.add(path)
     return path
 
 
@@ -68,21 +81,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _note_manifest(
-    workdir: Path, stage: str, inputs: list[Path], config: dict, t0: float, **details
-):
+def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details):
+    """Record the stage in manifest.json, its inputs being the files it read.
+    The manifest is replaced whole, so an interrupted stage cannot tear it."""
     manifest_path = workdir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    try:
+        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    except ValueError as exc:
+        raise StaleArtifact(
+            f"{manifest_path} is not whole JSON ({exc}); remove it, as no stage rewrites it whole"
+        ) from exc
     manifest[stage] = {
         "inputs": {
             (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name): _sha256(p)
-            for p in inputs if p.is_file()
+            for p in _reads if p.is_file()
         },
         "config": config,
         "elapsed_s": round(time.time() - t0, 3),
         **details,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    tmp = workdir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, manifest_path)
 
 
 # sessions.json holds each split as columns: `lengths` (hits per session) and
@@ -188,17 +208,17 @@ def _fresh_dir(path: Path) -> Path:
 
 
 def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
-    t0 = time.time()
+    t0 = _begin_stage()
     workdir.mkdir(parents=True, exist_ok=True)
     hits = synth.generate(config)
     out = workdir / "hits.jsonl"
     out.write_text(synth.to_jsonl(hits))
-    _note_manifest(workdir, "synth", [], asdict(config), t0)
+    _note_manifest(workdir, "synth", asdict(config), t0)
     return out
 
 
 def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = None) -> Path:
-    t0 = time.time()
+    t0 = _begin_stage()
     src = _require(source or workdir / "hits.jsonl")
     workdir.mkdir(parents=True, exist_ok=True)
     fmt = "csv" if src.suffix == ".csv" else "jsonl"
@@ -209,11 +229,8 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
     out = workdir / "sessions.json"
     save_dataset(dataset, out)
     _note_manifest(
-        workdir,
-        "ingest",
-        [src],
-        {"timeout": config.timeout, "train_fraction": config.train_fraction},
-        t0,
+        workdir, "ingest",
+        {"timeout": config.timeout, "train_fraction": config.train_fraction}, t0,
         skipped_rows=parsed.skipped,
         train_sessions=len(dataset.train),
         test_sessions=len(dataset.test),
@@ -225,7 +242,7 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
 
 
 def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = time.time()
+    t0 = _begin_stage()
     dataset = load_dataset(workdir / "sessions.json")
     docs = []
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
@@ -234,7 +251,7 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
         docs.append(g.to_json())
     out = workdir / "graphs.json"
     out.write_text(json.dumps(docs, sort_keys=True))
-    _note_manifest(workdir, "graph", [workdir / "sessions.json"], {}, t0)
+    _note_manifest(workdir, "graph", {}, t0)
     return out
 
 
@@ -248,7 +265,7 @@ def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
 
 
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = time.time()
+    t0 = _begin_stage()
     dataset = load_dataset(workdir / "sessions.json")
     per_user = group_by_user(dataset.train)
     features = {uid: context.usage_features(s) for uid, s in per_user.items()}
@@ -286,7 +303,7 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
             tensor_root / f"cluster_{cluster_id}.npz",
             *(np.ascontiguousarray(m) for m in tensor.matrices),
         )
-    _note_manifest(workdir, "tensor", [workdir / "sessions.json"], {"seed": config.seed}, t0)
+    _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
     return tensor_root
 
 
@@ -307,7 +324,7 @@ def _cluster_ids(tensor_root: Path) -> list[int]:
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     """PARAFAC2 per cluster. A cluster's rank is clamped to
     min(rank, T, smallest N_u), so every member keeps a context model."""
-    t0 = time.time()
+    t0 = _begin_stage()
     tensor_root = _require(workdir / "tensors")
     factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
@@ -344,8 +361,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
         fit_doc = {**entry, "users": tensor.users, "seed": seed, "errors": report.errors}
         (factor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(fit_doc, sort_keys=True))
     _note_manifest(
-        workdir, "factorize", sorted(tensor_root.iterdir()),
-        {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters,
+        workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
     )
     return factor_root
 
@@ -356,7 +372,7 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     cluster's A (fitted once, from the shared V) and Q; `psi`, `Lam` rows,
     `f_post` and `P_post` stacked in member order; and each member's evolved
     factors, positionally."""
-    t0 = time.time()
+    t0 = _begin_stage()
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
     kdir = _fresh_dir(workdir / "kalman")
@@ -392,8 +408,7 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
             P_post=np.array([s.P_post for s in finals]),
         )
     _note_manifest(
-        workdir, "kalman", [*sorted(tensor_root.iterdir()), *sorted(factor_root.glob("*.npz"))],
-        {"process_noise": config.process_noise}, t0,
+        workdir, "kalman", {"process_noise": config.process_noise}, t0,
         views=views, steady_views=steady, missing_views=missing,
     )
     return kdir
@@ -426,7 +441,7 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
 
 
 def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = time.time()
+    t0 = _begin_stage()
     dataset = load_dataset(workdir / "sessions.json")
     graphs = load_graphs(workdir)
     tensor_root = _require(workdir / "tensors")
@@ -458,11 +473,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     trained = [iw for iw in weights if not iw.degenerate]
     rates = [iw.violation_rate for iw in trained]
     _note_manifest(
-        workdir, "train-rank",
-        [workdir / "sessions.json", workdir / "graphs.json",
-         *sorted(tensor_root.glob("*.json")), *sorted(kdir.iterdir())],
-        {"lambda": config.rank_lambda},
-        t0,
+        workdir, "train-rank", {"lambda": config.rank_lambda}, t0,
         intents_trained=len(trained),
         intents_degenerate=len(weights) - len(trained),
         pairs=sum(iw.pairs for iw in trained),
@@ -495,7 +506,7 @@ def stage_recommend(
     current: str,
     collaborative: bool = False,
 ) -> dict:
-    t0 = time.time()
+    t0 = _begin_stage()
     model = load_model(workdir)
     if user not in model.graphs:
         raise KeyError(f"unknown user: {user!r}")
@@ -513,22 +524,17 @@ def stage_recommend(
             user, model.clustering, model.graphs, current, intent_scores, variant
         )
     ranked = recommender.rank(recs, k=config.k)
-    doc = {
-        "user": user,
-        "current": current,
-        "k": config.k,
-        "variant": config.variant,
-        "recs": [r.to_json() for r in ranked],
-    }
+    request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
+    doc = {**request, "recs": [r.to_json() for r in ranked]}
     out = workdir / "recommendations.jsonl"
     with out.open("a") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    _note_manifest(workdir, "recommend", [workdir / "rankmodel.json"], {"user": user}, t0)
+    _note_manifest(workdir, "recommend", {**request, "collaborative": collaborative}, t0)
     return doc
 
 
 def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.BenchmarkResult:
-    t0 = time.time()
+    t0 = _begin_stage()
     dataset = load_dataset(workdir / "sessions.json")
     model = load_model(workdir)
     result = evaluation.run_benchmark(
@@ -537,11 +543,7 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
     (workdir / "results.csv").write_text(evaluation.results_csv(result.reports))
     (workdir / "results.txt").write_text(evaluation.results_table(result.reports) + "\n")
     _note_manifest(
-        workdir, "evaluate",
-        [workdir / n for n in ("sessions.json", "graphs.json", "clustering.json", "rankmodel.json")]
-        + sorted((workdir / "tensors").glob("*.json")) + sorted((workdir / "kalman").iterdir()),
-        {"k": config.k, "min_unique_reports": config.min_unique_reports},
-        t0,
+        workdir, "evaluate", {"k": config.k, "min_unique_reports": config.min_unique_reports}, t0,
         events=result.events,
         skipped_unseen=result.skipped_unseen,
         skipped_filtered=result.skipped_filtered,

@@ -296,11 +296,18 @@ class TestStages:
         assert set(model.serving) == set(model.graphs)
 
     def test_manifest_hashes_stage_inputs(self, workdir):
-        pipeline.stage_evaluate(workdir, PipelineConfig(seed=3, rank=3, min_unique_reports=3))
-        manifest = json.loads((workdir / "manifest.json").read_text())
+        cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
+        pipeline.stage_evaluate(workdir, cfg)
         clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
         assert clusters
+        # every file load_model reads
+        model_files = {
+            "graphs.json", "clustering.json", "rankmodel.json",
+            *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
+        }
         expected = {
+            "ingest": {"hits.jsonl"},
+            "tensor": {"sessions.json"},
             "factorize": {f"tensors/{c}.{ext}" for c in clusters for ext in ("json", "npz")},
             "kalman": {
                 path for c in clusters
@@ -311,17 +318,51 @@ class TestStages:
                 *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
             },
             "graph": {"sessions.json"},
-            # every file load_model reads, plus the test split
-            "evaluate": {
-                "sessions.json", "graphs.json", "clustering.json", "rankmodel.json",
-                *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
-            },
+            "evaluate": {"sessions.json", *model_files},
+            "recommend": model_files,
         }
-        for stage, keys in expected.items():
-            inputs = manifest[stage]["inputs"]
-            assert set(inputs) == keys, stage
-            for key, digest in inputs.items():
-                assert digest == hashlib.sha256((workdir / key).read_bytes()).hexdigest(), key
+        model = pipeline.load_model(workdir)
+        uid = sorted(model.serving)[0]
+        node = sorted(model.graphs[uid].nodes)[0]
+        for collaborative in (False, True):
+            pipeline.stage_recommend(workdir, cfg, uid, node, collaborative)
+            manifest = json.loads((workdir / "manifest.json").read_text())
+            for stage, keys in expected.items():
+                inputs = manifest[stage]["inputs"]
+                assert set(inputs) == keys, (stage, collaborative)
+                for key, digest in inputs.items():
+                    assert digest == hashlib.sha256((workdir / key).read_bytes()).hexdigest(), key
+            assert manifest["recommend"]["config"] == {
+                "user": uid, "current": node, "k": cfg.k, "variant": cfg.variant,
+                "collaborative": collaborative,
+            }
+
+    def test_manifest_inputs_are_what_the_stage_read(self, workdir, tmp_path):
+        # files read outside a stage, or by a stage that stopped before its
+        # manifest entry, are no input of the next stage
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        pipeline.load_model(wd)
+        (wd / "rankmodel.json").unlink()
+        with pytest.raises(pipeline.MissingArtifact):
+            pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
+        pipeline.stage_graph(wd, PipelineConfig(seed=3))
+        manifest = json.loads((wd / "manifest.json").read_text())
+        assert set(manifest["graph"]["inputs"]) == {"sessions.json"}
+
+    def test_interrupted_manifest_write_keeps_the_old_manifest(self, workdir, tmp_path):
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        before = (wd / "manifest.json").read_bytes()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline.os, "replace", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.stage_graph(wd, PipelineConfig(seed=3))
+        assert (wd / "manifest.json").read_bytes() == before
 
     def test_manifest_fit_counters(self, workdir, tmp_path):
         manifest = json.loads((workdir / "manifest.json").read_text())
@@ -557,9 +598,10 @@ class TestCliExitCodes:
         path.write_bytes(path.read_bytes()[:1000])
         self._assert_stale_sessions(ingested, capsys)
 
-    @pytest.mark.parametrize(
-        "name", ["graphs.json", "clustering.json", "rankmodel.json", "tensors/cluster_0.json"]
-    )
+    @pytest.mark.parametrize("name", [
+        "graphs.json", "clustering.json", "rankmodel.json", "tensors/cluster_0.json",
+        "manifest.json",
+    ])
     def test_truncated_artifact_is_stale(self, workdir, tmp_path, capsys, name):
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
