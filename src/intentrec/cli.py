@@ -27,7 +27,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
     p.add_argument("--rank", type=int)
     p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--tol", type=float)
     p.add_argument("--rank-lambda", type=float, dest="rank_lambda")
     p.add_argument("--process-noise", type=float, dest="process_noise")
     p.add_argument("--variant", choices=[v for v in evaluation.VARIANTS])

@@ -1,5 +1,5 @@
 """Context feature extraction, per-user context matrices, user clustering and
-per-cluster context tensors."""
+the padded panels of a cluster's context tensor."""
 from __future__ import annotations
 
 import logging
@@ -19,7 +19,6 @@ N_CLUSTERS = 4
 class FeatureLayout:
     """Maps (metric, dimension_element) pairs to 6-slot segments."""
 
-    user_id: str
     slots: list[tuple[str, str]]
     _rows: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
@@ -37,17 +36,8 @@ class FeatureLayout:
 
 @dataclass
 class ContextMatrix:
-    user_id: str
     layout: FeatureLayout
     X: np.ndarray  # width x T, one column per report view
-
-
-@dataclass
-class ContextTensor:
-    cluster_id: int
-    users: list[str]
-    matrices: list[np.ndarray]  # ragged first mode, common column count T
-    T: int
 
 
 @dataclass
@@ -148,7 +138,7 @@ def extract_features(hit: HitRecord) -> tuple[float, ...]:
 
 def build_layout(sessions: list[Session]) -> FeatureLayout:
     pairs = sorted({(h.metric, h.dimension_element) for s in sessions for h in s.hits})
-    return FeatureLayout(user_id=sessions[0].user_id, slots=pairs)
+    return FeatureLayout(slots=pairs)
 
 
 def build_matrix(sessions: list[Session]) -> ContextMatrix:
@@ -158,7 +148,7 @@ def build_matrix(sessions: list[Session]) -> ContextMatrix:
         raise ValueError("no hits for user")
     layout = build_layout(sessions)
     X = np.column_stack([context_vector(layout, hit) for hit in hits])
-    return ContextMatrix(user_id=layout.user_id, layout=layout, X=X)
+    return ContextMatrix(layout=layout, X=X)
 
 
 def context_vector(layout: FeatureLayout, hit: HitRecord) -> np.ndarray:
@@ -255,22 +245,10 @@ def cluster_users(features: dict[str, np.ndarray], seed: int = 0) -> UserCluster
     return UserClustering(assignments=assignments, centroids=centroids, empty_clusters=empty)
 
 
-def assemble_tensor(
-    matrices: list[ContextMatrix], clustering: UserClustering, cluster_id: int
-) -> ContextTensor:
-    """Pad each member matrix to the cluster max T by cyclic column repetition."""
-    members = sorted(
-        (m for m in matrices if clustering.assignments.get(m.user_id) == cluster_id),
-        key=lambda m: m.user_id,
-    )
-    if not members:
-        raise ValueError(f"cluster {cluster_id} has no users")
-    T = max(m.X.shape[1] for m in members)
-    padded = []
-    for m in members:
-        t_u = m.X.shape[1]
-        cols = np.arange(T) % t_u
-        padded.append(m.X[:, cols])
-    return ContextTensor(
-        cluster_id=cluster_id, users=[m.user_id for m in members], matrices=padded, T=T
-    )
+def assemble_tensor(matrices: list[ContextMatrix]) -> list[np.ndarray]:
+    """The cluster's panels: each member matrix padded to the longest one's
+    T columns by cyclic column repetition, in the order given."""
+    if not matrices:
+        raise ValueError("a cluster without members")
+    T = max(m.X.shape[1] for m in matrices)
+    return [m.X[:, np.arange(T) % m.X.shape[1]] for m in matrices]

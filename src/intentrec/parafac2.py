@@ -1,12 +1,10 @@
-"""PARAFAC2 decomposition of a ragged context tensor via direct-fitting
-alternating least squares."""
+"""PARAFAC2 decomposition of a ragged context tensor, given as its panels
+(one N_u x T matrix per user), via direct-fitting alternating least squares."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .context import ContextTensor
 
 DEFAULT_RANK = 5
 DEFAULT_TOL = 1e-7
@@ -40,24 +38,26 @@ def _polar_orthonormal(M: np.ndarray, rank: int) -> np.ndarray:
 
 
 def decompose(
-    tensor: ContextTensor,
+    panels: list[np.ndarray],
     rank: int = DEFAULT_RANK,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> tuple[Parafac2Factors, FitReport]:
-    """Fit X_u ~= G_u H diag(s_u) V' by ALS.
+    """Fit each panel X_u ~= G_u H diag(s_u) V' by ALS.
 
     Each sweep updates every G_u as the orthonormal polar factor of
     X_u V diag(s_u) H', then runs one CP least-squares round for H, V, s_u on
     the projected panels G_u' X_u. Deterministic given the seed.
     """
-    X = tensor.matrices
+    X = panels
     if not X:
         raise ValueError("empty tensor")
     if any(np.isnan(m).any() for m in X):
         raise ValueError("NaN in input tensor")
-    T = tensor.T
+    T = X[0].shape[1]
+    if any(m.shape[1] != T for m in X):
+        raise ValueError(f"panels differ in column count: {sorted({m.shape[1] for m in X})}")
     min_n = min(m.shape[0] for m in X)
     if rank < 1 or rank > min(T, min_n):
         raise ValueError(f"rank {rank} outside [1, min(T, min_u N_u)={min(T, min_n)}]")

@@ -41,7 +41,6 @@ class PipelineConfig:
     train_fraction: float = 0.7
     rank: int = parafac2.DEFAULT_RANK
     max_iters: int = parafac2.DEFAULT_MAX_ITERS
-    tol: float = PARAFAC2_TOL
     rank_lambda: float = ranksvm.DEFAULT_LAMBDA
     process_noise: float = kalman.DEFAULT_PROCESS_NOISE
     variant: str = "sum-i"
@@ -54,9 +53,11 @@ class PipelineConfig:
 _reads: set[Path] = set()
 
 
-def _begin_stage() -> float:
-    """Forget what earlier stages read; the time this one starts."""
+def _begin_stage(workdir: Path) -> float:
+    """Forget what earlier stages read and check the workdir's manifest, so
+    a stage refuses a torn one before it writes; the time this one starts."""
     _reads.clear()
+    _read_manifest(workdir)
     return time.time()
 
 
@@ -81,16 +82,22 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_manifest(workdir: Path) -> dict:
+    """The workdir's manifest.json, {} before any stage has run; a torn one
+    is stale. It is no stage's input, so it bypasses `_require`."""
+    path = workdir / "manifest.json"
+    try:
+        return json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:
+        raise StaleArtifact(
+            f"{path} is not whole JSON ({exc}); remove it, as no stage rewrites it whole"
+        ) from exc
+
+
 def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details):
     """Record the stage in manifest.json, its inputs being the files it read.
     The manifest is replaced whole, so an interrupted stage cannot tear it."""
-    manifest_path = workdir / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-    except ValueError as exc:
-        raise StaleArtifact(
-            f"{manifest_path} is not whole JSON ({exc}); remove it, as no stage rewrites it whole"
-        ) from exc
+    manifest = _read_manifest(workdir)
     manifest[stage] = {
         "inputs": {
             (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name): _sha256(p)
@@ -102,7 +109,7 @@ def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details
     }
     tmp = workdir / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, manifest_path)
+    os.replace(tmp, workdir / "manifest.json")
 
 
 # sessions.json holds each split as columns: `lengths` (hits per session) and
@@ -208,7 +215,7 @@ def _fresh_dir(path: Path) -> Path:
 
 
 def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     hits = synth.generate(config)
     out = workdir / "hits.jsonl"
@@ -218,7 +225,7 @@ def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
 
 
 def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = None) -> Path:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     src = _require(source or workdir / "hits.jsonl")
     workdir.mkdir(parents=True, exist_ok=True)
     fmt = "csv" if src.suffix == ".csv" else "jsonl"
@@ -242,7 +249,7 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
 
 
 def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     docs = []
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
@@ -265,7 +272,7 @@ def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
 
 
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     per_user = group_by_user(dataset.train)
     features = {uid: context.usage_features(s) for uid, s in per_user.items()}
@@ -288,12 +295,11 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
         members = sorted(u for u, c in clustering.assignments.items() if c == cluster_id)
         if not members:
             continue
-        tensor = context.assemble_tensor([matrices[u] for u in members], clustering, cluster_id)
+        panels = context.assemble_tensor([matrices[u] for u in members])
         layout_doc = {
-            "users": tensor.users,
-            "T": tensor.T,
-            "orig_cols": {u: matrices[u].X.shape[1] for u in tensor.users},
-            "slots": {u: matrices[u].layout.slots for u in tensor.users},
+            "users": members,
+            "orig_cols": {u: matrices[u].X.shape[1] for u in members},
+            "slots": {u: matrices[u].layout.slots for u in members},
         }
         (tensor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(layout_doc, sort_keys=True))
         # Padding leaves the panels column-major. BLAS sums in a
@@ -301,7 +307,7 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
         # results.csv) are pinned to row-major panels.
         np.savez(
             tensor_root / f"cluster_{cluster_id}.npz",
-            *(np.ascontiguousarray(m) for m in tensor.matrices),
+            *(np.ascontiguousarray(m) for m in panels),
         )
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
     return tensor_root
@@ -324,22 +330,19 @@ def _cluster_ids(tensor_root: Path) -> list[int]:
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     """PARAFAC2 per cluster. A cluster's rank is clamped to
     min(rank, T, smallest N_u), so every member keeps a context model."""
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     tensor_root = _require(workdir / "tensors")
     factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
     for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
+        users = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")["users"]
         mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz", "tensor")
-        tensor = context.ContextTensor(
-            cluster_id=cluster_id, users=layout_doc["users"], matrices=mats, T=layout_doc["T"]
-        )
-        rank = min(config.rank, tensor.T, min(m.shape[0] for m in mats))
+        rank = min(config.rank, mats[0].shape[1], min(m.shape[0] for m in mats))
         if rank < config.rank:
             log.warning("cluster %d: rank %d clamped to %d", cluster_id, config.rank, rank)
         seed = config.seed + cluster_id
         factors, report = parafac2.decompose(
-            tensor, rank=rank, tol=config.tol, max_iters=config.max_iters, seed=seed
+            mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters, seed=seed
         )
         if not report.converged:
             log.warning(
@@ -358,7 +361,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
             "converged": report.converged,
             "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
         }
-        fit_doc = {**entry, "users": tensor.users, "seed": seed, "errors": report.errors}
+        fit_doc = {**entry, "users": users, "seed": seed, "errors": report.errors}
         (factor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(fit_doc, sort_keys=True))
     _note_manifest(
         workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
@@ -372,7 +375,7 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     cluster's A (fitted once, from the shared V) and Q; `psi`, `Lam` rows,
     `f_post` and `P_post` stacked in member order; and each member's evolved
     factors, positionally."""
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     tensor_root = _require(workdir / "tensors")
     factor_root = _require(workdir / "factors")
     kdir = _fresh_dir(workdir / "kalman")
@@ -427,9 +430,7 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
         A, Q, psi, Lam, f_post, P_post = shared.values()
         row = 0
         for idx, uid in enumerate(layout_doc["users"]):
-            layout = context.FeatureLayout(
-                user_id=uid, slots=[tuple(p) for p in layout_doc["slots"][uid]]
-            )
+            layout = context.FeatureLayout([tuple(p) for p in layout_doc["slots"][uid]])
             lam = Lam[row : row + layout.width]
             row += layout.width
             state = kalman.KalmanState(
@@ -441,7 +442,7 @@ def _load_serving(workdir: Path) -> dict[str, UserServing]:
 
 
 def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     graphs = load_graphs(workdir)
     tensor_root = _require(workdir / "tensors")
@@ -506,7 +507,7 @@ def stage_recommend(
     current: str,
     collaborative: bool = False,
 ) -> dict:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     model = load_model(workdir)
     if user not in model.graphs:
         raise KeyError(f"unknown user: {user!r}")
@@ -534,7 +535,7 @@ def stage_recommend(
 
 
 def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.BenchmarkResult:
-    t0 = _begin_stage()
+    t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     model = load_model(workdir)
     result = evaluation.run_benchmark(

@@ -22,7 +22,6 @@ class SynthConfig:
     n_reports: int = 60
     n_clusters: int = 4
     sessions_per_user: int = 10
-    session_length_mean: float = 5.0
     intent_count: int = 3
     context_signal_strength: float = 0.8  # rho
     seed: int = 0

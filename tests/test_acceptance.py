@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from intentrec import pipeline, synth
-from intentrec.context import ContextTensor
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
@@ -121,11 +120,8 @@ class TestParafac2Oracle:
                     Q, _ = np.linalg.qr(rng.normal(size=(n_u, rank)))
                     s = rng.uniform(0.5, 2.0, size=rank)
                     mats.append(Q[:, :rank] @ H @ np.diag(s) @ V.T)
-                tensor = ContextTensor(
-                    cluster_id=0, users=["a", "b", "c"], matrices=mats, T=12
-                )
                 factors, report = decompose(
-                    tensor, rank=rank, tol=1e-15, max_iters=3000, seed=trial
+                    mats, rank=rank, tol=1e-15, max_iters=3000, seed=trial
                 )
                 rel = max(
                     np.linalg.norm(X - reconstruct(factors, u)) / np.linalg.norm(X)

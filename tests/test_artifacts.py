@@ -15,7 +15,7 @@ PAIRS = [("m", "d"), ("m2", "d2")]
 def random_serving(rng, rank=3, settled=False):
     """A served user over two (metric, dimension) pairs, with a random
     filter state, optionally carrying a settled gain."""
-    layout = FeatureLayout("u1", list(PAIRS))
+    layout = FeatureLayout(list(PAIRS))
     n = layout.width
     lam = rng.normal(size=(n, rank))
     root = rng.normal(size=(rank, rank))

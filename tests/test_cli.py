@@ -123,6 +123,21 @@ class TestStages:
         assert (workdir / "factors").is_dir()
         assert (workdir / "kalman").is_dir()
 
+    def test_tensor_members_follow_the_clustering(self, workdir):
+        # stage_tensor alone picks and orders a cluster's members; their
+        # panels follow in that order, 6 rows per feature slot each
+        assignments = json.loads((workdir / "clustering.json").read_text())["assignments"]
+        clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
+        assert clusters
+        for c in clusters:
+            doc = json.loads((workdir / "tensors" / f"{c}.json").read_text())
+            cluster_id = int(c.split("_")[1])
+            assert doc["users"] == sorted(u for u, k in assignments.items() if k == cluster_id)
+            with np.load(workdir / "tensors" / f"{c}.npz") as z:
+                assert len(z.files) == len(doc["users"])
+                for i, uid in enumerate(doc["users"]):
+                    assert z[f"arr_{i}"].shape[0] == 6 * len(doc["slots"][uid]), uid
+
     def test_manifest_tracks_stages(self, workdir):
         manifest = json.loads((workdir / "manifest.json").read_text())
         for stage in ("synth", "ingest", "graph", "tensor", "factorize", "kalman", "train-rank"):
@@ -643,6 +658,32 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "stale artifact" in err and str(path) in err, err
         assert f"intentrec {writer}`" in err, err
+
+    def test_torn_manifest_refuses_before_writing(self, workdir, tmp_path, capsys):
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        model = pipeline.load_model(wd)
+        uid = sorted(model.serving)[0]
+        node = sorted(model.graphs[uid].nodes)[0]
+        manifest = wd / "manifest.json"
+        torn = manifest.read_bytes()[:500]
+        manifest.write_bytes(torn)
+        sentinels = ("graphs.json", "results.csv", "results.txt", "recommendations.jsonl")
+        for name in sentinels:
+            (wd / name).write_text(f"sentinel {name}\n")
+        capsys.readouterr()
+        for argv in (
+            ["graph", "--workdir", str(wd)],
+            ["evaluate", "--workdir", str(wd)],
+            ["recommend", "--workdir", str(wd), "--user", uid, "--current", node],
+        ):
+            assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+            err = capsys.readouterr().err
+            assert "stale artifact" in err and str(manifest) in err, err
+        for name in sentinels:
+            assert (wd / name).read_text() == f"sentinel {name}\n", name
+        assert manifest.read_bytes() == torn
+        assert not (wd / "manifest.json.tmp").exists()
 
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -235,18 +235,11 @@ class TestAssembleTensor:
         sessions_b = [make_session("ub", ["a", "b"])]
         ma = build_matrix(sessions_a)
         mb = build_matrix(sessions_b)
-        clustering = cluster_users(
-            {"ua": np.zeros(3), "ub": np.zeros(3)}, seed=0
-        )  # both land in cluster 0 (insufficient users)
-        tensor = assemble_tensor([ma, mb], clustering, 0)
-        assert tensor.T == 3
-        assert tensor.users == ["ua", "ub"]
-        short = tensor.matrices[1]
+        panels = assemble_tensor([ma, mb])
+        assert [p.shape[1] for p in panels] == [3, 3]
+        short = panels[1]
         np.testing.assert_allclose(short[:, 2], mb.X[:, 0])  # column 2 wraps to 0
 
     def test_empty_cluster_raises(self):
-        sessions = [make_session("ua", ["a"])]
-        m = build_matrix(sessions)
-        clustering = cluster_users({"ua": np.zeros(3)}, seed=0)
         with pytest.raises(ValueError):
-            assemble_tensor([m], clustering, 2)
+            assemble_tensor([])

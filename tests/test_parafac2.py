@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from intentrec.context import ContextTensor
 from intentrec.parafac2 import (
     Parafac2Factors,
     decompose,
@@ -12,7 +11,7 @@ from intentrec.parafac2 import (
 
 
 def _planted_tensor(rng, rank, n_users=3, T=12, sizes=(6, 8, 7)):
-    """Tensor constructed exactly from the model (noise-free).
+    """Panels constructed exactly from the model (noise-free).
 
     The planted mixing matrices are kept well-conditioned; heavily collinear
     components push alternating least squares into a swamp where convergence
@@ -30,7 +29,7 @@ def _planted_tensor(rng, rank, n_users=3, T=12, sizes=(6, 8, 7)):
         G = Q[:, :rank]
         s = rng.uniform(0.5, 2.0, size=rank)
         mats.append(G @ H @ np.diag(s) @ V.T)
-    return ContextTensor(cluster_id=0, users=[f"u{i}" for i in range(n_users)], matrices=mats, T=T)
+    return mats
 
 
 class TestDecompose:
@@ -39,7 +38,7 @@ class TestDecompose:
         rng = np.random.default_rng(100 + rank)
         tensor = _planted_tensor(rng, rank)
         factors, report = decompose(tensor, rank=rank, tol=1e-14, max_iters=2000, seed=0)
-        for u, X in enumerate(tensor.matrices):
+        for u, X in enumerate(tensor):
             rel = np.linalg.norm(X - reconstruct(factors, u)) / np.linalg.norm(X)
             assert rel <= 1e-6
 
@@ -47,7 +46,7 @@ class TestDecompose:
         rng = np.random.default_rng(2)
         tensor = _planted_tensor(rng, 3)
         # add noise so the fit cannot be exact
-        for m in tensor.matrices:
+        for m in tensor:
             m += 0.05 * rng.normal(size=m.shape)
         _, report = decompose(tensor, rank=3, tol=1e-12, max_iters=100, seed=1)
         errs = report.errors
@@ -77,14 +76,20 @@ class TestDecompose:
             decompose(tensor, rank=99)
 
     def test_empty_tensor(self):
-        tensor = ContextTensor(cluster_id=0, users=[], matrices=[], T=0)
         with pytest.raises(ValueError):
-            decompose(tensor, rank=1)
+            decompose([], rank=1)
+
+    def test_differing_column_counts_rejected(self):
+        rng = np.random.default_rng(10)
+        tensor = _planted_tensor(rng, 2)
+        tensor[1] = tensor[1][:, :-1]
+        with pytest.raises(ValueError, match="column count"):
+            decompose(tensor, rank=2)
 
     def test_nan_rejected(self):
         rng = np.random.default_rng(6)
         tensor = _planted_tensor(rng, 2)
-        tensor.matrices[0][0, 0] = np.nan
+        tensor[0][0, 0] = np.nan
         with pytest.raises(ValueError):
             decompose(tensor, rank=2)
 
@@ -95,7 +100,7 @@ class TestDerivedMatrices:
         tensor = _planted_tensor(rng, 3)
         factors, _ = decompose(tensor, rank=3, max_iters=30, seed=0)
         F = initial_latent_factors(factors)
-        assert F.shape == (3, tensor.T)
+        assert F.shape == (3, tensor[0].shape[1])
         np.testing.assert_allclose(F, factors.V.T)
 
     def test_loading_matrix_reconstructs(self):
