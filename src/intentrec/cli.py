@@ -35,19 +35,23 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--min-unique-reports", type=int, dest="min_unique_reports")
 
 
-class ConfigKeyError(Exception):
-    """A --config file names a field the config class does not have."""
+class ConfigError(Exception):
+    """A --config file names a field the config class does not have, or a
+    flag or field holds a value the class refuses."""
 
 
 def _config(cls, doc: dict):
     accepted = [f.name for f in dataclasses.fields(cls)]
     unknown = sorted(set(doc) - set(accepted))
     if unknown:
-        raise ConfigKeyError(
+        raise ConfigError(
             f"unknown config key(s) {', '.join(unknown)}; "
             f"{cls.__name__} accepts {', '.join(accepted)}"
         )
-    return cls(**doc)
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -185,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         print(f"wrote {out}")
         return EXIT_OK
-    except ConfigKeyError as exc:
+    except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MissingArtifact as exc:

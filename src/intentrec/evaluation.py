@@ -6,7 +6,7 @@ import copy
 import io
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,29 +90,16 @@ def report(method: str, rows: list[tuple[float, float, float, float]]) -> EvalRe
     return EvalReport(method, ndcg, precision, recall, wauc, events=len(rows))
 
 
-def _method_scores(
-    method: str,
-    graph,
-    candidates: list[tuple[str, float, int]],
-    scored: dict[str, list[recommender.Recommendation]],
-    k: int,
-) -> tuple[dict[str, float], list[str]]:
-    """Candidate scores plus the shown (top-k) ordering for one event.
-
-    scored holds the event's recommender.score lists: one per variant on the
-    Kalman intent scores, and sum-i on the PARAFAC2 ones under "parafac2"."""
-    if method == "mass":
-        scores = {v: graph.nodes[v].mass for v, _, _ in candidates}
-    elif method == "frequency":
-        scores = {v: w for v, w, _ in candidates}
-    else:
-        recs = scored["sum-i" if method == "context" else method]
-        if method in ("context", "parafac2"):
-            # context-only score (alpha=1, W stripped, beta=0); rank still
-            # breaks its ties on W, M and node id
-            recs = [replace(r, score=r.relevance) for r in recs]
-        return {r.node: r.score for r in recs}, [r.node for r in recommender.rank(recs, k=k)]
+def _top(scores: dict[str, float], k: int) -> tuple[dict[str, float], list[str]]:
+    """scores and its k best nodes, ties broken by node id."""
     return scores, sorted(scores, key=lambda v: (-scores[v], v))[:k]
+
+
+def _ranked(
+    recs: list[recommender.Recommendation], by: str, k: int
+) -> tuple[dict[str, float], list[str]]:
+    """Each candidate's `by` field and the top-k nodes `rank` orders by it."""
+    return {r.node: getattr(r, by) for r in recs}, [r.node for r in recommender.rank(recs, k, by)]
 
 
 def run_benchmark(
@@ -165,15 +152,21 @@ def run_benchmark(
                 candidates = recommender.enumerate_candidates(graph, u)
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
-                scored = {
+                kal = {
                     v: recommender.score(graph, candidates, scores_kal, RelevanceVariant(v))
                     for v in VARIANTS
                 }
-                scored["parafac2"] = recommender.score(
-                    graph, candidates, scores_pf2, RelevanceVariant.SUM_I
-                )
-                for method in ALL_METHODS:
-                    scores, shown = _method_scores(method, graph, candidates, scored, k)
+                pf2 = recommender.score(graph, candidates, scores_pf2, RelevanceVariant.SUM_I)
+                # the context baselines score sum-i's R alone (alpha=1, W
+                # stripped, beta=0); the variants score K
+                methods = {
+                    "mass": _top({v: graph.nodes[v].mass for v, _, _ in candidates}, k),
+                    "frequency": _top({v: w for v, w, _ in candidates}, k),
+                    "context": _ranked(kal["sum-i"], "relevance", k),
+                    "parafac2": _ranked(pf2, "relevance", k),
+                    **{v: _ranked(kal[v], "score", k) for v in VARIANTS},
+                }
+                for method, (scores, shown) in methods.items():
                     precision, recall = precision_recall_at_k(shown, v_star, k)
                     ndcg, auc = ndcg_at_k(shown, v_star, k), event_auc(scores, v_star)
                     rows[method].append((ndcg, precision, recall, auc))

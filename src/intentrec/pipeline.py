@@ -48,6 +48,18 @@ class PipelineConfig:
     seed: int = 0
     min_unique_reports: int = evaluation.DEFAULT_MIN_UNIQUE_REPORTS
 
+    def __post_init__(self):
+        # timeout and train_fraction are refused by ingest before it writes
+        for name in ("k", "rank", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.process_noise >= 0:
+            raise ValueError("process_noise must be >= 0")
+        if not self.rank_lambda > 0:
+            raise ValueError("rank_lambda must be > 0")
+        if self.variant not in evaluation.VARIANTS:
+            raise ValueError(f"variant must be one of {', '.join(evaluation.VARIANTS)}")
+
 
 # Every file `_require` has let the running stage read: its manifest inputs.
 _reads: set[Path] = set()

@@ -137,15 +137,18 @@ def recommend(
     return score(graph, enumerate_candidates(graph, u), intent_scores, variant)
 
 
-def rank(recs: list[Recommendation], k: int = DEFAULT_TOP_K) -> list[Recommendation]:
-    """Order by K desc, own-graph before collaborative, then R, W, M desc,
-    and keep the first k distinct nodes: a node offered by several source
-    graphs is listed once, at its best entry."""
+def rank(
+    recs: list[Recommendation], k: int = DEFAULT_TOP_K, by: str = "score"
+) -> list[Recommendation]:
+    """Order by the field `by` desc (K, or R for the context-only baselines),
+    own-graph before collaborative, then R, W, M desc, and keep the first k
+    distinct nodes: a node offered by several source graphs is listed once,
+    at its best entry."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ordered = sorted(
         recs,
-        key=lambda r: (-r.score, r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
+        key=lambda r: (-getattr(r, by), r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
     )
     top: dict[str, Recommendation] = {}
     for r in ordered:

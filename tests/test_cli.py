@@ -14,11 +14,17 @@ import pytest
 from intentrec import cli, kalman, pipeline, synth
 from intentrec.artifacts import observation, serving_factor
 from intentrec.context import context_vector
-from intentrec.evaluation import VARIANTS, event_auc, ndcg_at_k, precision_recall_at_k
+from intentrec.evaluation import (
+    ALL_METHODS,
+    VARIANTS,
+    event_auc,
+    ndcg_at_k,
+    precision_recall_at_k,
+)
 from intentrec.ingest import hit_to_doc
 from intentrec.models import Dataset, HitRecord, ReportKind, Session, group_by_user
 from intentrec.pipeline import PipelineConfig
-from intentrec.recommender import RelevanceVariant, rank, recommend
+from intentrec.recommender import RelevanceVariant, enumerate_candidates, rank, recommend
 
 
 @pytest.fixture(scope="module")
@@ -234,12 +240,23 @@ class TestStages:
     def test_evaluation_measures_the_served_path(self, workdir):
         # replaying the test split through the serving calls gives exactly
         # the NDCG, precision, recall and w-AUC that evaluation reports for
-        # each served variant
+        # every method: the variants rank the served `recommend` list by K,
+        # the context baselines rank the sum-i list by R (then W, M and
+        # node), and mass and frequency order the enumerated candidates
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         reports = {r.method: r for r in pipeline.stage_evaluate(workdir, cfg).reports}
         model = pipeline.load_model(workdir)
         dataset = pipeline.load_dataset(workdir / "sessions.json")
-        rows: dict[str, list[tuple[float, ...]]] = {v: [] for v in VARIANTS}
+        rows: dict[str, list[tuple[float, ...]]] = {m: [] for m in ALL_METHODS}
+
+        def by_relevance(recs):
+            scores = {r.node: r.relevance for r in recs}
+            order = sorted(recs, key=lambda r: (-r.relevance, -r.weight, -r.mass, r.node))
+            return scores, [r.node for r in order]
+
+        def by_value(scores):
+            return scores, sorted(scores, key=lambda v: (-scores[v], v))
+
         for uid, sessions in sorted(group_by_user(dataset.test).items()):
             graph = model.graphs.get(uid)
             if graph is None or len(graph.nodes) < cfg.min_unique_reports:
@@ -249,26 +266,38 @@ class TestStages:
             for sess in sessions:
                 for hit, nxt in zip(sess.hits, sess.hits[1:] + [None]):
                     if serving is not None:
-                        f, _, state = serving_factor(serving, state, hit)
+                        f, f_pf2, state = serving_factor(serving, state, hit)
                     if nxt is None or hit.report_id not in graph.nodes:
                         continue
                     scores = model.intent_scores(uid, f) if serving else {}
+                    scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
+                    candidates = enumerate_candidates(graph, hit.report_id)
+                    lists = {
+                        "mass": by_value({v: graph.nodes[v].mass for v, _, _ in candidates}),
+                        "frequency": by_value({v: w for v, w, _ in candidates}),
+                        "context": by_relevance(recommend(graph, hit.report_id, scores)),
+                        "parafac2": by_relevance(recommend(graph, hit.report_id, scores_pf2)),
+                    }
                     for v in VARIANTS:
                         recs = recommend(graph, hit.report_id, scores, RelevanceVariant(v))
-                        shown = [r.node for r in rank(recs, cfg.k)]
-                        true_next = nxt.report_id
-                        rows[v].append((
+                        lists[v] = {r.node: r.score for r in recs}, [
+                            r.node for r in rank(recs, cfg.k)
+                        ]
+                    true_next = nxt.report_id
+                    for method, (auc_scores, order) in lists.items():
+                        shown = order[: cfg.k]
+                        rows[method].append((
                             ndcg_at_k(shown, true_next, cfg.k),
                             *precision_recall_at_k(shown, true_next, cfg.k),
-                            event_auc({r.node: r.score for r in recs}, true_next),
+                            event_auc(auc_scores, true_next),
                         ))
-        for v in VARIANTS:
-            assert len(rows[v]) == reports[v].events > 0, v
-            ndcg, precision, recall, wauc = (float(np.mean(c)) for c in zip(*rows[v]))
-            rep = reports[v]
+        for m in ALL_METHODS:
+            assert len(rows[m]) == reports[m].events > 0, m
+            ndcg, precision, recall, wauc = (float(np.mean(c)) for c in zip(*rows[m]))
+            rep = reports[m]
             assert (rep.ndcg, rep.precision, rep.recall, rep.wauc) == (
                 ndcg, precision, recall, wauc
-            ), v
+            ), m
 
     def test_loaded_model_reproduces_fit(self, workdir):
         _assert_serving_shapes(workdir)
@@ -684,6 +713,32 @@ class TestCliExitCodes:
             assert (wd / name).read_text() == f"sentinel {name}\n", name
         assert manifest.read_bytes() == torn
         assert not (wd / "manifest.json.tmp").exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (["factorize", "--rank", "0"], "rank"),
+        (["factorize", "--max-iters", "0"], "max_iters"),
+        (["kalman", "--process-noise", "-1"], "process_noise"),
+        (["kalman", "--process-noise", "nan"], "process_noise"),
+        (["train-rank", "--rank-lambda", "-1"], "rank_lambda"),
+        (["train-rank", "--rank-lambda", "0"], "rank_lambda"),
+        (["run", "--k", "0"], "k"),
+        (["evaluate", "--config", "{config}"], "variant"),
+        (["synth", "--users", "0"], "n_users"),
+    ], ids=["rank", "max-iters", "process-noise", "process-noise-nan", "rank-lambda",
+            "rank-lambda-zero", "run-k", "config-variant", "synth-users"])
+    def test_out_of_range_config_is_a_usage_error(self, workdir, tmp_path, capsys, argv, field):
+        # refused before any stage writes: every artifact keeps its bytes
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "sum-x"}))
+        before = {p: p.read_bytes() for p in wd.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        argv = [a.format(config=config) for a in argv]
+        assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and field in err, err
+        assert {p: p.read_bytes() for p in wd.rglob("*") if p.is_file()} == before
 
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
