@@ -34,11 +34,8 @@ class TrainedModel:
             return {}
         norm = float(np.linalg.norm(f))
         unit = f / norm if norm > 0 else f
-        scores: dict[str, float] = {}
-        for target in graph.targets():
-            if target in model.weights:
-                scores[target] = ranksvm.intent_score(model, target, unit)
-        return scores
+        weights = model.weights
+        return {t: ranksvm.intent_score(model, t, unit) for t in graph.targets() if t in weights}
 
 
 def observation(x: np.ndarray):

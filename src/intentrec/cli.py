@@ -172,7 +172,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             return EXIT_OK
         elif args.command == "sweep":
-            rows, best = pipeline.stage_sweep(workdir, config, args.ranks)
+            # every rank is checked before the sweep copies anything
+            fields = dataclasses.asdict(config)
+            configs = [_config(PipelineConfig, {**fields, "rank": r}) for r in args.ranks]
+            rows, best = pipeline.stage_sweep(workdir, configs)
             for r, rep in rows:
                 print(
                     f"R={r:<3d} ndcg={rep.ndcg:.4f} precision={rep.precision:.4f} "

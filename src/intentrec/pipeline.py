@@ -577,22 +577,21 @@ def run_all(workdir: Path, config: PipelineConfig, source: Path | None = None):
     return stage_evaluate(workdir, config)
 
 
-def stage_sweep(workdir: Path, config: PipelineConfig, ranks: list[int]):
-    """Re-fit and evaluate across factorization ranks; returns (rows, best)."""
+def stage_sweep(workdir: Path, configs: list[PipelineConfig]):
+    """Re-fit and evaluate at each config's rank; returns (rows, best)."""
     rows = []
-    for r in ranks:
-        sub = workdir / f"sweep_R{r}"
+    for cfg in configs:
+        sub = workdir / f"sweep_R{cfg.rank}"
         sub.mkdir(parents=True, exist_ok=True)
         for name in ("sessions.json", "graphs.json", "clustering.json"):
             src = _require(workdir / name)
             (sub / name).write_text(src.read_text())
         shutil.copytree(workdir / "tensors", _fresh_dir(sub / "tensors"), dirs_exist_ok=True)
-        cfg = PipelineConfig(**{**asdict(config), "rank": r})
         stage_factorize(sub, cfg)
         stage_kalman(sub, cfg)
         stage_train_rank(sub, cfg)
         result = stage_evaluate(sub, cfg)
         proposed = next(rep for rep in result.reports if rep.method == "sum-i")
-        rows.append((r, proposed))
+        rows.append((cfg.rank, proposed))
     best = max(rows, key=lambda row: row[1].ndcg)
     return rows, best

@@ -57,12 +57,8 @@ class RankModel:
 
 
 def _unit_rows(factors) -> np.ndarray:
-    rows = []
-    for f in factors:
-        f = np.asarray(f, dtype=float)
-        n = np.linalg.norm(f)
-        if n > 0:
-            rows.append(f / n)
+    norms = [np.linalg.norm(f) for f in factors]
+    rows = [f / n for f, n in zip(factors, norms) if n > 0]
     return np.array(rows) if rows else np.empty((0, 0))
 
 
@@ -78,14 +74,13 @@ def training_sets_from_endings(
     endings: dict[str, list[np.ndarray]],
 ) -> dict[str, RankTrainingSet]:
     """Build per-intent training sets from factors grouped by session ending."""
+    unit = {intent: _unit_rows(endings[intent]) for intent in sorted(endings)}
     out: dict[str, RankTrainingSet] = {}
-    for intent in sorted(endings):
-        pos = _unit_rows(endings[intent])
-        neg = _unit_rows(
-            [f for other in sorted(endings) if other != intent for f in endings[other]]
-        )
+    for intent, pos in unit.items():
         if len(pos) == 0:
             continue
+        others = [rows for other, rows in unit.items() if other != intent and len(rows)]
+        neg = np.concatenate(others) if others else np.empty((0, 0))
         out[intent] = RankTrainingSet(intent=intent, R1=pos, R2=neg)
     return out
 
@@ -118,18 +113,20 @@ def _pair_terms(w: np.ndarray, R1: np.ndarray, R2: np.ndarray, lam: float):
     pair sums come from suffix sums of 1, q, q^2, y, q*y and y y^T.
     """
     dim = len(w)
+    qy, yy = 3 + dim, 3 + 2 * dim  # first columns of q*y and y y^T; y starts at 3
     p, q = R1 @ w, R2 @ w
     order = np.argsort(q, kind="stable")
-    starts = np.searchsorted(q[order], p - 1.0, side="right")
-    cols = np.column_stack(
-        [np.ones_like(q), q, q * q, R2, q[:, None] * R2,
-         (R2[:, :, None] * R2[:, None, :]).reshape(len(q), -1)]
-    )[order]
+    q, y = q[order], R2[order]
+    starts = np.searchsorted(q, p - 1.0, side="right")
+    cols = np.empty((len(q), yy + dim * dim))
+    cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3:qy] = 1.0, q, q * q, y
+    cols[:, qy:yy] = q[:, None] * y
+    cols[:, yy:] = (y[:, :, None] * y[:, None, :]).reshape(len(q), -1)
     suffix = np.zeros((len(q) + 1, cols.shape[1]))
     suffix[:-1] = np.cumsum(cols[::-1], axis=0)[::-1]
-    n, s_q, s_qq, s_y, s_qy, s_yy = np.split(
-        suffix[starts], np.cumsum([1, 1, 1, dim, dim]), axis=1
-    )
+    sums = suffix[starts]
+    n, s_q, s_qq = sums[:, :1], sums[:, 1:2], sums[:, 2:3]
+    s_y, s_qy, s_yy = sums[:, 3:qy], sums[:, qy:yy], sums[:, yy:]
     a = 1.0 - p[:, None]  # the residual of pair (i, j) is a_i + q_j
     loss = np.sum(n * a * a + 2.0 * a * s_q + s_qq)
     # d/dw of the loss is 2 * sum_ij (a_i + q_j)(y_j - x_i) over active pairs
@@ -197,7 +194,5 @@ def train_all(training_sets: dict[str, RankTrainingSet], lam: float = DEFAULT_LA
 
 def intent_score(model: RankModel, intent: str, f: np.ndarray) -> float:
     """Normalized intent score (4 + <w, f>) / 8, clamped to [0, 1]."""
-    if intent not in model.weights:
-        raise KeyError(f"unknown intent: {intent!r}")
-    raw = float(model.weights[intent].w @ np.asarray(f, dtype=float))
+    raw = float(model.weights[intent].w @ f)
     return min(max((4.0 + raw) / 8.0, 0.0), 1.0)

@@ -724,21 +724,28 @@ class TestCliExitCodes:
         (["run", "--k", "0"], "k"),
         (["evaluate", "--config", "{config}"], "variant"),
         (["synth", "--users", "0"], "n_users"),
+        # a bad rank after a good one: neither sweep_R2/ nor sweep_R0/ is made
+        (["sweep", "--ranks", "2", "0"], "rank"),
     ], ids=["rank", "max-iters", "process-noise", "process-noise-nan", "rank-lambda",
-            "rank-lambda-zero", "run-k", "config-variant", "synth-users"])
+            "rank-lambda-zero", "run-k", "config-variant", "synth-users", "sweep-ranks"])
     def test_out_of_range_config_is_a_usage_error(self, workdir, tmp_path, capsys, argv, field):
-        # refused before any stage writes: every artifact keeps its bytes
+        # refused before any stage writes: every artifact keeps its bytes,
+        # and no file or directory is added
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"variant": "sum-x"}))
-        before = {p: p.read_bytes() for p in wd.rglob("*") if p.is_file()}
+
+        def contents():
+            return {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+
+        before = contents()
         capsys.readouterr()
         argv = [a.format(config=config) for a in argv]
         assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage error" in err and field in err, err
-        assert {p: p.read_bytes() for p in wd.rglob("*") if p.is_file()} == before
+        assert contents() == before
 
     def test_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

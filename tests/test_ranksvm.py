@@ -7,6 +7,7 @@ from intentrec.ranksvm import (
     RankModel,
     RankTrainingSet,
     _pair_terms,
+    _unit_rows,
     build_training_sets,
     intent_score,
     session_final_target,
@@ -42,6 +43,34 @@ class TestTrainingSets:
         endings = {"I": [np.zeros(2), np.ones(2)], "J": [np.ones(2)]}
         ts = training_sets_from_endings(endings)
         assert len(ts["I"].R1) == 1
+
+    @pytest.mark.parametrize("shape", [
+        {"I": "xox", "J": "xx", "K": "ox"},
+        {"I": "xx", "J": "oo", "K": "x"},
+        {"I": "x", "J": "oo"},
+        {"I": "xox"},
+    ], ids=["some-zero-rows", "all-zero-ending", "only-other-ending-zero", "single-ending"])
+    def test_rows_normalised_once_match_per_intent_rows(self, shape):
+        # x is a random factor, o a zero one, which unit normalisation drops
+        rng = np.random.default_rng(11)
+        endings = {
+            intent: [rng.normal(size=3) if c == "x" else np.zeros(3) for c in rows]
+            for intent, rows in shape.items()
+        }
+        ts = training_sets_from_endings(endings)
+        for intent in sorted(endings):
+            pos = _unit_rows(endings[intent])
+            neg = _unit_rows(
+                [f for other in sorted(endings) if other != intent for f in endings[other]]
+            )
+            if len(pos) == 0:
+                assert intent not in ts
+                continue
+            for got, want in ((ts[intent].R1, pos), (ts[intent].R2, neg)):
+                assert np.array_equal(got, want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if len(endings) == 1:
+            assert train(ts["I"]).degenerate
 
 
 class TestTrain:

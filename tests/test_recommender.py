@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestRelevance:
 
     def test_empty_scores_zero(self):
         assert relevance(RelevanceVariant.SUM_I, {}, {}) == 0.0
+
+    @pytest.mark.parametrize("variant", list(RelevanceVariant))
+    def test_no_reachable_intent_is_float_zero(self, variant):
+        # an int 0 would serialise as "R": 0 and change recommendations.jsonl
+        assert type(relevance(variant, {"t": 0.8}, {})) is float
+        g = _graph({("u", "a"): 0.5, ("u", "t"): 0.5}, targets=("t",))
+        recs = {r.node: r for r in score(g, enumerate_candidates(g, "u"), {"t": 0.8}, variant)}
+        assert recs["t"].relevance > 0.0  # "a" has no path to the target
+        assert type(recs["a"].relevance) is float and recs["a"].relevance == 0.0
+        assert json.dumps(recs["a"].to_json()["R"]) == "0.0"
 
     def test_sum_dominates_max(self):
         rng = np.random.default_rng(0)
