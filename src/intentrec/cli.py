@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 from . import evaluation, pipeline, synth
@@ -36,8 +37,24 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 class ConfigError(Exception):
-    """A --config file names a field the config class does not have, or a
-    flag or field holds a value the class refuses."""
+    """A --config file cannot be read as a JSON object or names a field the
+    config class does not have, or a flag or field holds a value of another
+    type or one the class refuses."""
+
+
+def _config_file(path: Path | None) -> dict:
+    """The fields a --config file sets, {} without one."""
+    if path is None:
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} holds no JSON object of config fields")
+    return doc
 
 
 def _config(cls, doc: dict):
@@ -48,6 +65,14 @@ def _config(cls, doc: dict):
             f"unknown config key(s) {', '.join(unknown)}; "
             f"{cls.__name__} accepts {', '.join(accepted)}"
         )
+    types = typing.get_type_hints(cls)
+    for name, value in doc.items():
+        # a float field takes an integer too; JSON's true and false are no numbers
+        kinds = (int, float) if types[name] is float else types[name]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(
+                f"{cls.__name__}: {name} must be of type {types[name].__name__}, not {value!r}"
+            )
     try:
         return cls(**doc)
     except ValueError as exc:
@@ -55,9 +80,7 @@ def _config(cls, doc: dict):
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    base = {}
-    if args.config:
-        base = json.loads(args.config.read_text())
+    base = _config_file(args.config)
     for f in dataclasses.fields(PipelineConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -114,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
-    base = {}
-    if args.config:
-        base = json.loads(args.config.read_text())
+    base = _config_file(args.config)
     overrides = {
         "n_users": args.users,
         "n_reports": args.reports,

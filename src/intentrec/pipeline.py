@@ -289,31 +289,22 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     per_user = group_by_user(dataset.train)
     features = {uid: context.usage_features(s) for uid, s in per_user.items()}
     clustering = context.cluster_users(features, seed=config.seed)
-    (workdir / "clustering.json").write_text(
-        json.dumps(
-            {
-                "assignments": clustering.assignments,
-                "centroids": clustering.centroids.tolist(),
-                "insufficient": clustering.insufficient,
-                "empty_clusters": clustering.empty_clusters,
-            },
-            sort_keys=True,
-        )
-    )
-
     matrices = {uid: context.build_matrix(s) for uid, s in per_user.items()}
+    clusters: dict[str, list[str]] = {}
+    for uid, cluster_id in sorted(clustering.assignments.items()):
+        clusters.setdefault(str(cluster_id), []).append(uid)
+    doc = {
+        "clusters": clusters,
+        "views": {u: m.X.shape[1] for u, m in matrices.items()},
+        "slots": {u: m.layout.slots for u, m in matrices.items()},
+        "centroids": clustering.centroids.tolist(),
+        "insufficient": clustering.insufficient,
+        "empty_clusters": clustering.empty_clusters,
+    }
+    (workdir / "clustering.json").write_text(json.dumps(doc, sort_keys=True))
     tensor_root = _fresh_dir(workdir / "tensors")
-    for cluster_id in range(context.N_CLUSTERS):
-        members = sorted(u for u, c in clustering.assignments.items() if c == cluster_id)
-        if not members:
-            continue
+    for cluster_id, members in clusters.items():
         panels = context.assemble_tensor([matrices[u] for u in members])
-        layout_doc = {
-            "users": members,
-            "orig_cols": {u: matrices[u].X.shape[1] for u in members},
-            "slots": {u: matrices[u].layout.slots for u in members},
-        }
-        (tensor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(layout_doc, sort_keys=True))
         # Padding leaves the panels column-major. BLAS sums in a
         # layout-dependent order, and the fitted model's last bits (so
         # results.csv) are pinned to row-major panels.
@@ -325,40 +316,49 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     return tensor_root
 
 
-def load_clustering(workdir: Path) -> context.UserClustering:
-    doc = _read_json(workdir / "clustering.json", "tensor")
+_CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
+
+
+def _read_clustering(workdir: Path) -> dict:
+    """clustering.json as `stage_tensor` wrote it: each cluster's sorted
+    members (the order of its .npz arrays), each user's view count and
+    feature slots, and the k-means diagnostics. Another layout is stale."""
+    path = workdir / "clustering.json"
+    doc = _read_json(path, "tensor")
+    if not isinstance(doc, dict) or doc.keys() != _CLUSTERING_KEYS:
+        raise StaleArtifact(f"{path} is not this version's layout; re-run `intentrec tensor`")
+    return doc
+
+
+def load_clustering(doc: dict) -> context.UserClustering:
+    """A `_read_clustering` doc's clustering; a user's cluster is the one listing it."""
     return context.UserClustering(
-        assignments=doc["assignments"],
+        assignments={u: int(c) for c, members in doc["clusters"].items() for u in members},
         centroids=np.asarray(doc["centroids"]),
         insufficient=doc["insufficient"],
         empty_clusters=doc["empty_clusters"],
     )
 
 
-def _cluster_ids(tensor_root: Path) -> list[int]:
-    return sorted(int(p.stem.split("_")[1]) for p in tensor_root.glob("cluster_*.json"))
-
-
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     """PARAFAC2 per cluster. A cluster's rank is clamped to
     min(rank, T, smallest N_u), so every member keeps a context model."""
     t0 = _begin_stage(workdir)
-    tensor_root = _require(workdir / "tensors")
+    cluster_ids = _read_clustering(workdir)["clusters"]
     factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
-    for cluster_id in _cluster_ids(tensor_root):
-        users = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")["users"]
-        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz", "tensor")
+    for cluster_id in cluster_ids:
+        mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
         rank = min(config.rank, mats[0].shape[1], min(m.shape[0] for m in mats))
         if rank < config.rank:
-            log.warning("cluster %d: rank %d clamped to %d", cluster_id, config.rank, rank)
-        seed = config.seed + cluster_id
+            log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
         factors, report = parafac2.decompose(
-            mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters, seed=seed
+            mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters,
+            seed=config.seed + int(cluster_id),
         )
         if not report.converged:
             log.warning(
-                "cluster %d: PARAFAC2 did not converge in %d iterations",
+                "cluster %s: PARAFAC2 did not converge in %d iterations",
                 cluster_id, report.iterations,
             )
         np.savez(
@@ -366,15 +366,13 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
             *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
         )
         norm_sq = sum(float((m**2).sum()) for m in mats)
-        clusters[str(cluster_id)] = entry = {
+        clusters[cluster_id] = {
             "requested_rank": config.rank,
             "rank": rank,
             "iterations": report.iterations,
             "converged": report.converged,
             "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
         }
-        fit_doc = {**entry, "users": users, "seed": seed, "errors": report.errors}
-        (factor_root / f"cluster_{cluster_id}.json").write_text(json.dumps(fit_doc, sort_keys=True))
     _note_manifest(
         workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
     )
@@ -388,25 +386,23 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     `f_post` and `P_post` stacked in member order; and each member's evolved
     factors, positionally."""
     t0 = _begin_stage(workdir)
-    tensor_root = _require(workdir / "tensors")
-    factor_root = _require(workdir / "factors")
+    doc = _read_clustering(workdir)
     kdir = _fresh_dir(workdir / "kalman")
     views = steady = missing = 0
-    for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
-        mats, _ = _load_npz(tensor_root / f"cluster_{cluster_id}.npz", "tensor")
-        G, shared = _load_npz(factor_root / f"cluster_{cluster_id}.npz", "factorize")
+    for cluster_id, members in doc["clusters"].items():
+        mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
+        G, shared = _load_npz(workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize")
         S = shared["S"]
         factors = parafac2.Parafac2Factors(S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
         f_initial = parafac2.initial_latent_factors(factors)
         A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
         Q = config.process_noise * np.eye(factors.rank)
         evolved, lams, psis, finals = [], [], [], []
-        for idx, uid in enumerate(layout_doc["users"]):
+        for idx, uid in enumerate(members):
             lam = parafac2.loading_matrix(factors, idx)
             X = mats[idx]
             psi = kalman.estimate_measurement_noise(X, lam, f_initial)
-            obs = [observation(X[:, t]) for t in range(layout_doc["orig_cols"][uid])]
+            obs = [observation(X[:, t]) for t in range(doc["views"][uid])]
             f_seq, final, steady_obs = kalman.evolve_sequence(
                 lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
             )
@@ -429,20 +425,17 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     return kdir
 
 
-def _load_serving(workdir: Path) -> dict[str, UserServing]:
+def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
     """Each member's filter as `stage_kalman` wrote it, read from `kalman/`
-    and the member lists and feature slots in `tensors/`."""
-    tensor_root = _require(workdir / "tensors")
-    kdir = _require(workdir / "kalman")
+    and the member lists and feature slots of the `_read_clustering` doc."""
     names = ("A", "Q", "psi", "Lam", "f_post", "P_post")
     serving: dict[str, UserServing] = {}
-    for cluster_id in _cluster_ids(tensor_root):
-        layout_doc = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")
-        _, shared = _load_npz(kdir / f"cluster_{cluster_id}.npz", "kalman", names)
+    for cluster_id, members in doc["clusters"].items():
+        _, shared = _load_npz(workdir / "kalman" / f"cluster_{cluster_id}.npz", "kalman", names)
         A, Q, psi, Lam, f_post, P_post = shared.values()
         row = 0
-        for idx, uid in enumerate(layout_doc["users"]):
-            layout = context.FeatureLayout([tuple(p) for p in layout_doc["slots"][uid]])
+        for idx, uid in enumerate(members):
+            layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
             lam = Lam[row : row + layout.width]
             row += layout.width
             state = kalman.KalmanState(
@@ -457,13 +450,10 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     graphs = load_graphs(workdir)
-    tensor_root = _require(workdir / "tensors")
-    kdir = _require(workdir / "kalman")
     evolved_per_user: dict[str, np.ndarray] = {}
-    for cluster_id in _cluster_ids(tensor_root):
-        users = _read_json(tensor_root / f"cluster_{cluster_id}.json", "tensor")["users"]
-        evolved, _ = _load_npz(kdir / f"cluster_{cluster_id}.npz", "kalman")
-        evolved_per_user.update(zip(users, evolved))
+    for cluster_id, members in _read_clustering(workdir)["clusters"].items():
+        evolved, _ = _load_npz(workdir / "kalman" / f"cluster_{cluster_id}.npz", "kalman")
+        evolved_per_user.update(zip(members, evolved))
 
     models: dict[str, ranksvm.RankModel] = {}
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
@@ -500,15 +490,14 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
 
 def load_model(workdir: Path) -> TrainedModel:
     graphs = load_graphs(workdir)
-    clustering = load_clustering(workdir)
-    serving = _load_serving(workdir)
+    clustering_doc = _read_clustering(workdir)
     doc = _read_json(workdir / "rankmodel.json", "train-rank")
     rank_models = {u: ranksvm.RankModel.from_json(m) for u, m in doc.items()}
     return TrainedModel(
         graphs=graphs,
-        clustering=clustering,
+        clustering=load_clustering(clustering_doc),
         rank_models=rank_models,
-        serving=serving,
+        serving=_load_serving(workdir, clustering_doc),
     )
 
 

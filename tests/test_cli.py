@@ -54,13 +54,14 @@ def _assert_serving_shapes(workdir: Path):
     views = Counter(h.user_id for s in dataset.train for h in s.hits)
     assert model.rank_models
     assert set(model.serving) == set(views)
+    fits = json.loads((workdir / "manifest.json").read_text())["factorize"]["clusters"]
+    clusters = json.loads((workdir / "clustering.json").read_text())["clusters"]
     for uid, serving in model.serving.items():
-        cluster = model.clustering.assignments[uid]
-        fit = json.loads((workdir / "factors" / f"cluster_{cluster}.json").read_text())
-        rank = fit["rank"]
+        cluster = str(model.clustering.assignments[uid])
+        rank = fits[cluster]["rank"]
         assert serving.Lam_pinv.shape == (rank, serving.layout.width)
         with np.load(workdir / "kalman" / f"cluster_{cluster}.npz") as z:
-            evolved = z[f"arr_{fit['users'].index(uid)}"]
+            evolved = z[f"arr_{clusters[cluster].index(uid)}"]
         assert evolved.shape == (views[uid], rank)
 
 
@@ -130,18 +131,24 @@ class TestStages:
         assert (workdir / "kalman").is_dir()
 
     def test_tensor_members_follow_the_clustering(self, workdir):
-        # stage_tensor alone picks and orders a cluster's members; their
-        # panels follow in that order, 6 rows per feature slot each
-        assignments = json.loads((workdir / "clustering.json").read_text())["assignments"]
-        clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
+        # stage_tensor alone picks and orders a cluster's members, sorted,
+        # every trained user in one cluster; their panels follow in that
+        # order, 6 rows per feature slot each, and the cluster directories
+        # hold nothing but each cluster's .npz
+        doc = json.loads((workdir / "clustering.json").read_text())
+        clusters = doc["clusters"]
         assert clusters
-        for c in clusters:
-            doc = json.loads((workdir / "tensors" / f"{c}.json").read_text())
-            cluster_id = int(c.split("_")[1])
-            assert doc["users"] == sorted(u for u, k in assignments.items() if k == cluster_id)
-            with np.load(workdir / "tensors" / f"{c}.npz") as z:
-                assert len(z.files) == len(doc["users"])
-                for i, uid in enumerate(doc["users"]):
+        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        members = [u for users in clusters.values() for u in users]
+        assert sorted(members) == sorted({s.user_id for s in dataset.train})
+        for sub in ("tensors", "factors", "kalman"):
+            listing = sorted(p.name for p in (workdir / sub).iterdir())
+            assert listing == sorted(f"cluster_{c}.npz" for c in clusters), sub
+        for c, users in clusters.items():
+            assert users == sorted(users), c
+            with np.load(workdir / "tensors" / f"cluster_{c}.npz") as z:
+                assert len(z.files) == len(users)
+                for i, uid in enumerate(users):
                     assert z[f"arr_{i}"].shape[0] == 6 * len(doc["slots"][uid]), uid
 
     def test_manifest_tracks_stages(self, workdir):
@@ -342,24 +349,25 @@ class TestStages:
     def test_manifest_hashes_stage_inputs(self, workdir):
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         pipeline.stage_evaluate(workdir, cfg)
-        clusters = sorted(p.stem for p in (workdir / "tensors").glob("cluster_*.json"))
+        doc = json.loads((workdir / "clustering.json").read_text())
+        clusters = [f"cluster_{c}" for c in doc["clusters"]]
         assert clusters
         # every file load_model reads
         model_files = {
             "graphs.json", "clustering.json", "rankmodel.json",
-            *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
+            *(f"kalman/{c}.npz" for c in clusters),
         }
         expected = {
             "ingest": {"hits.jsonl"},
             "tensor": {"sessions.json"},
-            "factorize": {f"tensors/{c}.{ext}" for c in clusters for ext in ("json", "npz")},
+            "factorize": {"clustering.json", *(f"tensors/{c}.npz" for c in clusters)},
             "kalman": {
-                path for c in clusters
-                for path in (f"tensors/{c}.json", f"tensors/{c}.npz", f"factors/{c}.npz")
+                "clustering.json",
+                *(f"{sub}/{c}.npz" for c in clusters for sub in ("tensors", "factors")),
             },
             "train-rank": {
-                "sessions.json", "graphs.json",
-                *(f"tensors/{c}.json" for c in clusters), *(f"kalman/{c}.npz" for c in clusters),
+                "sessions.json", "graphs.json", "clustering.json",
+                *(f"kalman/{c}.npz" for c in clusters),
             },
             "graph": {"sessions.json"},
             "evaluate": {"sessions.json", *model_files},
@@ -411,19 +419,26 @@ class TestStages:
     def test_manifest_fit_counters(self, workdir, tmp_path):
         manifest = json.loads((workdir / "manifest.json").read_text())
         for cluster, entry in manifest["factorize"]["clusters"].items():
-            fit = json.loads((workdir / "factors" / f"cluster_{cluster}.json").read_text())
+            # ||X - G H diag(s) V'||^2 / ||X||^2 over the cluster's panels
             with np.load(workdir / "tensors" / f"cluster_{cluster}.npz") as z:
-                norm_sq = sum(float((z[name] ** 2).sum()) for name in z.files)
-            assert entry["relative_error"] == pytest.approx(fit["errors"][-1] / norm_sq)
+                panels = [z[f"arr_{i}"] for i in range(len(z.files))]
+            with np.load(workdir / "factors" / f"cluster_{cluster}.npz") as z:
+                H, S, V = z["H"], z["S"], z["V"]
+                G = [z[f"arr_{i}"] for i in range(len(panels))]
+            err = sum(
+                float(((X - g @ H @ np.diag(s) @ V.T) ** 2).sum()) for X, g, s in zip(panels, G, S)
+            )
+            norm_sq = sum(float((X**2).sum()) for X in panels)
+            assert entry["relative_error"] == pytest.approx(err / norm_sq)
             assert 0 <= entry["relative_error"] < 1
 
         def view_counts(wd: Path) -> tuple[int, int]:
             views = missing = 0
-            for path in (wd / "tensors").glob("cluster_*.json"):
-                layout = json.loads(path.read_text())
-                with np.load(path.with_suffix(".npz")) as z:
-                    for i, uid in enumerate(layout["users"]):
-                        X = z[f"arr_{i}"][:, : layout["orig_cols"][uid]]
+            doc = json.loads((wd / "clustering.json").read_text())
+            for cluster, users in doc["clusters"].items():
+                with np.load(wd / "tensors" / f"cluster_{cluster}.npz") as z:
+                    for i, uid in enumerate(users):
+                        X = z[f"arr_{i}"][:, : doc["views"][uid]]
                         views += X.shape[1]
                         missing += int((~X.any(axis=0)).sum())
             return views, missing
@@ -466,8 +481,8 @@ class TestStages:
             assert entry["rank"] == 6
             assert entry["iterations"] >= 1
             assert isinstance(entry["converged"], bool)
-            fit = json.loads((tmp_path / "factors" / f"cluster_{cluster}.json").read_text())
-            assert fit["rank"] == 6
+            with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
+                assert z["H"].shape == (6, 6)
 
     def test_default_config_converges(self, tmp_path, caplog):
         # at 50 iterations cluster 1 of this log stopped unconverged
@@ -643,8 +658,7 @@ class TestCliExitCodes:
         self._assert_stale_sessions(ingested, capsys)
 
     @pytest.mark.parametrize("name", [
-        "graphs.json", "clustering.json", "rankmodel.json", "tensors/cluster_0.json",
-        "manifest.json",
+        "graphs.json", "clustering.json", "rankmodel.json", "manifest.json",
     ])
     def test_truncated_artifact_is_stale(self, workdir, tmp_path, capsys, name):
         wd = tmp_path / "wd"
@@ -663,6 +677,35 @@ class TestCliExitCodes:
             assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
             err = capsys.readouterr().err
             assert "stale artifact" in err and str(path) in err, err
+
+    def test_assignments_layout_clustering_is_stale(self, workdir, tmp_path, capsys):
+        # clustering.json as earlier versions wrote it, with `assignments`
+        # in place of the member lists, stops every stage that reads it
+        # before that stage writes
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        model = pipeline.load_model(wd)
+        uid = sorted(model.serving)[0]
+        node = sorted(model.graphs[uid].nodes)[0]
+        path = wd / "clustering.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({
+            "assignments": model.clustering.assignments,
+            **{k: doc[k] for k in ("centroids", "insufficient", "empty_clusters")},
+        }))
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        for argv in (
+            ["factorize", "--workdir", str(wd), "--rank", "3"],
+            ["kalman", "--workdir", str(wd)],
+            ["train-rank", "--workdir", str(wd)],
+            ["recommend", "--workdir", str(wd), "--user", uid, "--current", node],
+        ):
+            assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+            err = capsys.readouterr().err
+            assert "stale artifact" in err and str(path) in err, err
+            assert "intentrec tensor`" in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
 
     @pytest.mark.parametrize("size", ["half", "empty"])
     @pytest.mark.parametrize("name,writer,command", [
@@ -722,26 +765,41 @@ class TestCliExitCodes:
         (["train-rank", "--rank-lambda", "-1"], "rank_lambda"),
         (["train-rank", "--rank-lambda", "0"], "rank_lambda"),
         (["run", "--k", "0"], "k"),
-        (["evaluate", "--config", "{config}"], "variant"),
+        # after --config: the text of the config file, None for no file
+        (["evaluate", "--config", '{"variant": "sum-x"}'], "variant"),
         (["synth", "--users", "0"], "n_users"),
         # a bad rank after a good one: neither sweep_R2/ nor sweep_R0/ is made
         (["sweep", "--ranks", "2", "0"], "rank"),
+        (["graph", "--config", None], "config.json"),
+        (["synth", "--config", None], "config.json"),
+        (["graph", "--config", '{"rank": '], "config.json"),
+        (["graph", "--config", "[3]"], "config.json"),
+        (["factorize", "--config", '{"rank": "3"}'], "rank"),
+        (["factorize", "--config", '{"rank": 2.5}'], "rank"),
+        (["evaluate", "--config", '{"k": true}'], "k"),
+        (["synth", "--config", '{"n_users": 4.5}'], "n_users"),
     ], ids=["rank", "max-iters", "process-noise", "process-noise-nan", "rank-lambda",
-            "rank-lambda-zero", "run-k", "config-variant", "synth-users", "sweep-ranks"])
+            "rank-lambda-zero", "run-k", "config-variant", "synth-users", "sweep-ranks",
+            "config-missing", "synth-config-missing", "config-malformed", "config-list",
+            "config-rank-string", "config-rank-fraction", "config-k-bool",
+            "synth-config-users-fraction"])
     def test_out_of_range_config_is_a_usage_error(self, workdir, tmp_path, capsys, argv, field):
         # refused before any stage writes: every artifact keeps its bytes,
         # and no file or directory is added
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"variant": "sum-x"}))
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            config = tmp_path / "config.json"
+            if argv[at] is not None:
+                config.write_text(argv[at])
+            argv = [*argv[:at], str(config), *argv[at + 1 :]]
 
         def contents():
             return {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
 
         before = contents()
         capsys.readouterr()
-        argv = [a.format(config=config) for a in argv]
         assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage error" in err and field in err, err
