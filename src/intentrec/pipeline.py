@@ -10,6 +10,7 @@ import os
 import shutil
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -223,6 +224,21 @@ def _fresh_dir(path: Path) -> Path:
     return path
 
 
+@contextmanager
+def _replacing_dir(path: Path):
+    """An empty sibling of path for a stage to write its output in, which
+    replaces path only when the block completes: a stage that fails or is
+    refused partway through leaves the previous output whole."""
+    tmp = _fresh_dir(path.with_name(path.name + ".tmp"))
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(path, ignore_errors=True)
+    tmp.rename(path)
+
+
 # ---------------------------------------------------------------- stages
 
 
@@ -302,18 +318,18 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
         "empty_clusters": clustering.empty_clusters,
     }
     (workdir / "clustering.json").write_text(json.dumps(doc, sort_keys=True))
-    tensor_root = _fresh_dir(workdir / "tensors")
-    for cluster_id, members in clusters.items():
-        panels = context.assemble_tensor([matrices[u] for u in members])
-        # Padding leaves the panels column-major. BLAS sums in a
-        # layout-dependent order, and the fitted model's last bits (so
-        # results.csv) are pinned to row-major panels.
-        np.savez(
-            tensor_root / f"cluster_{cluster_id}.npz",
-            *(np.ascontiguousarray(m) for m in panels),
-        )
+    with _replacing_dir(workdir / "tensors") as tensor_root:
+        for cluster_id, members in clusters.items():
+            panels = context.assemble_tensor([matrices[u] for u in members])
+            # Padding leaves the panels column-major. BLAS sums in a
+            # layout-dependent order, and the fitted model's last bits (so
+            # results.csv) are pinned to row-major panels.
+            np.savez(
+                tensor_root / f"cluster_{cluster_id}.npz",
+                *(np.ascontiguousarray(m) for m in panels),
+            )
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
-    return tensor_root
+    return workdir / "tensors"
 
 
 _CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
@@ -345,38 +361,38 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     min(rank, T, smallest N_u), so every member keeps a context model."""
     t0 = _begin_stage(workdir)
     cluster_ids = _read_clustering(workdir)["clusters"]
-    factor_root = _fresh_dir(workdir / "factors")
     clusters: dict[str, dict] = {}
-    for cluster_id in cluster_ids:
-        mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
-        rank = min(config.rank, mats[0].shape[1], min(m.shape[0] for m in mats))
-        if rank < config.rank:
-            log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
-        factors, report = parafac2.decompose(
-            mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters,
-            seed=config.seed + int(cluster_id),
-        )
-        if not report.converged:
-            log.warning(
-                "cluster %s: PARAFAC2 did not converge in %d iterations",
-                cluster_id, report.iterations,
+    with _replacing_dir(workdir / "factors") as factor_root:
+        for cluster_id in cluster_ids:
+            mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
+            rank = min(config.rank, mats[0].shape[1], min(m.shape[0] for m in mats))
+            if rank < config.rank:
+                log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
+            factors, report = parafac2.decompose(
+                mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters,
+                seed=config.seed + int(cluster_id),
             )
-        np.savez(
-            factor_root / f"cluster_{cluster_id}.npz",
-            *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
-        )
-        norm_sq = sum(float((m**2).sum()) for m in mats)
-        clusters[cluster_id] = {
-            "requested_rank": config.rank,
-            "rank": rank,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
-        }
+            if not report.converged:
+                log.warning(
+                    "cluster %s: PARAFAC2 did not converge in %d iterations",
+                    cluster_id, report.iterations,
+                )
+            np.savez(
+                factor_root / f"cluster_{cluster_id}.npz",
+                *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
+            )
+            norm_sq = sum(float((m**2).sum()) for m in mats)
+            clusters[cluster_id] = {
+                "requested_rank": config.rank,
+                "rank": rank,
+                "iterations": report.iterations,
+                "converged": report.converged,
+                "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
+            }
     _note_manifest(
         workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
     )
-    return factor_root
+    return workdir / "factors"
 
 
 def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
@@ -387,42 +403,44 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     factors, positionally."""
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
-    kdir = _fresh_dir(workdir / "kalman")
     views = steady = missing = 0
-    for cluster_id, members in doc["clusters"].items():
-        mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
-        G, shared = _load_npz(workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize")
-        S = shared["S"]
-        factors = parafac2.Parafac2Factors(S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"])
-        f_initial = parafac2.initial_latent_factors(factors)
-        A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
-        Q = config.process_noise * np.eye(factors.rank)
-        evolved, lams, psis, finals = [], [], [], []
-        for idx, uid in enumerate(members):
-            lam = parafac2.loading_matrix(factors, idx)
-            X = mats[idx]
-            psi = kalman.estimate_measurement_noise(X, lam, f_initial)
-            obs = [observation(X[:, t]) for t in range(doc["views"][uid])]
-            f_seq, final, steady_obs = kalman.evolve_sequence(
-                lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
+    with _replacing_dir(workdir / "kalman") as kdir:
+        for cluster_id, members in doc["clusters"].items():
+            mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
+            G, shared = _load_npz(workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize")
+            S = shared["S"]
+            factors = parafac2.Parafac2Factors(
+                S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"]
             )
-            views += len(obs)
-            steady += steady_obs
-            missing += sum(x is kalman.MISSING for x in obs)
-            evolved.append(np.array(f_seq))
-            lams.append(lam)
-            psis.append(psi)
-            finals.append(final)
-        np.savez(
-            kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=np.array(psis),
-            Lam=np.vstack(lams), f_post=np.array([s.f_post for s in finals]),
-            P_post=np.array([s.P_post for s in finals]),
-        )
+            f_initial = parafac2.initial_latent_factors(factors)
+            A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
+            Q = config.process_noise * np.eye(factors.rank)
+            evolved, lams, psis, finals = [], [], [], []
+            for idx, uid in enumerate(members):
+                lam = parafac2.loading_matrix(factors, idx)
+                X = mats[idx]
+                psi = kalman.estimate_measurement_noise(X, lam, f_initial)
+                obs = [observation(X[:, t]) for t in range(doc["views"][uid])]
+                f_seq, final, steady_obs = kalman.evolve_sequence(
+                    lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
+                )
+                views += len(obs)
+                steady += steady_obs
+                missing += sum(x is kalman.MISSING for x in obs)
+                evolved.append(np.array(f_seq))
+                lams.append(lam)
+                psis.append(psi)
+                finals.append(final)
+            np.savez(
+                kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=np.array(psis),
+                Lam=np.vstack(lams), f_post=np.array([s.f_post for s in finals]),
+                P_post=np.array([s.P_post for s in finals]),
+            )
     _note_manifest(
         workdir, "kalman", {"process_noise": config.process_noise}, t0,
         views=views, steady_views=steady, missing_views=missing,
     )
-    return kdir
+    return workdir / "kalman"
 
 
 def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
@@ -455,24 +473,30 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
         evolved, _ = _load_npz(workdir / "kalman" / f"cluster_{cluster_id}.npz", "kalman")
         evolved_per_user.update(zip(members, evolved))
 
+    keys: list[tuple[str, str]] = []  # (user, intent) of each set, in the order made
+
+    def training_sets():
+        for uid, sessions in sorted(group_by_user(dataset.train).items()):
+            if uid not in evolved_per_user:
+                continue
+            evolved = evolved_per_user[uid]
+            session_factors = []
+            pos = 0
+            for sess in sessions:
+                session_factors.append((sess.reports, evolved[pos : pos + len(sess)]))
+                pos += len(sess)
+            sets = ranksvm.build_training_sets(session_factors, set(graphs[uid].targets()))
+            keys.extend((uid, intent) for intent in sets)
+            yield from sets.values()
+
+    weights = ranksvm.solve(training_sets(), lam=config.rank_lambda)  # fills keys
     models: dict[str, ranksvm.RankModel] = {}
-    for uid, sessions in sorted(group_by_user(dataset.train).items()):
-        if uid not in evolved_per_user:
-            continue
-        evolved = evolved_per_user[uid]
-        session_factors = []
-        pos = 0
-        for sess in sessions:
-            session_factors.append((sess.reports, evolved[pos : pos + len(sess)]))
-            pos += len(sess)
-        training_sets = ranksvm.build_training_sets(session_factors, set(graphs[uid].targets()))
-        if training_sets:
-            models[uid] = ranksvm.train_all(training_sets, lam=config.rank_lambda)
+    for (uid, intent), iw in zip(keys, weights, strict=True):
+        models.setdefault(uid, ranksvm.RankModel(trade_off=config.rank_lambda)).weights[intent] = iw
     out = workdir / "rankmodel.json"
     out.write_text(
         json.dumps({u: m.to_json() for u, m in models.items()}, sort_keys=True)
     )
-    weights = [iw for m in models.values() for iw in m.weights.values()]
     trained = [iw for iw in weights if not iw.degenerate]
     rates = [iw.violation_rate for iw in trained]
     _note_manifest(

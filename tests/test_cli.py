@@ -731,6 +731,27 @@ class TestCliExitCodes:
         assert "stale artifact" in err and str(path) in err, err
         assert f"intentrec {writer}`" in err, err
 
+    @pytest.mark.parametrize("name,command,output", [
+        ("tensors/cluster_1.npz", ["factorize", "--rank", "3"], "factors"),
+        ("factors/cluster_1.npz", ["kalman"], "kalman"),
+    ], ids=["factorize", "kalman"])
+    def test_refused_stage_keeps_its_previous_output(
+        self, workdir, tmp_path, capsys, name, command, output
+    ):
+        # the stage finds the stale input after it has written the first
+        # cluster's output, which must not replace the previous run's
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        path = wd / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        assert len([p for p in before if p.parent == wd / output]) > 2
+        capsys.readouterr()
+        assert cli.main([*command, "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and str(path) in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
     def test_torn_manifest_refuses_before_writing(self, workdir, tmp_path, capsys):
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)

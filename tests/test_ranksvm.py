@@ -1,16 +1,24 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from intentrec.ranksvm import (
+    BATCH_INTENTS,
+    MAX_BACKTRACKS,
+    MAX_NEWTON_ITERS,
+    WEIGHT_NORM_CAP,
+    IntentWeights,
     RankModel,
     RankTrainingSet,
+    _Batch,
     _pair_terms,
     _unit_rows,
     build_training_sets,
     intent_score,
     session_final_target,
+    solve,
     train,
     train_all,
     training_sets_from_endings,
@@ -191,9 +199,128 @@ def _brute_force_terms(w, R1, R2, lam):
     )
 
 
+def _terms(w, R1, R2, lam):
+    """The batched terms of one set at w."""
+    batch = _Batch.pad([RankTrainingSet("I", R1, R2)])
+    obj, grad, hess = _pair_terms(np.array([w], dtype=float), batch, lam)
+    return obj[0], grad[0], hess[0]
+
+
+# The per-set Newton solve the batched one replaces, kept as its oracle.
+def _serial_pair_terms(w: np.ndarray, R1: np.ndarray, R2: np.ndarray, lam: float):
+    dim = len(w)
+    qy, yy = 3 + dim, 3 + 2 * dim  # first columns of q*y and y y^T; y starts at 3
+    p, q = R1 @ w, R2 @ w
+    order = np.argsort(q, kind="stable")
+    q, y = q[order], R2[order]
+    starts = np.searchsorted(q, p - 1.0, side="right")
+    cols = np.empty((len(q), yy + dim * dim))
+    cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3:qy] = 1.0, q, q * q, y
+    cols[:, qy:yy] = q[:, None] * y
+    cols[:, yy:] = (y[:, :, None] * y[:, None, :]).reshape(len(q), -1)
+    suffix = np.zeros((len(q) + 1, cols.shape[1]))
+    suffix[:-1] = np.cumsum(cols[::-1], axis=0)[::-1]
+    sums = suffix[starts]
+    n, s_q, s_qq = sums[:, :1], sums[:, 1:2], sums[:, 2:3]
+    s_y, s_qy, s_yy = sums[:, 3:qy], sums[:, qy:yy], sums[:, yy:]
+    a = 1.0 - p[:, None]  # the residual of pair (i, j) is a_i + q_j
+    loss = np.sum(n * a * a + 2.0 * a * s_q + s_qq)
+    # d/dw of the loss is 2 * sum_ij (a_i + q_j)(y_j - x_i) over active pairs
+    pull = (a * s_y + s_qy - R1 * (n * a + s_q)).sum(axis=0)
+    # sum_ij (x_i - y_j)(x_i - y_j)^T over active pairs
+    cross = R1.T @ s_y
+    pair_hess = (R1 * n).T @ R1 - cross - cross.T + s_yy.sum(axis=0).reshape(dim, dim)
+    return (
+        float(w @ w + lam * loss),
+        2.0 * w + 2.0 * lam * pull,
+        2.0 * np.eye(dim) + 2.0 * lam * pair_hess,
+    )
+
+
+def _serial_train(ts: RankTrainingSet, lam: float) -> IntentWeights:
+    if len(ts.R1) == 0:
+        raise ValueError("empty positive set")
+    if len(ts.R2) == 0:
+        w = ts.R1.mean(axis=0)
+        n = np.linalg.norm(w)
+        w = w / n if n > 0 else w
+        return IntentWeights(w=w, degenerate=True)
+
+    w = np.zeros(ts.R1.shape[1])
+    obj, grad, hess = _serial_pair_terms(w, ts.R1, ts.R2, lam)
+    iterations = 0
+    while iterations < MAX_NEWTON_ITERS:
+        step = np.linalg.solve(hess, grad)
+        decrease = float(grad @ step)
+        if decrease <= np.finfo(float).eps * obj:
+            break  # the predicted change is below the objective's resolution
+        for t in 0.5 ** np.arange(MAX_BACKTRACKS):
+            trial = w - t * step
+            terms = _serial_pair_terms(trial, ts.R1, ts.R2, lam)
+            if terms[0] <= obj - 1e-4 * t * decrease:
+                break
+        else:
+            break  # the objective no longer moves
+        w, (obj, grad, hess) = trial, terms
+        iterations += 1
+
+    norm = np.linalg.norm(w)
+    if norm > WEIGHT_NORM_CAP:
+        w = w * (WEIGHT_NORM_CAP / norm)
+        obj = _serial_pair_terms(w, ts.R1, ts.R2, lam)[0]
+    # pair (i, j) is violated when its margin p_i - q_j is <= 0
+    p, q = ts.R1 @ w, np.sort(ts.R2 @ w)
+    pairs = len(p) * len(q)
+    rate = float(np.sum(len(q) - np.searchsorted(q, p, side="left"))) / pairs
+    return IntentWeights(w=w, objective=obj, violation_rate=rate, pairs=pairs, iterations=iterations)
+
+
+def _serial_stop(ts: RankTrainingSet, iw: IntentWeights, lam: float) -> str:
+    """Why the serial loop stopped, replayed from its weights."""
+    if iw.degenerate:
+        return "degenerate"
+    if abs(np.linalg.norm(iw.w) - WEIGHT_NORM_CAP) < 1e-12:
+        return "capped"
+    if iw.iterations == MAX_NEWTON_ITERS:
+        return "iterations"
+    obj, grad, hess = _serial_pair_terms(iw.w, ts.R1, ts.R2, lam)
+    if float(grad @ np.linalg.solve(hess, grad)) <= np.finfo(float).eps * obj:
+        return "converged"
+    return "backtracking"
+
+
+def _random_sets(rng, count, lam_rows):
+    """count sets of mixed ranks and sizes: one-row sets, duplicate rows,
+    near-separable ones whose weights hit the norm cap, and sets without
+    negatives, in one stream. Rows are unit vectors, but at rank 1, where
+    unit rows are +-1 and would make every sum exact."""
+    sets = []
+    for k in range(count):
+        dim = (5, 3, 5, 1)[k % 4]
+        n1, n2 = (int(rng.integers(1, r)) for r in lam_rows)
+        R1 = rng.normal(size=(n1, dim)) + 0.3
+        R2 = rng.normal(size=(n2, dim)) - 0.3
+        if k % 7 == 0:
+            R1, R2 = R1[:1], R2[:1]
+        elif k % 7 == 1:
+            R1[1:] = R1[0]  # duplicate rows on both sides
+            R2[len(R2) // 2 :] = R2[0]
+        elif k % 7 == 2:
+            base, gap = rng.normal(size=dim), 0.05 * rng.normal(size=dim)
+            R1 = base + gap + 0.01 * rng.normal(size=(n1, dim))
+            R2 = base - gap + 0.01 * rng.normal(size=(n2, dim))
+        elif k % 23 == 3:
+            R2 = np.empty((0, 0))
+        if dim > 1:
+            R1, R2 = (r / np.linalg.norm(r, axis=1, keepdims=True) if r.size else r
+                      for r in (R1, R2))
+        sets.append(RankTrainingSet(f"i{k}", R1, R2))
+    return sets
+
+
 class TestNewtonSolver:
     def _assert_terms_match(self, w, R1, R2, lam):
-        got = _pair_terms(np.asarray(w, dtype=float), R1, R2, lam)
+        got = _terms(np.asarray(w, dtype=float), R1, R2, lam)
         want = _brute_force_terms(np.asarray(w, dtype=float), R1, R2, lam)
         for g, e in zip(got, want):
             np.testing.assert_allclose(g, e, rtol=1e-10, atol=1e-10)
@@ -218,6 +345,58 @@ class TestNewtonSolver:
         self._assert_terms_match([0.3, -0.2], R1, R2, 2.0)
         R2 = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
         self._assert_terms_match([1.0, 0.0], R1, R2, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_mixed_sizes_in_one_batch(self, dim):
+        # padded rows add nothing: each set's terms are its all-pairs terms
+        # and, above rank 1, bit for bit the serial solve's per-set terms
+        # (`solve` takes rank-1 sets one at a time)
+        rng = np.random.default_rng(12 + dim)
+        sets = [
+            RankTrainingSet(f"i{k}", rng.normal(size=(n1, dim)), rng.normal(size=(n2, dim)))
+            for k, (n1, n2) in enumerate([(1, 1), (1, 30), (25, 1), (3, 7), (25, 30), (9, 2)])
+        ]
+        W = rng.normal(size=(len(sets), dim)) * rng.uniform(0.5, 3.0, size=(len(sets), 1))
+        got = _pair_terms(W, _Batch.pad(sets), 1.5)
+        for i, ts in enumerate(sets):
+            want = _brute_force_terms(W[i], ts.R1, ts.R2, 1.5)
+            serial = _serial_pair_terms(W[i], ts.R1, ts.R2, 1.5)
+            for g, e, s in zip((x[i] for x in got), want, serial):
+                np.testing.assert_allclose(g, e, rtol=1e-10, atol=1e-10)
+                assert dim == 1 or np.asarray(g).tobytes() == np.asarray(s).tobytes()
+
+    @pytest.mark.parametrize("lam,rows,stops", [
+        (1.0, (30, 55), {"converged", "capped", "degenerate"}),
+        (1e13, (6, 6), {"converged", "capped", "iterations", "backtracking", "degenerate"}),
+    ], ids=["acceptance-sizes", "noisy-objective"])
+    def test_matches_serial_newton_bitwise(self, lam, rows, stops):
+        # more sets of each rank than one batch holds, so the stream is
+        # solved in several batches per rank, interleaved with degenerate sets
+        sets = _random_sets(np.random.default_rng(21), 3 * BATCH_INTENTS + 5, rows)
+        got = solve(sets, lam)
+        seen = set()
+        for ts, g in zip(sets, got, strict=True):
+            want = _serial_train(ts, lam)
+            seen.add(_serial_stop(ts, want, lam))
+            assert g.w.shape == want.w.shape and g.w.tobytes() == want.w.tobytes(), ts.intent
+            assert type(g.objective) is float and g.objective == want.objective, ts.intent
+            for name in ("iterations", "violation_rate", "pairs", "degenerate"):
+                assert getattr(g, name) == getattr(want, name), (ts.intent, name)
+        assert stops <= seen, seen
+
+    def test_degenerate_intents_logged_once_as_a_count(self, caplog):
+        one = np.array([[0.6, 0.8]])
+        sets = [
+            RankTrainingSet("I", one, np.empty((0, 0))),
+            RankTrainingSet("J", one, np.array([[0.8, 0.6]])),
+            RankTrainingSet("K", one, np.empty((0, 0))),
+        ]
+        with caplog.at_level(logging.WARNING, logger="intentrec.ranksvm"):
+            got = solve(sets)
+        assert [iw.degenerate for iw in got] == [True, False, True]
+        records = [r for r in caplog.records if r.name == "intentrec.ranksvm"]
+        assert len(records) == 1, records
+        assert "2 intents" in records[0].getMessage()
 
     def test_optimum_has_zero_gradient(self):
         rng = np.random.default_rng(9)
