@@ -22,6 +22,7 @@ DEFAULT_MIN_UNIQUE_REPORTS = 5
 BASELINES = ("mass", "frequency", "context", "parafac2")
 VARIANTS = ("max-ixd", "dot-ixd", "max-i", "sum-i")
 ALL_METHODS = BASELINES + VARIANTS
+_VARIANT_ENUMS = {v: RelevanceVariant(v) for v in VARIANTS}
 
 
 @dataclass
@@ -72,13 +73,18 @@ def event_auc(scores: dict[str, float], true_next: str) -> float:
     """Pairwise AUC of the positive against every other candidate."""
     if true_next not in scores:
         return 0.0
-    pos = scores[true_next]
-    negatives = [s for n, s in scores.items() if n != true_next]
+    negatives = len(scores) - 1
     if not negatives:
         return 1.0
-    below = sum(1 for s in negatives if s < pos)
-    ties = sum(1 for s in negatives if s == pos)
-    return (below + 0.5 * ties) / len(negatives)
+    pos = scores[true_next]
+    below = ties = 0
+    for s in scores.values():
+        if s < pos:
+            below += 1
+        elif s == pos:
+            ties += 1
+    ties -= pos == pos  # the positive ties with itself, unless it is NaN
+    return (below + 0.5 * ties) / negatives
 
 
 def report(method: str, rows: list[tuple[float, float, float, float]]) -> EvalReport:
@@ -153,8 +159,8 @@ def run_benchmark(
                 scores_kal = model.intent_scores(uid, f_kal) if serving else {}
                 scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
                 kal = {
-                    v: recommender.score(graph, candidates, scores_kal, RelevanceVariant(v))
-                    for v in VARIANTS
+                    v: recommender.score(graph, candidates, scores_kal, variant)
+                    for v, variant in _VARIANT_ENUMS.items()
                 }
                 pf2 = recommender.score(graph, candidates, scores_pf2, RelevanceVariant.SUM_I)
                 # the context baselines score sum-i's R alone (alpha=1, W

@@ -165,14 +165,16 @@ def intent_distances(graph: NavGraph, source: str) -> dict[str, float]:
 
     Dijkstra over edge lengths -ln(W); an empty path has probability 1, so a
     source that is itself a target maps to 1. The result is memoized on the
-    graph's index.
+    graph's index, and a memoized source is answered before anything else.
     """
+    index = graph._index
+    if index is not None:
+        memo = index.distances.get(source)
+        if memo is not None:
+            return memo
     if source not in graph.nodes:
         raise KeyError(f"unknown source node: {source!r}")
     index = graph._indexed()
-    memo = index.distances.get(source)
-    if memo is not None:
-        return memo
 
     dist: dict[str, float] = {source: 0.0}
     done: set[str] = set()

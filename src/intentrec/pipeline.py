@@ -205,9 +205,10 @@ def _load_npz(
     """A cluster's .npz as `intentrec <stage>` wrote it: the per-user arrays,
     saved positionally in user order, and the named arrays the cluster
     shares; given `names`, only those named arrays. A truncated one, or one
-    without such a name, is stale."""
+    without such a name, is stale. The file is closed whether or not it
+    loads: np.load leaves a file it opened itself open when it refuses it."""
     try:
-        with np.load(_require(path)) as z:
+        with _require(path).open("rb") as fh, np.load(fh) as z:
             arrays = {name: z[name] for name in (z.files if names is None else names)}
     except (zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
         raise StaleArtifact(

@@ -27,7 +27,7 @@ class FeedbackKind(str, Enum):
     IMPLICIT_NEG = "implicit_neg"
 
 
-@dataclass
+@dataclass(slots=True)
 class Recommendation:
     node: str
     score: float  # K_uv
@@ -54,6 +54,40 @@ class Recommendation:
         }
 
 
+def _sum_i(items, distances: dict[str, float]) -> float:
+    return sum([s for t, s in items if t in distances], 0.0)
+
+
+def _dot_ixd(items, distances: dict[str, float]) -> float:
+    return sum([s * distances[t] for t, s in items if t in distances], 0.0)
+
+
+def _max_i(items, distances: dict[str, float]) -> float:
+    values = [s for t, s in items if t in distances]
+    return max(values) if values else 0.0
+
+
+def _max_ixd(items, distances: dict[str, float]) -> float:
+    values = [s * distances[t] for t, s in items if t in distances]
+    return max(values) if values else 0.0
+
+
+# each variant's collapse of the (intent, score) items over a node's distances
+_COLLAPSE = {
+    RelevanceVariant.SUM_I: _sum_i,
+    RelevanceVariant.DOT_IXD: _dot_ixd,
+    RelevanceVariant.MAX_I: _max_i,
+    RelevanceVariant.MAX_IXD: _max_ixd,
+}
+
+
+def _collapse(variant: RelevanceVariant):
+    try:
+        return _COLLAPSE[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant: {variant}") from None
+
+
 def relevance(
     variant: RelevanceVariant,
     intent_scores: dict[str, float],
@@ -62,18 +96,7 @@ def relevance(
     """Collapse the scores of the intents reachable in distances (for IxD
     variants weighted by their path probabilities) into a single relevance,
     the float 0.0 when none is reachable."""
-    items = intent_scores.items()
-    if variant is RelevanceVariant.SUM_I:
-        return sum([s for t, s in items if t in distances], 0.0)
-    if variant is RelevanceVariant.DOT_IXD:
-        return sum([s * distances[t] for t, s in items if t in distances], 0.0)
-    if variant is RelevanceVariant.MAX_I:
-        values = [s for t, s in items if t in distances]
-    elif variant is RelevanceVariant.MAX_IXD:
-        values = [s * distances[t] for t, s in items if t in distances]
-    else:
-        raise ValueError(f"unknown variant: {variant}")
-    return max(values) if values else 0.0
+    return _collapse(variant)(intent_scores.items(), distances)
 
 
 def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]]:
@@ -108,11 +131,12 @@ def score(
     """Score each enumerate_candidates entry with K = a*W*R + b*M, its
     relevance R taken from graph's own paths."""
     nodes, source_user = graph.nodes, graph.user_id
+    collapse, items = _collapse(variant), intent_scores.items()
     recs: list[Recommendation] = []
     for v, w_uv, step in candidates:
         attrs = nodes[v]
         alpha, beta, mass = attrs.alpha, attrs.beta, attrs.mass
-        r_v = relevance(variant, intent_scores, intent_distances(graph, v))
+        r_v = collapse(items, intent_distances(graph, v))
         # positional, in field order: keywords cost about a third of this loop
         recs.append(Recommendation(
             v, alpha * w_uv * r_v + beta * mass, r_v, w_uv, mass,
@@ -130,19 +154,24 @@ def recommend(
     return score(graph, enumerate_candidates(graph, u), intent_scores, variant)
 
 
+# rank's sort key for each `by` field, spelled out so that no element pays
+# for a getattr call
+_RANK_KEYS = {
+    "score": lambda r: (-r.score, r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
+    "relevance": lambda r: (-r.relevance, r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
+}
+
+
 def rank(
     recs: list[Recommendation], k: int = DEFAULT_TOP_K, by: str = "score"
 ) -> list[Recommendation]:
-    """Order by the field `by` desc (K, or R for the context-only baselines),
-    own-graph before collaborative, then R, W, M desc, and keep the first k
-    distinct nodes: a node offered by several source graphs is listed once,
-    at its best entry."""
+    """Order by the field `by` desc ("score", K, or "relevance", R, for the
+    context-only baselines), own-graph before collaborative, then R, W, M
+    desc, and keep the first k distinct nodes: a node offered by several
+    source graphs is listed once, at its best entry."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(
-        recs,
-        key=lambda r: (-getattr(r, by), r.collaborative, -r.relevance, -r.weight, -r.mass, r.node),
-    )
+    ordered = sorted(recs, key=_RANK_KEYS[by])
     top: dict[str, Recommendation] = {}
     for r in ordered:
         top.setdefault(r.node, r)

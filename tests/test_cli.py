@@ -1,9 +1,11 @@
 import argparse
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import shutil
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -206,7 +208,7 @@ class TestStages:
         }
         dataset = pipeline.load_dataset(wd / "sessions.json")
         sess = next(s for s in dataset.test if s.user_id in evaluated)
-        sess.hits[0] = dataclasses.replace(sess.hits[0], metric="never-viewed")
+        sess.hits[0] = sess.hits[0]._replace(metric="never-viewed")
         pipeline.save_dataset(dataset, wd / "sessions.json")
         result = pipeline.stage_evaluate(wd, cfg)
         entry = json.loads((wd / "manifest.json").read_text())["evaluate"]
@@ -714,7 +716,8 @@ class TestCliExitCodes:
         ("kalman/cluster_0.npz", "kalman", ["recommend"]),
     ], ids=["tensors", "factors", "kalman"])
     def test_truncated_npz_is_stale(self, workdir, tmp_path, capsys, name, writer, command, size):
-        # a half-written or empty .npz names itself and the stage to re-run
+        # a half-written or empty .npz names itself and the stage to re-run,
+        # and is closed: no file is left for the garbage collector to warn about
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
         argv = [*command, "--workdir", str(wd)]
@@ -726,7 +729,11 @@ class TestCliExitCodes:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2] if size == "half" else b"")
         capsys.readouterr()
-        assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT, argv
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
         err = capsys.readouterr().err
         assert "stale artifact" in err and str(path) in err, err
         assert f"intentrec {writer}`" in err, err

@@ -55,6 +55,16 @@ class TestEventAuc:
         # one below, one above, one tie -> (1 + 0.5)/3
         assert event_auc(scores, "pos") == pytest.approx(0.5)
 
+    def test_several_ties(self):
+        scores = {"a": 0.2, "pos": 0.4, "b": 0.4, "c": 0.4, "d": 0.1, "e": 0.7}
+        # two below, two ties, one above -> (2 + 1) / 5
+        assert event_auc(scores, "pos") == 0.6
+
+    def test_nan_is_neither_below_nor_tied(self):
+        nan = float("nan")
+        assert event_auc({"pos": 0.5, "a": nan, "b": 0.1}, "pos") == 0.5
+        assert event_auc({"pos": nan, "a": nan, "b": 0.1}, "pos") == 0.0
+
     def test_positive_missing(self):
         assert event_auc({"a": 0.1}, "pos") == 0.0
 

@@ -119,12 +119,12 @@ class TestScoreCandidates:
 
 
 class TestRank:
-    def _rec(self, node, score, collab=False, rel=0.0, w=0.0, m=0.0):
+    def _rec(self, node, score, collab=False, rel=0.0, w=0.0, m=0.0, src="u1"):
         from intentrec.recommender import Recommendation
 
         return Recommendation(
             node=node, score=score, relevance=rel, weight=w, mass=m,
-            collaborative=collab, source_user="u1", step=1,
+            collaborative=collab, source_user=src, step=1,
         )
 
     def test_order_and_tiebreaks(self):
@@ -136,6 +136,32 @@ class TestRank:
         ]
         ordered = [r.node for r in rank(recs, k=4)]
         assert ordered == ["b", "d", "a", "c"]
+
+    def test_relevance_tiebreaks(self):
+        # equal R: own graph first, then W, M desc, then node id; the score
+        # field is ignored
+        recs = [
+            self._rec("collab", 9.0, collab=True, rel=0.5, w=0.9, m=0.9),
+            self._rec("low-w", 8.0, rel=0.5, w=0.1, m=0.9),
+            self._rec("b", 7.0, rel=0.5, w=0.3, m=0.2),
+            self._rec("a", 6.0, rel=0.5, w=0.3, m=0.2),
+            self._rec("low-m", 5.0, rel=0.5, w=0.3, m=0.1),
+            self._rec("top", 0.0, rel=0.9),
+        ]
+        ordered = [r.node for r in rank(recs, k=6, by="relevance")]
+        assert ordered == ["top", "a", "b", "low-m", "low-w", "collab"]
+
+    def test_node_from_two_sources_is_listed_once_at_its_best_entry(self):
+        best = self._rec("x", 0.0, collab=True, rel=0.4, w=0.6, src="u3")
+        recs = [
+            self._rec("x", 0.0, collab=True, rel=0.4, w=0.2, src="u2"),
+            self._rec("y", 0.0, rel=0.4, w=0.1),
+            best,
+            self._rec("x", 0.0, collab=True, rel=0.1, w=0.9, src="u4"),
+        ]
+        ranked = rank(recs, k=3, by="relevance")
+        assert [r.node for r in ranked] == ["y", "x"]
+        assert ranked[1] is best
 
     def test_k_truncates(self):
         recs = [self._rec(f"n{i}", float(i)) for i in range(5)]
