@@ -27,9 +27,20 @@ class ParseResult:
     skipped: int
 
 
+def _seconds(ts) -> int:
+    """ts as integer seconds: an integral number, or an integer as text.
+    A boolean or a fractional (or non-finite) number is malformed."""
+    if isinstance(ts, bool) or (isinstance(ts, float) and not ts.is_integer()):
+        raise ValueError(f"ts is not integer seconds: {ts!r}")
+    return int(ts)
+
+
 def hit_from_doc(row: dict) -> HitRecord:
     """One hit from a parsed JSON-lines or CSV row; raises ValueError if
-    malformed, which includes a NaN or infinite value."""
+    malformed, which includes a row that is not an object, a NaN or
+    infinite value and a `ts` that is not integer seconds."""
+    if not isinstance(row, dict):
+        raise ValueError(f"a row is a {type(row).__name__}, not an object")
     missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {missing}")
@@ -42,7 +53,7 @@ def hit_from_doc(row: dict) -> HitRecord:
         raise ValueError("non-finite values")
     return HitRecord(
         user_id=str(row["user_id"]),
-        timestamp=int(row["ts"]),
+        timestamp=_seconds(row["ts"]),
         report_id=str(row["report_id"]),
         report_kind=kind,
         metric=str(row["metric"]),

@@ -82,11 +82,11 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _read_json(path: Path, stage: str):
-    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
-    one is stale."""
+def _read_json(path: Path, stage: str, text: bytes | None = None):
+    """The JSON artifact that `intentrec <stage>` writes to path, or its
+    text if the caller has already read it; a truncated one is stale."""
     try:
-        return json.loads(_require(path).read_text())
+        return json.loads(_require(path).read_text() if text is None else text)
     except json.JSONDecodeError as exc:
         raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
 
@@ -181,22 +181,40 @@ def save_dataset(dataset: Dataset, path: Path):
     path.write_text(json.dumps(doc, sort_keys=True))
 
 
+# The last sessions file `load_dataset` parsed, keyed by the SHA-256 of its
+# bytes: the stages of one process then parse a given content once. Its
+# Sessions are never handed out, only copies around the immutable hits.
+_parsed: dict[str, Dataset] = {}
+
+
 def load_dataset(path: Path) -> Dataset:
     """The Dataset `save_dataset` wrote to path. The structure is checked
     once per file, not per hit: a file of another layout, or one whose
-    columns disagree, raises StaleArtifact; so does a truncated one."""
-    try:
-        doc = _read_json(path, "ingest")
-        return Dataset(
-            train=_split_sessions(doc["train"]),
-            test=_split_sessions(doc["test"]),
-            split_instant=doc["split_instant"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StaleArtifact(
-            f"{path.name} does not hold the session columns this version writes "
-            f"({type(exc).__name__}: {exc}); re-run `intentrec ingest`"
-        ) from exc
+    columns disagree, raises StaleArtifact; so does a truncated one. Each
+    call returns its own Sessions and hit lists, so a caller may edit them."""
+    text = _require(path).read_bytes()
+    key = hashlib.sha256(text).hexdigest()
+    if key not in _parsed:
+        try:
+            doc = _read_json(path, "ingest", text)
+            parsed = Dataset(
+                train=_split_sessions(doc["train"]),
+                test=_split_sessions(doc["test"]),
+                split_instant=doc["split_instant"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StaleArtifact(
+                f"{path.name} does not hold the session columns this version writes "
+                f"({type(exc).__name__}: {exc}); re-run `intentrec ingest`"
+            ) from exc
+        _parsed.clear()
+        _parsed[key] = parsed
+    parsed = _parsed[key]
+    return Dataset(
+        train=[Session(s.user_id, list(s.hits)) for s in parsed.train],
+        test=[Session(s.user_id, list(s.hits)) for s in parsed.test],
+        split_instant=parsed.split_instant,
+    )
 
 
 def _load_npz(
@@ -255,6 +273,7 @@ def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
 
 def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = None) -> Path:
     t0 = _begin_stage(workdir)
+    _parsed.clear()  # so a fit never holds two datasets
     src = _require(source or workdir / "hits.jsonl")
     workdir.mkdir(parents=True, exist_ok=True)
     fmt = "csv" if src.suffix == ".csv" else "jsonl"

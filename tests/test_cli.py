@@ -108,6 +108,22 @@ def _counting_exact_steps():
         yield counts
 
 
+@contextmanager
+def _counting_parses():
+    """A Counter whose "splits" entry counts the `pipeline._split_sessions`
+    calls (two per parse of a sessions file) made while the context is open."""
+    split_sessions = pipeline._split_sessions
+    counts = Counter()
+
+    def counted(split):
+        counts["splits"] += 1
+        return split_sessions(split)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_split_sessions", counted)
+        yield counts
+
+
 def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
     """The test split replayed through `serving_factor`: its top-k lists,
     the views stepped and how many of them took the exact `kalman.step`."""
@@ -588,6 +604,54 @@ class TestSessionsFile:
             assert type(h.timestamp) is int
             assert type(h.report_kind) is ReportKind
 
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        """A `run_all` workdir and how often the fit split a sessions file."""
+        wd = tmp_path_factory.mktemp("memo")
+        pipeline.stage_synth(wd, synth.SynthConfig(n_users=8, n_reports=40, seed=3))
+        with _counting_parses() as counts:
+            pipeline.run_all(wd, PipelineConfig(seed=3, rank=3, max_iters=20), wd / "hits.jsonl")
+        return wd, counts["splits"]
+
+    def test_one_fit_parses_the_sessions_file_once(self, fitted):
+        # graph parses it (train and test); tensor, train-rank and evaluate
+        # reuse that parse
+        _, splits = fitted
+        assert splits == 2
+
+    def test_every_reader_records_the_sessions_file(self, fitted):
+        wd, _ = fitted
+        digest = hashlib.sha256((wd / "sessions.json").read_bytes()).hexdigest()
+        manifest = json.loads((wd / "manifest.json").read_text())
+        for stage in ("graph", "tensor", "train-rank", "evaluate"):
+            assert manifest[stage]["inputs"]["sessions.json"] == digest, stage
+
+    def test_edited_copy_leaves_later_loads_whole(self, fitted):
+        wd, _ = fitted
+        path = wd / "sessions.json"
+        edited = pipeline.load_dataset(path)
+        edited.test[0].hits[0] = edited.test[0].hits[0]._replace(metric="edited")
+        edited.train[0].hits.append(edited.train[1].hits[0])
+        edited.train.append(Session("someone", list(edited.test[0].hits)))
+        with _counting_parses() as counts:
+            again = pipeline.load_dataset(path)
+        assert counts["splits"] == 0  # the memo answered
+        pipeline._parsed.clear()
+        fresh = pipeline.load_dataset(path)
+        assert again == fresh != edited
+        assert again.test[0].hits[0].metric != "edited"
+
+    def test_rewritten_file_is_parsed_again(self, fitted, tmp_path):
+        # the memo answers by content, not by path
+        path = tmp_path / "sessions.json"
+        path.write_bytes((fitted[0] / "sessions.json").read_bytes())
+        dataset = pipeline.load_dataset(path)
+        dataset.test[0].hits[0] = dataset.test[0].hits[0]._replace(metric="edited")
+        pipeline.save_dataset(dataset, path)
+        with _counting_parses() as counts:
+            assert pipeline.load_dataset(path) == dataset
+        assert counts["splits"] == 2
+
 
 class TestCliExitCodes:
     def test_every_config_field_has_a_flag(self):
@@ -658,6 +722,32 @@ class TestCliExitCodes:
         path = ingested / "sessions.json"
         path.write_bytes(path.read_bytes()[:1000])
         self._assert_stale_sessions(ingested, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        None,
+        lambda doc: doc["test"]["report_id"].pop(),
+        lambda doc: doc["train"]["lengths"].insert(0, 0),
+    ], ids=["truncated", "short-column", "empty-session"])
+    def test_sessions_spoiled_after_a_load_is_stale(self, ingested, capsys, edit):
+        # the process parsed the file whole before; its new bytes are
+        # checked again, not answered from that parse
+        assert cli.main(["graph", "--workdir", str(ingested)]) == cli.EXIT_OK
+        graphs = (ingested / "graphs.json").read_bytes()
+        path = ingested / "sessions.json"
+        text = path.read_text()
+        if edit is None:
+            text = text[:1000]
+        else:
+            doc = json.loads(text)
+            edit(doc)
+            text = json.dumps(doc, sort_keys=True)
+        path.write_text(text)
+        capsys.readouterr()
+        for stage in ("graph", "tensor", "train-rank", "evaluate"):
+            assert cli.main([stage, "--workdir", str(ingested)]) == cli.EXIT_MISSING_ARTIFACT
+            err = capsys.readouterr().err
+            assert "sessions.json" in err and "ingest" in err, stage
+        assert (ingested / "graphs.json").read_bytes() == graphs
 
     @pytest.mark.parametrize("name", [
         "graphs.json", "clustering.json", "rankmodel.json", "manifest.json",

@@ -87,6 +87,37 @@ class TestParseHits:
         result = parse_hits("\n".join([header, *csv_rows]), format="csv")
         assert (len(result.records), result.skipped) == (2, 2)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null", "true", "[]"])
+    def test_row_that_is_not_an_object_is_malformed(self, line):
+        lines = [json.dumps(_row(ts=100 + i)) for i in range(75)]
+        lines.insert(40, line)
+        result = parse_hits("\n".join(lines))
+        assert (len(result.records), result.skipped) == (75, 1)
+        # the 50% rule counts such rows like any other malformed row
+        with pytest.raises(FormatError):
+            parse_hits("\n".join([json.dumps(_row()), line, line]))
+        assert parse_hits("\n".join([json.dumps(_row()), line])).skipped == 1
+
+    @pytest.mark.parametrize("ts", [12.7, 0.5, True, False, float("inf"), float("nan")],
+                             ids=["fraction", "half", "true", "false", "inf", "nan"])
+    def test_ts_that_is_not_integer_seconds_is_malformed(self, ts):
+        lines = [json.dumps(_row(ts=ts))] + [json.dumps(_row())] * 3
+        result = parse_hits("\n".join(lines))
+        assert (len(result.records), result.skipped) == (3, 1)
+
+    def test_integral_ts_is_accepted(self):
+        lines = [json.dumps(_row(ts=ts)) for ts in (12, "12", 12.0, 0, 0.0, "0")]
+        result = parse_hits("\n".join(lines))
+        assert result.skipped == 0
+        assert [r.timestamp for r in result.records] == [12, 12, 12, 0, 0, 0]
+        assert all(type(r.timestamp) is int for r in result.records)
+
+    def test_csv_ts_that_is_not_integer_seconds_is_malformed(self):
+        header = "user_id,ts,report_id,kind,metric,dim_element,values"
+        csv_rows = [f"u1,{ts},r2,timeseries,m,d,1;2" for ts in ("12.5", "true", "12", "7")]
+        result = parse_hits("\n".join([header, *csv_rows]), format="csv")
+        assert (result.skipped, [r.timestamp for r in result.records]) == (2, [12, 7])
+
     def test_majority_malformed_raises(self):
         lines = [json.dumps(_row()), "junk", "junk", "junk"]
         with pytest.raises(FormatError):
