@@ -38,16 +38,12 @@ class TrainedModel:
         return {t: ranksvm.intent_score(model, t, unit) for t in graph.targets() if t in weights}
 
 
-def observation(x: np.ndarray):
-    """A context vector as a Kalman observation; all-zero means missing."""
-    return kalman.MISSING if not np.any(x) else x
-
-
 def serving_factor(serving: UserServing, state: kalman.KalmanState, hit: HitRecord):
-    """Advance the user's filter by one step for a new view, with the
-    settled gain once the filter's covariance has settled (`kalman.serve_step`).
-    The view is missing, as `observation` would find from its context vector,
-    when its pair is unknown to the layout or all its features are zero.
+    """Advance the user's filter, a stack of one, by one step for a new view,
+    with the settled gain once the filter's covariance has settled
+    (`kalman.serve_step`). The view is missing, as a fit finds from its
+    all-zero panel column, when its pair is unknown to the layout or all its
+    features are zero.
 
     Returns (kalman factor, parafac2-only factor, new state).
     """

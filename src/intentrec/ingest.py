@@ -15,6 +15,7 @@ log = logging.getLogger(__name__)
 DEFAULT_SESSION_TIMEOUT = 1800  # seconds; standard 30-minute web sessionization
 
 _REQUIRED = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values")
+_NESTED = (list, dict)  # a JSON array or object
 
 
 class FormatError(ValueError):
@@ -38,28 +39,39 @@ def _seconds(ts) -> int:
 def hit_from_doc(row: dict) -> HitRecord:
     """One hit from a parsed JSON-lines or CSV row; raises ValueError if
     malformed, which includes a row that is not an object, a NaN or
-    infinite value and a `ts` that is not integer seconds."""
+    infinite value, a `ts` that is not integer seconds, a list or object in
+    an id, label or `session` field and an object for `values`."""
     if not isinstance(row, dict):
         raise ValueError(f"a row is a {type(row).__name__}, not an object")
     missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {missing}")
-    kind = ReportKind(str(row["kind"]).lower())
+    user, report, kind, metric, dim = (
+        row["user_id"], row["report_id"], row["kind"], row["metric"], row["dim_element"]
+    )
     values = row["values"]
+    session = row.get("session") or None
+    if (
+        isinstance(user, _NESTED) or isinstance(report, _NESTED) or isinstance(kind, _NESTED)
+        or isinstance(metric, _NESTED) or isinstance(dim, _NESTED)
+        or isinstance(session, _NESTED) or isinstance(values, dict)
+    ):
+        raise ValueError("a list or object in a field that holds text or a number")
+    kind = ReportKind(str(kind).lower())
     if isinstance(values, str):
         values = [float(v) for v in values.split(";") if v != ""]
     values = tuple(float(v) for v in values)
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite values")
     return HitRecord(
-        user_id=str(row["user_id"]),
+        user_id=str(user),
         timestamp=_seconds(row["ts"]),
-        report_id=str(row["report_id"]),
+        report_id=str(report),
         report_kind=kind,
-        metric=str(row["metric"]),
-        dimension_element=str(row["dim_element"]),
+        metric=str(metric),
+        dimension_element=str(dim),
         values=values,
-        session_hint=row.get("session") or None,
+        session_hint=session,
     )
 
 

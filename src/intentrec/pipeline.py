@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, recommender, synth
-from .artifacts import TrainedModel, UserServing, observation
+from .artifacts import TrainedModel, UserServing
 from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
 
 log = logging.getLogger(__name__)
@@ -417,10 +417,11 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
 
 def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     """Build each member's filter (the only code that does) and evolve its
-    latent factor over its training views. `kalman/cluster_<c>.npz` holds the
-    cluster's A (fitted once, from the shared V) and Q; `psi`, `Lam` rows,
-    `f_post` and `P_post` stacked in member order; and each member's evolved
-    factors, positionally."""
+    latent factor over its training views, the members of a cluster that
+    share a width N_u as one stack in lockstep. `kalman/cluster_<c>.npz`
+    holds the cluster's A (fitted once, from the shared V) and Q; `psi`,
+    `Lam` rows, `f_post` and `P_post` stacked in member order; and each
+    member's evolved factors, positionally."""
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
     views = steady = missing = 0
@@ -435,26 +436,32 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
             f_initial = parafac2.initial_latent_factors(factors)
             A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
             Q = config.process_noise * np.eye(factors.rank)
-            evolved, lams, psis, finals = [], [], [], []
-            for idx, uid in enumerate(members):
-                lam = parafac2.loading_matrix(factors, idx)
-                X = mats[idx]
-                psi = kalman.estimate_measurement_noise(X, lam, f_initial)
-                obs = [observation(X[:, t]) for t in range(doc["views"][uid])]
-                f_seq, final, steady_obs = kalman.evolve_sequence(
-                    lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
+            lams = [parafac2.loading_matrix(factors, idx) for idx in range(len(members))]
+            psis = np.array([
+                kalman.estimate_measurement_noise(X, lam, f_initial) for X, lam in zip(mats, lams)
+            ])
+            counts = [doc["views"][uid] for uid in members]
+            evolved = [None] * len(members)
+            f_post = np.empty((len(members), factors.rank))
+            P_post = np.empty((len(members), factors.rank, factors.rank))
+            by_width: dict[int, list[int]] = {}
+            for idx, lam in enumerate(lams):
+                by_width.setdefault(lam.shape[0], []).append(idx)
+            for width, stack in by_width.items():
+                f_seq, final, steady_obs, missing_obs = kalman.evolve_sequence(
+                    np.stack([lams[i] for i in stack]), A, Q,
+                    psis[stack, None, None] * np.eye(width), np.stack([mats[i] for i in stack]),
+                    [counts[i] for i in stack], f_initial[:, 0],
                 )
-                views += len(obs)
+                for row, idx in enumerate(stack):
+                    evolved[idx] = f_seq[row, : counts[idx]]
+                f_post[stack], P_post[stack] = final.f_post[:, :, 0], final.P_post
                 steady += steady_obs
-                missing += sum(x is kalman.MISSING for x in obs)
-                evolved.append(np.array(f_seq))
-                lams.append(lam)
-                psis.append(psi)
-                finals.append(final)
+                missing += missing_obs
+            views += sum(counts)
             np.savez(
-                kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=np.array(psis),
-                Lam=np.vstack(lams), f_post=np.array([s.f_post for s in finals]),
-                P_post=np.array([s.P_post for s in finals]),
+                kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=psis,
+                Lam=np.vstack(lams), f_post=f_post, P_post=P_post,
             )
     _note_manifest(
         workdir, "kalman", {"process_noise": config.process_noise}, t0,

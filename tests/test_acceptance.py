@@ -10,7 +10,7 @@ import pytest
 
 from intentrec import pipeline, synth
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
-from intentrec.kalman import evolve_sequence
+from intentrec.kalman import evolve_sequence, initial_state, step
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
 from intentrec.parafac2 import decompose, reconstruct
 from intentrec.pipeline import PipelineConfig
@@ -145,15 +145,16 @@ class TestParafac2Oracle:
 
 class TestKalmanOracle:
     def test_hand_case_and_random_problems(self):
-        # hand case
-        (ev,), state, _ = evolve_sequence(
-            np.eye(1), np.eye(1), np.eye(1), 2 * np.eye(1),
-            [np.array([4.0])], np.zeros(1),
+        # hand case: one filter, a stack of one, one view
+        one = np.eye(1)
+        ev, state, _, _ = evolve_sequence(
+            one[None], one, one, 2 * one[None], np.full((1, 1, 1), 4.0), [1], np.zeros(1),
         )
+        gain = step(initial_state(one, one, one, 2 * one, np.zeros(1)), np.array([4.0])).gain
         hand_ok = (
-            abs(state.gain[0, 0] - 0.5) <= 1e-12
-            and abs(ev[0] - 2.0) <= 1e-12
-            and abs(state.P_post[0, 0] - 1.0) <= 1e-12
+            abs(gain[0, 0] - 0.5) <= 1e-12
+            and abs(ev[0, 0, 0] - 2.0) <= 1e-12
+            and abs(state.P_post[0, 0, 0] - 1.0) <= 1e-12
         )
         # independent 1-D implementation
         rng = np.random.default_rng(0)
@@ -163,10 +164,9 @@ class TestKalmanOracle:
             lam, psi = rng.uniform(0.1, 3.0), rng.uniform(0.01, 2.0)
             f, p = rng.normal(), 1.0
             obs = [float(rng.normal(scale=3)) for _ in range(6)]
-            evolved, st, _ = evolve_sequence(
-                np.array([[lam]]), np.array([[a]]), np.array([[q]]),
-                np.array([[psi]]), [np.array([x]) for x in obs],
-                np.array([f]),
+            (evolved,), st, _, _ = evolve_sequence(
+                np.array([[[lam]]]), np.array([[a]]), np.array([[q]]),
+                np.array([[[psi]]]), np.array([[obs]]), [len(obs)], np.array([f]),
             )
             for x, got in zip(obs, evolved):
                 fp = a * f
@@ -175,7 +175,7 @@ class TestKalmanOracle:
                 f = fp + k * (x - lam * fp)
                 p = (1 - k * lam) * pp
                 max_err = max(max_err, abs(got[0] - f))
-            max_err = max(max_err, abs(st.P_post[0, 0] - p))
+            max_err = max(max_err, abs(st.P_post[0, 0, 0] - p))
         _report(
             "kalman: hand case to 1e-12 and 100 random scalar problems",
             hand_ok and max_err <= 1e-12,

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 
 from intentrec import kalman
-from intentrec.artifacts import UserServing, observation, serving_factor
+from intentrec.artifacts import UserServing, serving_factor
 from intentrec.context import FeatureLayout, context_vector
 from intentrec.models import ReportKind
 
@@ -55,7 +55,9 @@ class TestServingFactor:
             values = rng.normal(scale=10.0, size=int(rng.integers(1, 12)))
             hit = make_hit(metric=metric, dim=dim, kind=kind, values=tuple(values.tolist()))
             x = context_vector(serving.layout, hit)
-            expected = kalman.serve_step(copy.deepcopy(serving.final_state), observation(x))
+            # an all-zero context vector is a missing view
+            view = x if x.any() else kalman.MISSING
+            expected = kalman.serve_step(copy.deepcopy(serving.final_state), view)
             f_kal, f_pf2, state = serving_factor(serving, serving.final_state, hit)
             np.testing.assert_array_equal(f_kal, expected.f_post)
             np.testing.assert_array_equal(f_pf2, serving.Lam_pinv @ x)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from intentrec import cli, kalman, pipeline, synth
-from intentrec.artifacts import observation, serving_factor
+from intentrec.artifacts import serving_factor
 from intentrec.context import context_vector
 from intentrec.evaluation import (
     ALL_METHODS,
@@ -94,13 +94,14 @@ def _replay_test_split(workdir: Path, cfg: PipelineConfig, advance) -> list:
 
 @contextmanager
 def _counting_exact_steps():
-    """A Counter whose "exact" entry counts the `kalman.step` calls made
-    while the context is open."""
+    """A Counter whose "exact" entry counts the filters that `kalman.step`
+    calls advance while the context is open: one per call in serving, and a
+    stack's members that take the exact step in a fit's lockstep round."""
     exact_step = kalman.step
     counts = Counter()
 
     def counted_step(state, x):
-        counts["exact"] += 1
+        counts["exact"] += len(np.atleast_2d(state.f_post))
         return exact_step(state, x)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -254,7 +255,8 @@ class TestStages:
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
 
         def exact(serving, state, hit):
-            state = kalman.step(state, observation(context_vector(serving.layout, hit)))
+            x = context_vector(serving.layout, hit)
+            state = kalman.step(state, x if x.any() else kalman.MISSING)
             return state.f_post.copy(), state
 
         expected = _replay_test_split(workdir, cfg, exact)

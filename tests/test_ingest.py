@@ -98,6 +98,37 @@ class TestParseHits:
             parse_hits("\n".join([json.dumps(_row()), line, line]))
         assert parse_hits("\n".join([json.dumps(_row()), line])).skipped == 1
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("user_id", ["u", 1]), ("user_id", {"u": 1}), ("report_id", ["r1"]),
+            ("report_id", {"r": 1}), ("kind", ["timeseries"]), ("metric", {"m": 1}),
+            ("dim_element", ["us", "de"]), ("values", {"1": 0}), ("session", ["s"]),
+            ("session", {"s": 1}),
+        ],
+    )
+    def test_list_or_object_in_a_field_is_malformed(self, field, value):
+        # an id, label or session is text or a number, and values a list of
+        # numbers or `;`-separated text: a JSON array or object in their
+        # place is a malformed row, not its text or its keys
+        lines = [json.dumps(_row(ts=100 + i)) for i in range(75)]
+        lines.insert(40, json.dumps(_row(**{field: value})))
+        result = parse_hits("\n".join(lines))
+        assert (len(result.records), result.skipped) == (75, 1)
+        with pytest.raises(ValueError):
+            hit_from_doc(_row(**{field: value}))
+
+    def test_numbers_in_id_fields_are_accepted(self):
+        row = _row(user_id=7, report_id=12.5, metric=3, dim_element=0, session=4)
+        result = parse_hits(json.dumps(row))
+        assert result.skipped == 0
+        (rec,) = result.records
+        assert (rec.user_id, rec.report_id, rec.metric, rec.dimension_element) == (
+            "7", "12.5", "3", "0"
+        )
+        assert rec.session_hint == 4
+        hash(rec)
+
     @pytest.mark.parametrize("ts", [12.7, 0.5, True, False, float("inf"), float("nan")],
                              ids=["fraction", "half", "true", "false", "inf", "nan"])
     def test_ts_that_is_not_integer_seconds_is_malformed(self, ts):

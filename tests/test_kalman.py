@@ -1,9 +1,14 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
+from intentrec import parafac2, pipeline, synth
 from intentrec.kalman import (
     MISSING,
     SETTLED_TOLERANCE,
+    KalmanState,
     estimate_measurement_noise,
     estimate_transition,
     evolve_sequence,
@@ -11,6 +16,76 @@ from intentrec.kalman import (
     serve_step,
     step,
 )
+from intentrec.pipeline import PipelineConfig
+
+log = logging.getLogger(__name__)
+
+
+# The per-filter loop as it was before fitting advanced stacks in lockstep:
+# one exact step, one serving step and one loop over a filter's views. It is
+# the bitwise oracle of the stacked code.
+
+
+def oracle_step(state: KalmanState, x) -> KalmanState:
+    A = state.A
+    f_prior = A @ state.f_post
+    P = A @ state.P_post @ A.T + state.Q
+    P_prior = (P + P.T) / 2
+    if x is MISSING:
+        state.f_post, state.P_post, state.gain = f_prior, P_prior, None
+        return state
+    Lam = state.Lam
+    n = Lam.shape[0]
+    x_obs = np.asarray(x, dtype=float)
+    if x_obs.shape != (n,):
+        raise ValueError(f"observation shape {x_obs.shape} != ({n},)")
+
+    innov_cov = Lam @ P_prior @ Lam.T + state.Psi
+    try:
+        gain = np.linalg.solve(innov_cov.T, (P_prior @ Lam.T).T).T
+    except np.linalg.LinAlgError:
+        log.warning("singular innovation covariance; regularizing")
+        innov_cov = innov_cov + 1e-10 * np.eye(n)
+        gain = np.linalg.solve(innov_cov.T, (P_prior @ Lam.T).T).T
+
+    state.gain = gain
+    state.f_post = f_prior + gain @ (x_obs - Lam @ f_prior)
+    P = (np.eye(len(f_prior)) - gain @ Lam) @ P_prior
+    state.P_post = (P + P.T) / 2
+    return state
+
+
+def oracle_serve_step(state: KalmanState, x) -> KalmanState:
+    if x is not MISSING and state.settled is not None:
+        M, K = state.settled
+        state.f_post = M @ state.f_post + K @ x
+        return state
+    P_before = state.P_post
+    state = oracle_step(state, x)
+    state.settled = None
+    if x is not MISSING and np.linalg.norm(state.P_post - P_before) <= (
+        SETTLED_TOLERANCE * np.linalg.norm(P_before)
+    ):
+        K = state.gain
+        state.settled = ((np.eye(len(state.f_post)) - K @ state.Lam) @ state.A, K)
+    return state
+
+
+def oracle_evolve(Lam, A, Q, Psi, observations, f0):
+    r = A.shape[0]
+    if Lam.shape[1] != r or Q.shape != (r, r) or len(f0) != r:
+        raise ValueError("inconsistent shapes")
+    state = KalmanState(
+        A=A, Q=Q, Psi=Psi, Lam=Lam, f_post=np.asarray(f0, dtype=float), P_post=np.eye(r)
+    )
+    out: list[np.ndarray] = []
+    steady = 0
+    for x in observations:
+        steady += x is not MISSING and state.settled is not None
+        state = oracle_serve_step(state, x)
+        out.append(state.f_post.copy())
+    state.settled = None
+    return out, state, steady
 
 
 def scalar_filter(a, q, lam, psi, f0, p0, observations):
@@ -30,6 +105,52 @@ def scalar_filter(a, q, lam, psi, f0, p0, observations):
 
 def _mat(x):
     return np.array([[float(x)]])
+
+
+def _columns(views, n):
+    """An N x T panel of the views, an all-zero column for each MISSING one."""
+    return np.column_stack([np.zeros(n) if x is MISSING else x for x in views])
+
+
+def _dynamics(rng, r):
+    A = rng.normal(size=(r, r))
+    A *= rng.uniform(0.3, 1.2) / max(abs(np.linalg.eigvals(A)))
+    return A, rng.uniform(0.05, 1.0) * np.eye(r)
+
+
+def _members(rng, widths, T, r, missing=()):
+    """Random members of one cluster: a loading matrix, measurement noise,
+    an N x T panel with all-zero columns at `missing`, and a view count."""
+    out = []
+    for n in widths:
+        X = rng.normal(scale=2.0, size=(n, T))
+        X[:, list(missing)] = 0.0
+        lam, psi = rng.normal(size=(n, r)), float(rng.uniform(0.1, 2.0))
+        out.append((lam, psi, X, int(rng.integers(1, T + 1))))
+    return out
+
+
+def _check_against_oracle(A, Q, f0, members):
+    """evolve_sequence on the members, one stack, equals the oracle run on
+    each member alone, bit for bit; returns the oracle's steady counts."""
+    lams, psis, panels, views = zip(*members)
+    n = lams[0].shape[0]
+    evolved, final, steady, missing = evolve_sequence(
+        np.stack(lams), A, Q, np.array(psis)[:, None, None] * np.eye(n), np.stack(panels),
+        views, f0,
+    )
+    assert final.settled is None
+    per_member, want_missing = [], 0
+    for b, (lam, psi, X, T) in enumerate(members):
+        obs = [X[:, t] if X[:, t].any() else MISSING for t in range(T)]
+        f_seq, state, count = oracle_evolve(lam, A, Q, psi * np.eye(n), obs, f0.copy())
+        assert np.array_equal(evolved[b, :T], np.array(f_seq)), b
+        assert np.array_equal(final.f_post[b, :, 0], state.f_post), b
+        assert np.array_equal(final.P_post[b], state.P_post), b
+        per_member.append(count)
+        want_missing += sum(x is MISSING for x in obs)
+    assert (steady, missing) == (sum(per_member), want_missing)
+    return per_member
 
 
 class TestScalarHandCase:
@@ -53,14 +174,14 @@ class TestScalarHandCase:
                 for _ in range(8)
             ]
             expected = scalar_filter(a, q, lam, psi, f0, 1.0, obs)
-            evolved, state, _ = evolve_sequence(
-                _mat(lam), _mat(a), _mat(q), _mat(psi),
-                [None if x is None else np.array([x]) for x in obs],
+            X = _columns([None if x is None else np.array([x]) for x in obs], 1)
+            (evolved,), state, _, _ = evolve_sequence(
+                _mat(lam)[None], _mat(a), _mat(q), _mat(psi)[None], X[None], [len(obs)],
                 np.array([f0]),
             )
             for (f, p, _), got in zip(expected, evolved):
                 assert got[0] == pytest.approx(f, abs=1e-12)
-            assert state.P_post[0, 0] == pytest.approx(expected[-1][1], abs=1e-12)
+            assert state.P_post[0, 0, 0] == pytest.approx(expected[-1][1], abs=1e-12)
 
     def test_perfect_measurement_limit(self):
         # vanishing measurement noise pins the posterior to the observation
@@ -85,10 +206,11 @@ class TestMultivariate:
         A = 0.5 * rng.normal(size=(r, r))
         Q = 0.1 * np.eye(r)
         Psi = 0.5 * np.eye(n)
-        obs = [rng.normal(size=n) for _ in range(6)]
-        _, state, _ = evolve_sequence(Lam, A, Q, Psi, obs, np.zeros(r))
-        np.testing.assert_allclose(state.P_post, state.P_post.T)
-        assert np.all(np.linalg.eigvalsh(state.P_post) > -1e-10)
+        X = rng.normal(size=(n, 6))
+        _, state, _, _ = evolve_sequence(Lam[None], A, Q, Psi[None], X[None], [6], np.zeros(r))
+        P = state.P_post[0]
+        np.testing.assert_allclose(P, P.T)
+        assert np.all(np.linalg.eigvalsh(P) > -1e-10)
 
     def test_observation_shape_checked(self):
         state = initial_state(_mat(1), _mat(1), _mat(1), _mat(1), np.zeros(1))
@@ -125,7 +247,10 @@ class TestMultivariate:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            evolve_sequence(np.eye(2), np.eye(3), np.eye(3), np.eye(2), [], np.zeros(3))
+            evolve_sequence(
+                np.eye(2)[None], np.eye(3), np.eye(3), np.eye(2)[None], np.zeros((1, 2, 4)),
+                [4], np.zeros(3),
+            )
 
 
 class TestServeStep:
@@ -143,13 +268,16 @@ class TestServeStep:
                 Q = rng.uniform(0.05, 1.0) * np.eye(r)
                 Psi = rng.uniform(0.1, 2.0) * np.eye(n)
                 f0 = rng.normal(size=r)
+                # views are panel columns, read with the panel's stride in
+                # serving as in fitting
+                X = rng.normal(scale=2.0, size=(n, T))
+                X[:, sorted(missing)] = 0.0
                 exact = initial_state(Lam, A, Q, Psi, f0.copy())
                 served = initial_state(Lam, A, Q, Psi, f0.copy())
                 settled_at = None
-                views, exact_f = [], []
+                exact_f = []
                 for t in range(T):
-                    x = MISSING if t in missing else rng.normal(scale=2.0, size=n)
-                    views.append(x)
+                    x = MISSING if t in missing else X[:, t]
                     P_before = exact.P_post
                     exact = step(exact, x)
                     exact_f.append(exact.f_post)
@@ -171,14 +299,183 @@ class TestServeStep:
                         )
                 assert settled_at is not None and 0 < settled_at < min(missing), r
                 assert served.settled is not None, r
-                # fitting advances the filter through the same serving step
-                evolved, final, steady = evolve_sequence(Lam, A, Q, Psi, views, f0.copy())
+                # fitting advances the filter as serving does
+                (evolved,), final, steady, _ = evolve_sequence(
+                    Lam[None], A, Q, Psi[None], X[None], [T], f0.copy()
+                )
                 for t, (got, want) in enumerate(zip(evolved, exact_f)):
                     scale = max(np.linalg.norm(want), 1.0)
                     assert np.linalg.norm(got - want) <= 1e-9 * scale, (r, t)
-                np.testing.assert_array_equal(final.f_post, served.f_post)
+                np.testing.assert_array_equal(final.f_post[0, :, 0], served.f_post)
                 assert final.settled is None, r
                 assert 0 < steady < T - len(missing), r
+
+    def test_one_filter_serves_as_the_oracle_does(self):
+        # serving advances one filter, a stack of one without the member
+        # axis, through the same calls as before, bit for bit
+        rng = np.random.default_rng(11)
+        n, r, T = 6, 3, 120
+        A, Q = _dynamics(rng, r)
+        Lam = rng.normal(size=(n, r))
+        Psi = rng.uniform(0.1, 2.0) * np.eye(n)
+        f0 = rng.normal(size=r)
+        served = initial_state(Lam, A, Q, Psi, f0.copy())
+        oracle = initial_state(Lam, A, Q, Psi, f0.copy())
+        cached = 0
+        for t in range(T):
+            x = MISSING if t in (50, 80, 81) else rng.normal(scale=2.0, size=n)
+            served = serve_step(served, x)
+            oracle = oracle_serve_step(oracle, x)
+            assert np.array_equal(served.f_post, oracle.f_post), t
+            assert np.array_equal(served.P_post, oracle.P_post), t
+            assert (served.settled is None) == (oracle.settled is None), t
+            if oracle.settled is not None:
+                cached += 1
+                for got, want in zip(served.settled, oracle.settled):
+                    assert np.array_equal(got, want), t
+        assert 0 < cached < T
+
+
+class TestLockstep:
+    """evolve_sequence on a stack against the per-filter oracle, bit for bit."""
+
+    def test_random_stacks_with_ragged_view_counts(self):
+        rng = np.random.default_rng(5)
+        for r in range(1, 6):
+            for _ in range(3):
+                A, Q = _dynamics(rng, r)
+                T = int(rng.integers(40, 90))
+                members = _members(rng, [6] * int(rng.integers(2, 9)), T, r)
+                steady = _check_against_oracle(A, Q, rng.normal(size=r), members)
+                assert sum(steady) > 0, r
+
+    def test_missing_views_leave_and_reenter_the_settled_state(self):
+        # members miss different views mid-sequence: each drops its settled
+        # gain there, takes exact steps until P settles again and is then
+        # settled beside members that never left
+        rng = np.random.default_rng(6)
+        n, r, T = 6, 3, 150
+        A, Q = _dynamics(rng, r)
+        f0 = rng.normal(size=r)
+        gaps = [(), (60,), (90, 91, 92), (60, 100)]
+        members = [
+            (lam, psi, X, T)
+            for g in gaps
+            for lam, psi, X, _ in _members(rng, [n], T, r, missing=g)
+        ]
+        steady = _check_against_oracle(A, Q, f0, members)
+        for (lam, psi, X, _), g, count in zip(members, gaps, steady):
+            obs = [X[:, t] if X[:, t].any() else MISSING for t in range(T)]
+            cut = min(g, default=T)
+            _, _, before = oracle_evolve(lam, A, Q, psi * np.eye(n), obs[:cut], f0.copy())
+            assert 0 < before, g
+            if g:
+                # settled again after the last missing view
+                assert before < count < T - len(g), g
+
+    def test_two_widths_of_one_cluster(self):
+        # a cluster's members of each width are one stack over the same A, Q
+        # and initial factor
+        rng = np.random.default_rng(7)
+        r, T = 3, 70
+        A, Q = _dynamics(rng, r)
+        f0 = rng.normal(size=r)
+        for widths in ([6, 6, 6], [12, 12]):
+            steady = _check_against_oracle(A, Q, f0, _members(rng, widths, T, r))
+            assert sum(steady) > 0, widths
+
+    def test_a_member_that_never_settles(self):
+        # every other view missing: P never stays put, so the member always
+        # takes the exact step while the others settle beside it
+        rng = np.random.default_rng(8)
+        r, T = 3, 80
+        A, Q = _dynamics(rng, r)
+        members = _members(rng, [6, 6, 6], T, r)
+        lam, psi, X, _ = members[1]
+        X[:, 1::2] = 0.0
+        members[1] = (lam, psi, X, T)
+        members[0] = members[0][:3] + (T,)
+        steady = _check_against_oracle(A, Q, rng.normal(size=r), members)
+        assert steady[1] == 0 and steady[0] > 0
+
+    def test_a_stack_of_one(self):
+        rng = np.random.default_rng(9)
+        for r in range(1, 6):
+            A, Q = _dynamics(rng, r)
+            members = _members(rng, [6], 100, r, missing=(30,))
+            _check_against_oracle(A, Q, rng.normal(size=r), members)
+
+
+def test_stage_kalman_writes_the_oracle_filters(tmp_path):
+    # one user also views a second (metric, dimension) pair, so its cluster
+    # holds members of two widths; every array stage_kalman writes equals
+    # the per-filter oracle's, and so do the manifest counts
+    scfg = synth.SynthConfig(
+        n_users=8, n_reports=40, sessions_per_user=8, intent_count=2,
+        context_signal_strength=0.8, seed=3,
+    )
+    pipeline.stage_synth(tmp_path, scfg)
+    hits = tmp_path / "hits.jsonl"
+    rows = [json.loads(line) for line in hits.read_text().splitlines()]
+    user = rows[0]["user_id"]
+    extra = [
+        {**row, "metric": "visits", "dim_element": "mobile", "ts": row["ts"] + 1}
+        for row in rows if row["user_id"] == user
+    ][:6]
+    hits.write_text("".join(json.dumps(row) + "\n" for row in rows + extra))
+    cfg = PipelineConfig(seed=3, rank=3, max_iters=20)
+    pipeline.stage_ingest(tmp_path, cfg, hits)
+    for stage in (pipeline.stage_graph, pipeline.stage_tensor, pipeline.stage_factorize):
+        stage(tmp_path, cfg)
+    pipeline.stage_kalman(tmp_path, cfg)
+
+    doc = json.loads((tmp_path / "clustering.json").read_text())
+    (home,) = [c for c, members in doc["clusters"].items() if user in members]
+    assert {len(doc["slots"][u]) for u in doc["clusters"][home]} == {1, 2}
+    views = steady = missing = 0
+    for cluster, members in doc["clusters"].items():
+        with np.load(tmp_path / "tensors" / f"cluster_{cluster}.npz") as z:
+            mats = [z[f"arr_{i}"] for i in range(len(members))]
+        with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
+            G = [z[f"arr_{i}"] for i in range(len(members))]
+            factors = parafac2.Parafac2Factors(
+                z["S"].shape[1], G=G, H=z["H"], S=list(z["S"]), V=z["V"]
+            )
+        with np.load(tmp_path / "kalman" / f"cluster_{cluster}.npz") as z:
+            got = dict(z)
+        f_initial = parafac2.initial_latent_factors(factors)
+        A = estimate_transition(f_initial, ridge=pipeline.TRANSITION_RIDGE)
+        Q = cfg.process_noise * np.eye(factors.rank)
+        want = {"A": A, "Q": Q}
+        lams, psis, finals = [], [], []
+        for idx, uid in enumerate(members):
+            lam = parafac2.loading_matrix(factors, idx)
+            X = mats[idx]
+            psi = estimate_measurement_noise(X, lam, f_initial)
+            obs = [X[:, t] if X[:, t].any() else MISSING for t in range(doc["views"][uid])]
+            f_seq, final, count = oracle_evolve(
+                lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
+            )
+            want[f"arr_{idx}"] = np.array(f_seq)
+            lams.append(lam)
+            psis.append(psi)
+            finals.append(final)
+            views += len(obs)
+            steady += count
+            missing += sum(x is MISSING for x in obs)
+        want.update(
+            psi=np.array(psis), Lam=np.vstack(lams),
+            f_post=np.array([s.f_post for s in finals]),
+            P_post=np.array([s.P_post for s in finals]),
+        )
+        assert got.keys() == want.keys(), cluster
+        for name, array in want.items():
+            assert np.array_equal(got[name], array), (cluster, name)
+    entry = json.loads((tmp_path / "manifest.json").read_text())["kalman"]
+    assert (entry["views"], entry["steady_views"], entry["missing_views"]) == (
+        views, steady, missing
+    )
+    assert 0 < steady < views
 
 
 class TestEstimators:
