@@ -15,7 +15,7 @@ log = logging.getLogger(__name__)
 DEFAULT_SESSION_TIMEOUT = 1800  # seconds; standard 30-minute web sessionization
 
 _REQUIRED = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values")
-_NESTED = (list, dict)  # a JSON array or object
+_NOT_TEXT = (bool, list, dict)  # a JSON boolean, array or object
 
 
 class FormatError(ValueError):
@@ -39,8 +39,9 @@ def _seconds(ts) -> int:
 def hit_from_doc(row: dict) -> HitRecord:
     """One hit from a parsed JSON-lines or CSV row; raises ValueError if
     malformed, which includes a row that is not an object, a NaN or
-    infinite value, a `ts` that is not integer seconds, a list or object in
-    an id, label or `session` field and an object for `values`."""
+    infinite value, a `ts` that is not integer seconds, a boolean, list or
+    object in an id, label or `session` field, and a boolean or object for
+    `values` or a boolean among them."""
     if not isinstance(row, dict):
         raise ValueError(f"a row is a {type(row).__name__}, not an object")
     missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
@@ -50,17 +51,20 @@ def hit_from_doc(row: dict) -> HitRecord:
         row["user_id"], row["report_id"], row["kind"], row["metric"], row["dim_element"]
     )
     values = row["values"]
-    session = row.get("session") or None
+    session = row.get("session")
     if (
-        isinstance(user, _NESTED) or isinstance(report, _NESTED) or isinstance(kind, _NESTED)
-        or isinstance(metric, _NESTED) or isinstance(dim, _NESTED)
-        or isinstance(session, _NESTED) or isinstance(values, dict)
+        isinstance(user, _NOT_TEXT) or isinstance(report, _NOT_TEXT)
+        or isinstance(kind, _NOT_TEXT) or isinstance(metric, _NOT_TEXT)
+        or isinstance(dim, _NOT_TEXT) or isinstance(session, _NOT_TEXT)
+        or isinstance(values, (bool, dict))
     ):
-        raise ValueError("a list or object in a field that holds text or a number")
+        raise ValueError("a boolean, list or object in a field that holds text or a number")
     kind = ReportKind(str(kind).lower())
     if isinstance(values, str):
         values = [float(v) for v in values.split(";") if v != ""]
-    values = tuple(float(v) for v in values)
+    elif bool in map(type, values):
+        raise ValueError("a boolean among the values")
+    values = tuple(map(float, values))
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite values")
     return HitRecord(
@@ -71,7 +75,7 @@ def hit_from_doc(row: dict) -> HitRecord:
         metric=str(metric),
         dimension_element=str(dim),
         values=values,
-        session_hint=session,
+        session_hint=session or None,
     )
 
 

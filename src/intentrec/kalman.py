@@ -228,8 +228,8 @@ def evolve_sequence(
     return evolved, stack, steady, int(np.count_nonzero(live & ~observed))
 
 
-def estimate_measurement_noise(X: np.ndarray, Lam: np.ndarray, F: np.ndarray) -> float:
-    """Scalar residual variance of X - Lam F, floored for stability."""
+def estimate_measurement_noise(X: np.ndarray, Lam: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Scalar residual variance of X - Lam F, floored for stability, or one
+    per member of a stack (X B x N x T, Lam B x N x R; F shared)."""
     resid = X - Lam @ F
-    var = float((resid**2).mean())
-    return max(var, 1e-8)
+    return np.maximum((resid**2).mean(axis=(-2, -1)), 1e-8)

@@ -217,23 +217,35 @@ def load_dataset(path: Path) -> Dataset:
     )
 
 
-def _load_npz(
-    path: Path, stage: str, names: tuple[str, ...] | None = None
-) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
-    """A cluster's .npz as `intentrec <stage>` wrote it: the per-user arrays,
-    saved positionally in user order, and the named arrays the cluster
-    shares; given `names`, only those named arrays. A truncated one, or one
-    without such a name, is stale. The file is closed whether or not it
-    loads: np.load leaves a file it opened itself open when it refuses it."""
+def _load_npz(path: Path, stage: str, rows: dict[str, int | None]) -> dict[str, np.ndarray]:
+    """The arrays named in `rows` of the cluster .npz that `intentrec
+    <stage>` wrote to path; an array with a row count in `rows` (a stack,
+    one row per member) must hold that many rows. A truncated file is
+    stale, and so is one without such an array, such as one in the
+    positional layout (`arr_0`, ...) of earlier versions, or one whose stack
+    holds other members than clustering.json lists. The file is closed
+    whether or not it loads: np.load leaves a file it opened itself open
+    when it refuses it."""
     try:
         with _require(path).open("rb") as fh, np.load(fh) as z:
-            arrays = {name: z[name] for name in (z.files if names is None else names)}
-    except (zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+            missing = [name for name in rows if name not in z.files]
+            if missing:
+                raise StaleArtifact(
+                    f"{path} holds no array {', '.join(missing)}, so it is not in this "
+                    f"version's layout; re-run `intentrec {stage}`"
+                )
+            arrays = {name: z[name] for name in rows}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise StaleArtifact(
             f"{path} is not a whole .npz ({type(exc).__name__}: {exc}); re-run `intentrec {stage}`"
         ) from exc
-    n_users = sum(name.startswith("arr_") for name in arrays)
-    return [arrays.pop(f"arr_{i}") for i in range(n_users)], arrays
+    for name, n in rows.items():
+        if n is not None and arrays[name].shape[:1] != (n,):
+            raise StaleArtifact(
+                f"{path} holds {name} of shape {arrays[name].shape}, not {n} members' rows "
+                f"as clustering.json lists; re-run `intentrec {stage}`"
+            )
+    return arrays
 
 
 def _fresh_dir(path: Path) -> Path:
@@ -341,12 +353,9 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     with _replacing_dir(workdir / "tensors") as tensor_root:
         for cluster_id, members in clusters.items():
             panels = context.assemble_tensor([matrices[u] for u in members])
-            # Padding leaves the panels column-major. BLAS sums in a
-            # layout-dependent order, and the fitted model's last bits (so
-            # results.csv) are pinned to row-major panels.
+            stacks, _ = parafac2.stack_panels(panels)
             np.savez(
-                tensor_root / f"cluster_{cluster_id}.npz",
-                *(np.ascontiguousarray(m) for m in panels),
+                tensor_root / f"cluster_{cluster_id}.npz", **{f"X_{X.shape[1]}": X for X in stacks}
             )
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
     return workdir / "tensors"
@@ -357,7 +366,7 @@ _CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "
 
 def _read_clustering(workdir: Path) -> dict:
     """clustering.json as `stage_tensor` wrote it: each cluster's sorted
-    members (the order of its .npz arrays), each user's view count and
+    members (the row order of its .npz arrays), each user's view count and
     feature slots, and the k-means diagnostics. Another layout is stale."""
     path = workdir / "clustering.json"
     doc = _read_json(path, "tensor")
@@ -376,21 +385,35 @@ def load_clustering(doc: dict) -> context.UserClustering:
     )
 
 
+def _widths(doc: dict, members: list[str]) -> list[int]:
+    """Each member's width N_u, from its feature slots in a `_read_clustering` doc."""
+    return [context.SLOTS_PER_PAIR * len(doc["slots"][u]) for u in members]
+
+
+def _stacks(groups: dict[int, list[int]], prefix: str) -> dict[str, int]:
+    """The `_load_npz` rows of a cluster's width-group stacks `<prefix>_<N_u>`."""
+    return {f"{prefix}_{width}": len(idx) for width, idx in groups.items()}
+
+
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
-    """PARAFAC2 per cluster. A cluster's rank is clamped to
-    min(rank, T, smallest N_u), so every member keeps a context model."""
+    """PARAFAC2 per cluster, each width group of its members one stack. A
+    cluster's rank is clamped to min(rank, T, smallest N_u), so every member
+    keeps a context model. `factors/cluster_<c>.npz` holds each width
+    group's G stack `G_<N_u>`, S in member order, H and V."""
     t0 = _begin_stage(workdir)
-    cluster_ids = _read_clustering(workdir)["clusters"]
+    doc = _read_clustering(workdir)
     clusters: dict[str, dict] = {}
     with _replacing_dir(workdir / "factors") as factor_root:
-        for cluster_id in cluster_ids:
-            mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
-            rank = min(config.rank, mats[0].shape[1], min(m.shape[0] for m in mats))
+        for cluster_id, members in doc["clusters"].items():
+            groups = parafac2.width_groups(_widths(doc, members))
+            path = workdir / "tensors" / f"cluster_{cluster_id}.npz"
+            stacks = list(_load_npz(path, "tensor", _stacks(groups, "X")).values())
+            rank = min(config.rank, stacks[0].shape[2], min(groups))
             if rank < config.rank:
                 log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
             factors, report = parafac2.decompose(
-                mats, rank=rank, tol=PARAFAC2_TOL, max_iters=config.max_iters,
-                seed=config.seed + int(cluster_id),
+                stacks, list(groups.values()), rank=rank, tol=PARAFAC2_TOL,
+                max_iters=config.max_iters, seed=config.seed + int(cluster_id),
             )
             if not report.converged:
                 log.warning(
@@ -399,9 +422,9 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
                 )
             np.savez(
                 factor_root / f"cluster_{cluster_id}.npz",
-                *factors.G, H=factors.H, S=np.array(factors.S), V=factors.V,
+                **{f"G_{G.shape[1]}": G for G in factors.G}, H=factors.H, S=factors.S, V=factors.V,
             )
-            norm_sq = sum(float((m**2).sum()) for m in mats)
+            norm_sq = report.norm_sq
             clusters[cluster_id] = {
                 "requested_rank": config.rank,
                 "rank": rank,
@@ -420,48 +443,52 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     latent factor over its training views, the members of a cluster that
     share a width N_u as one stack in lockstep. `kalman/cluster_<c>.npz`
     holds the cluster's A (fitted once, from the shared V) and Q; `psi`,
-    `Lam` rows, `f_post` and `P_post` stacked in member order; and each
-    member's evolved factors, positionally."""
+    `f_post` and `P_post` stacked in member order, and the members' `Lam`
+    rows one after another; and `evolved`, each member's evolved factor per
+    training view (B x T x R, zero past the member's views)."""
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
     views = steady = missing = 0
     with _replacing_dir(workdir / "kalman") as kdir:
         for cluster_id, members in doc["clusters"].items():
-            mats, _ = _load_npz(workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor")
-            G, shared = _load_npz(workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize")
-            S = shared["S"]
+            widths = np.array(_widths(doc, members))
+            groups = parafac2.width_groups(widths)
+            panels = _load_npz(
+                workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor", _stacks(groups, "X")
+            )
+            fit = _load_npz(
+                workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize",
+                {**_stacks(groups, "G"), "H": None, "S": len(members), "V": None},
+            )
             factors = parafac2.Parafac2Factors(
-                S.shape[1], G=G, H=shared["H"], S=list(S), V=shared["V"]
+                fit["S"].shape[1], G=[fit[f"G_{width}"] for width in groups], H=fit["H"],
+                S=fit["S"], V=fit["V"], members=list(groups.values()),
             )
             f_initial = parafac2.initial_latent_factors(factors)
             A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
             Q = config.process_noise * np.eye(factors.rank)
-            lams = [parafac2.loading_matrix(factors, idx) for idx in range(len(members))]
-            psis = np.array([
-                kalman.estimate_measurement_noise(X, lam, f_initial) for X, lam in zip(mats, lams)
-            ])
-            counts = [doc["views"][uid] for uid in members]
-            evolved = [None] * len(members)
-            f_post = np.empty((len(members), factors.rank))
-            P_post = np.empty((len(members), factors.rank, factors.rank))
-            by_width: dict[int, list[int]] = {}
-            for idx, lam in enumerate(lams):
-                by_width.setdefault(lam.shape[0], []).append(idx)
-            for width, stack in by_width.items():
+            n, r = len(members), factors.rank
+            counts = np.array([doc["views"][uid] for uid in members])
+            first_row = np.cumsum(widths) - widths  # of each member's Lam rows
+            T = f_initial.shape[1]
+            psi, f_post, P_post = np.empty(n), np.empty((n, r)), np.empty((n, r, r))
+            Lam, evolved = np.empty((widths.sum(), r)), np.empty((n, T, r))
+            for g, (width, idx) in enumerate(groups.items()):
+                X = panels[f"X_{width}"]
+                lam = parafac2.loading_matrix(factors, g)
+                psi[idx] = kalman.estimate_measurement_noise(X, lam, f_initial)
                 f_seq, final, steady_obs, missing_obs = kalman.evolve_sequence(
-                    np.stack([lams[i] for i in stack]), A, Q,
-                    psis[stack, None, None] * np.eye(width), np.stack([mats[i] for i in stack]),
-                    [counts[i] for i in stack], f_initial[:, 0],
+                    lam, A, Q, psi[idx, None, None] * np.eye(width), X, counts[idx], f_initial[:, 0]
                 )
-                for row, idx in enumerate(stack):
-                    evolved[idx] = f_seq[row, : counts[idx]]
-                f_post[stack], P_post[stack] = final.f_post[:, :, 0], final.P_post
+                evolved[idx] = np.where(np.arange(T)[:, None] < counts[idx, None, None], f_seq, 0.0)
+                f_post[idx], P_post[idx] = final.f_post[:, :, 0], final.P_post
+                Lam[(first_row[idx, None] + np.arange(width)).ravel()] = lam.reshape(-1, r)
                 steady += steady_obs
                 missing += missing_obs
-            views += sum(counts)
+            views += int(counts.sum())
             np.savez(
-                kdir / f"cluster_{cluster_id}.npz", *evolved, A=A, Q=Q, psi=psis,
-                Lam=np.vstack(lams), f_post=f_post, P_post=P_post,
+                kdir / f"cluster_{cluster_id}.npz", A=A, Q=Q, psi=psi, Lam=Lam,
+                f_post=f_post, P_post=P_post, evolved=evolved,
             )
     _note_manifest(
         workdir, "kalman", {"process_noise": config.process_noise}, t0,
@@ -473,11 +500,11 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
 def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
     """Each member's filter as `stage_kalman` wrote it, read from `kalman/`
     and the member lists and feature slots of the `_read_clustering` doc."""
-    names = ("A", "Q", "psi", "Lam", "f_post", "P_post")
+    names = dict.fromkeys(("A", "Q", "psi", "Lam", "f_post", "P_post"))
     serving: dict[str, UserServing] = {}
     for cluster_id, members in doc["clusters"].items():
-        _, shared = _load_npz(workdir / "kalman" / f"cluster_{cluster_id}.npz", "kalman", names)
-        A, Q, psi, Lam, f_post, P_post = shared.values()
+        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
+        A, Q, psi, Lam, f_post, P_post = _load_npz(path, "kalman", names).values()
         row = 0
         for idx, uid in enumerate(members):
             layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
@@ -495,10 +522,14 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.json")
     graphs = load_graphs(workdir)
+    doc = _read_clustering(workdir)
     evolved_per_user: dict[str, np.ndarray] = {}
-    for cluster_id, members in _read_clustering(workdir)["clusters"].items():
-        evolved, _ = _load_npz(workdir / "kalman" / f"cluster_{cluster_id}.npz", "kalman")
-        evolved_per_user.update(zip(members, evolved))
+    for cluster_id, members in doc["clusters"].items():
+        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
+        evolved = _load_npz(path, "kalman", {"evolved": len(members)})["evolved"]
+        evolved_per_user.update(
+            (uid, evolved[idx, : doc["views"][uid]]) for idx, uid in enumerate(members)
+        )
 
     keys: list[tuple[str, str]] = []  # (user, intent) of each set, in the order made
 

@@ -1,8 +1,12 @@
-"""Shared helpers for building hit records and sessions in tests."""
+"""Shared helpers for building hit records, sessions and workdirs in tests."""
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
+from intentrec import pipeline, synth
 from intentrec.models import HitRecord, ReportKind, Session
 
 
@@ -52,3 +56,28 @@ def random_sessions(rng: np.random.Generator, user="u1", n_sessions=4, n_reports
         out.append(make_session(user, path, start=t, gap=int(rng.integers(10, 120))))
         t += 10_000
     return out
+
+
+def two_width_workdir(workdir: Path) -> tuple[pipeline.PipelineConfig, list[str]]:
+    """A small synthetic log fitted through `factorize`, in which two users
+    also view a second (metric, dimension) pair. They share a cluster with
+    a one-pair user between them in member order, so its width groups
+    interleave: widths 12, 6, 12. Returns the config and the two users."""
+    scfg = synth.SynthConfig(
+        n_users=8, n_reports=40, sessions_per_user=8, intent_count=2,
+        context_signal_strength=0.8, seed=3,
+    )
+    pipeline.stage_synth(workdir, scfg)
+    hits = workdir / "hits.jsonl"
+    rows = [json.loads(line) for line in hits.read_text().splitlines()]
+    wide = ["u0002", "u0007"]
+    extra = [
+        {**row, "metric": "visits", "dim_element": "mobile", "ts": row["ts"] + 1}
+        for user in wide for row in [r for r in rows if r["user_id"] == user][:6]
+    ]
+    hits.write_text("".join(json.dumps(row) + "\n" for row in rows + extra))
+    cfg = pipeline.PipelineConfig(seed=3, rank=3, max_iters=20)
+    pipeline.stage_ingest(workdir, cfg, hits)
+    for stage in (pipeline.stage_graph, pipeline.stage_tensor, pipeline.stage_factorize):
+        stage(workdir, cfg)
+    return cfg, wide

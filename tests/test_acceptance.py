@@ -12,7 +12,7 @@ from intentrec import pipeline, synth
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence, initial_state, step
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
-from intentrec.parafac2 import decompose, reconstruct
+from intentrec.parafac2 import decompose, reconstruct, stack_panels
 from intentrec.pipeline import PipelineConfig
 from intentrec.ranksvm import RankModel, RankTrainingSet, intent_score, train
 from intentrec.recommender import RelevanceVariant, recommend
@@ -121,11 +121,12 @@ class TestParafac2Oracle:
                     s = rng.uniform(0.5, 2.0, size=rank)
                     mats.append(Q[:, :rank] @ H @ np.diag(s) @ V.T)
                 factors, report = decompose(
-                    mats, rank=rank, tol=1e-15, max_iters=3000, seed=trial
+                    *stack_panels(mats), rank=rank, tol=1e-15, max_iters=3000, seed=trial
                 )
                 rel = max(
-                    np.linalg.norm(X - reconstruct(factors, u)) / np.linalg.norm(X)
-                    for u, X in enumerate(mats)
+                    np.linalg.norm(mats[u] - X_hat) / np.linalg.norm(mats[u])
+                    for g, members in enumerate(factors.members)
+                    for u, X_hat in zip(members, reconstruct(factors, g))
                 )
                 hits += rel <= 1e-6
                 errs = report.errors
@@ -133,7 +134,7 @@ class TestParafac2Oracle:
                     errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1)
                 )
                 for G in factors.G:
-                    if not np.allclose(G.T @ G, np.eye(rank), atol=1e-8):
+                    if not np.allclose(G.swapaxes(1, 2) @ G, np.eye(rank), atol=1e-8):
                         ortho_ok = False
         _report(
             "parafac2: recovery/monotonicity/orthonormality over 50 trials",

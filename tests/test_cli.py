@@ -50,7 +50,8 @@ def workdir(tmp_path_factory):
 
 def _assert_serving_shapes(workdir: Path):
     """Every training user is served with an R x N_u Lam_pinv, R being its
-    cluster's fitted rank, and kalman/ holds one R-vector per training view."""
+    cluster's fitted rank, and kalman/ holds one R-vector per training view,
+    each cluster's in one array padded with zeros to its longest member's."""
     model = pipeline.load_model(workdir)
     dataset = pipeline.load_dataset(workdir / "sessions.json")
     views = Counter(h.user_id for s in dataset.train for h in s.hits)
@@ -63,8 +64,11 @@ def _assert_serving_shapes(workdir: Path):
         rank = fits[cluster]["rank"]
         assert serving.Lam_pinv.shape == (rank, serving.layout.width)
         with np.load(workdir / "kalman" / f"cluster_{cluster}.npz") as z:
-            evolved = z[f"arr_{clusters[cluster].index(uid)}"]
-        assert evolved.shape == (views[uid], rank)
+            evolved = z["evolved"]
+        T = max(views[u] for u in clusters[cluster])
+        assert evolved.shape == (len(clusters[cluster]), T, rank)
+        row = evolved[clusters[cluster].index(uid)]
+        assert row[: views[uid]].any(axis=1).all() and not row[views[uid] :].any(), uid
 
 
 def _replay_test_split(workdir: Path, cfg: PipelineConfig, advance) -> list:
@@ -152,8 +156,8 @@ class TestStages:
     def test_tensor_members_follow_the_clustering(self, workdir):
         # stage_tensor alone picks and orders a cluster's members, sorted,
         # every trained user in one cluster; their panels follow in that
-        # order, 6 rows per feature slot each, and the cluster directories
-        # hold nothing but each cluster's .npz
+        # order, one stack per width (6 rows per feature slot), and the
+        # cluster directories hold nothing but each cluster's .npz
         doc = json.loads((workdir / "clustering.json").read_text())
         clusters = doc["clusters"]
         assert clusters
@@ -165,10 +169,11 @@ class TestStages:
             assert listing == sorted(f"cluster_{c}.npz" for c in clusters), sub
         for c, users in clusters.items():
             assert users == sorted(users), c
+            widths = [6 * len(doc["slots"][uid]) for uid in users]
             with np.load(workdir / "tensors" / f"cluster_{c}.npz") as z:
-                assert len(z.files) == len(users)
-                for i, uid in enumerate(users):
-                    assert z[f"arr_{i}"].shape[0] == 6 * len(doc["slots"][uid]), uid
+                assert z.files == [f"X_{w}" for w in sorted(set(widths), key=widths.index)]
+                for w in set(widths):
+                    assert z[f"X_{w}"].shape[:2] == (widths.count(w), w), (c, w)
 
     def test_manifest_tracks_stages(self, workdir):
         manifest = json.loads((workdir / "manifest.json").read_text())
@@ -440,11 +445,11 @@ class TestStages:
         manifest = json.loads((workdir / "manifest.json").read_text())
         for cluster, entry in manifest["factorize"]["clusters"].items():
             # ||X - G H diag(s) V'||^2 / ||X||^2 over the cluster's panels
+            # every synthetic user has N_u = 6: one stack per cluster
             with np.load(workdir / "tensors" / f"cluster_{cluster}.npz") as z:
-                panels = [z[f"arr_{i}"] for i in range(len(z.files))]
+                panels = z["X_6"]
             with np.load(workdir / "factors" / f"cluster_{cluster}.npz") as z:
-                H, S, V = z["H"], z["S"], z["V"]
-                G = [z[f"arr_{i}"] for i in range(len(panels))]
+                H, S, V, G = z["H"], z["S"], z["V"], z["G_6"]
             err = sum(
                 float(((X - g @ H @ np.diag(s) @ V.T) ** 2).sum()) for X, g, s in zip(panels, G, S)
             )
@@ -457,8 +462,8 @@ class TestStages:
             doc = json.loads((wd / "clustering.json").read_text())
             for cluster, users in doc["clusters"].items():
                 with np.load(wd / "tensors" / f"cluster_{cluster}.npz") as z:
-                    for i, uid in enumerate(users):
-                        X = z[f"arr_{i}"][:, : doc["views"][uid]]
+                    for uid, panel in zip(users, z["X_6"], strict=True):
+                        X = panel[:, : doc["views"][uid]]
                         views += X.shape[1]
                         missing += int((~X.any(axis=0)).sum())
             return views, missing
@@ -473,9 +478,9 @@ class TestStages:
         shutil.copytree(workdir, wd)
         panel = wd / "tensors" / "cluster_0.npz"
         with np.load(panel) as z:
-            mats = [z[f"arr_{i}"] for i in range(len(z.files))]
-        mats[0][:, 0] = 0.0
-        np.savez(panel, *mats)
+            stack = z["X_6"]
+        stack[0, :, 0] = 0.0
+        np.savez(panel, X_6=stack)
         with _counting_exact_steps() as counts:
             pipeline.stage_kalman(wd, PipelineConfig(seed=3, rank=3))
         entry = json.loads((wd / "manifest.json").read_text())["kalman"]
@@ -829,6 +834,51 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "stale artifact" in err and str(path) in err, err
         assert f"intentrec {writer}`" in err, err
+
+    @pytest.mark.parametrize("name,writer,command", [
+        ("tensors/cluster_0.npz", "tensor", ["factorize", "--rank", "3"]),
+        ("factors/cluster_0.npz", "factorize", ["kalman"]),
+        ("kalman/cluster_0.npz", "kalman", ["train-rank"]),
+    ], ids=["tensors", "factors", "kalman"])
+    def test_positional_npz_is_stale(self, workdir, tmp_path, capsys, name, writer, command):
+        # an .npz of the positional layout of earlier versions (one array
+        # per member, arr_0, arr_1, ... in member order, beside the named
+        # ones) names itself and the stage that rewrites it, and the refused
+        # stage leaves the workdir as it was
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        doc = json.loads((wd / "clustering.json").read_text())
+        path = wd / name
+        with np.load(path) as z:
+            arrays = dict(z)
+        stack = arrays.pop({"tensors": "X_6", "factors": "G_6", "kalman": "evolved"}[path.parent.name])
+        if path.parent.name == "kalman":
+            stack = [row[: doc["views"][uid]] for uid, row in zip(doc["clusters"]["0"], stack)]
+        np.savez(path, *stack, **arrays)
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        assert cli.main([*command, "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and str(path) in err, err
+        assert f"intentrec {writer}`" in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    def test_stack_of_other_members_is_stale(self, workdir, tmp_path, capsys):
+        # a stack whose rows are not the members clustering.json lists, as
+        # when `tensor` was stopped after it rewrote clustering.json, is stale
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
+        cluster = max(clusters, key=lambda c: len(clusters[c]))
+        path = wd / "tensors" / f"cluster_{cluster}.npz"
+        with np.load(path) as z:
+            np.savez(path, X_6=z["X_6"][1:])
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        assert cli.main(["factorize", "--rank", "3", "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "stale artifact" in err and str(path) in err and "intentrec tensor`" in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
 
     @pytest.mark.parametrize("name,command,output", [
         ("tensors/cluster_1.npz", ["factorize", "--rank", "3"], "factors"),

@@ -118,6 +118,24 @@ class TestParseHits:
         with pytest.raises(ValueError):
             hit_from_doc(_row(**{field: value}))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("user_id", True), ("user_id", False), ("report_id", True), ("kind", False),
+            ("metric", True), ("dim_element", False), ("session", True), ("session", False),
+            ("values", True), ("values", [1.0, True]), ("values", [False]),
+        ],
+    )
+    def test_boolean_in_a_field_is_malformed(self, field, value):
+        # a JSON boolean is neither text, nor a number, nor a session hint:
+        # not the user "True", the hint True or the value 1.0
+        lines = [json.dumps(_row(ts=100 + i)) for i in range(75)]
+        lines.insert(40, json.dumps(_row(**{field: value})))
+        result = parse_hits("\n".join(lines))
+        assert (len(result.records), result.skipped) == (75, 1)
+        with pytest.raises(ValueError):
+            hit_from_doc(_row(**{field: value}))
+
     def test_numbers_in_id_fields_are_accepted(self):
         row = _row(user_id=7, report_id=12.5, metric=3, dim_element=0, session=4)
         result = parse_hits(json.dumps(row))

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from intentrec import parafac2, pipeline, synth
+from intentrec import pipeline
 from intentrec.kalman import (
     MISSING,
     SETTLED_TOLERANCE,
@@ -16,7 +16,8 @@ from intentrec.kalman import (
     serve_step,
     step,
 )
-from intentrec.pipeline import PipelineConfig
+
+from conftest import two_width_workdir
 
 log = logging.getLogger(__name__)
 
@@ -407,56 +408,44 @@ class TestLockstep:
 
 
 def test_stage_kalman_writes_the_oracle_filters(tmp_path):
-    # one user also views a second (metric, dimension) pair, so its cluster
-    # holds members of two widths; every array stage_kalman writes equals
-    # the per-filter oracle's, and so do the manifest counts
-    scfg = synth.SynthConfig(
-        n_users=8, n_reports=40, sessions_per_user=8, intent_count=2,
-        context_signal_strength=0.8, seed=3,
-    )
-    pipeline.stage_synth(tmp_path, scfg)
-    hits = tmp_path / "hits.jsonl"
-    rows = [json.loads(line) for line in hits.read_text().splitlines()]
-    user = rows[0]["user_id"]
-    extra = [
-        {**row, "metric": "visits", "dim_element": "mobile", "ts": row["ts"] + 1}
-        for row in rows if row["user_id"] == user
-    ][:6]
-    hits.write_text("".join(json.dumps(row) + "\n" for row in rows + extra))
-    cfg = PipelineConfig(seed=3, rank=3, max_iters=20)
-    pipeline.stage_ingest(tmp_path, cfg, hits)
-    for stage in (pipeline.stage_graph, pipeline.stage_tensor, pipeline.stage_factorize):
-        stage(tmp_path, cfg)
+    # two users also view a second (metric, dimension) pair, so their
+    # cluster holds members of two widths; every array stage_kalman writes
+    # equals the per-filter oracle's, built per member from the G, H, S and
+    # V in factors/, and so do the manifest counts
+    cfg, wide = two_width_workdir(tmp_path)
     pipeline.stage_kalman(tmp_path, cfg)
 
     doc = json.loads((tmp_path / "clustering.json").read_text())
-    (home,) = [c for c, members in doc["clusters"].items() if user in members]
+    (home,) = [c for c, members in doc["clusters"].items() if wide[0] in members]
     assert {len(doc["slots"][u]) for u in doc["clusters"][home]} == {1, 2}
     views = steady = missing = 0
     for cluster, members in doc["clusters"].items():
+        widths = [6 * len(doc["slots"][u]) for u in members]
         with np.load(tmp_path / "tensors" / f"cluster_{cluster}.npz") as z:
-            mats = [z[f"arr_{i}"] for i in range(len(members))]
+            stacks = {w: iter(z[f"X_{w}"]) for w in set(widths)}
         with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
-            G = [z[f"arr_{i}"] for i in range(len(members))]
-            factors = parafac2.Parafac2Factors(
-                z["S"].shape[1], G=G, H=z["H"], S=list(z["S"]), V=z["V"]
-            )
+            fit = dict(z)
         with np.load(tmp_path / "kalman" / f"cluster_{cluster}.npz") as z:
             got = dict(z)
-        f_initial = parafac2.initial_latent_factors(factors)
+        G = {w: iter(fit[f"G_{w}"]) for w in set(widths)}
+        f_initial = fit["V"].T.copy(order="F")
         A = estimate_transition(f_initial, ridge=pipeline.TRANSITION_RIDGE)
-        Q = cfg.process_noise * np.eye(factors.rank)
+        Q = cfg.process_noise * np.eye(fit["H"].shape[0])
         want = {"A": A, "Q": Q}
-        lams, psis, finals = [], [], []
-        for idx, uid in enumerate(members):
-            lam = parafac2.loading_matrix(factors, idx)
-            X = mats[idx]
-            psi = estimate_measurement_noise(X, lam, f_initial)
+        lams, psis, finals, evolved = [], [], [], []
+        T = max(doc["views"][uid] for uid in members)
+        for uid, w, s in zip(members, widths, fit["S"], strict=True):
+            lam = next(G[w]) @ fit["H"] @ np.diag(s)
+            X = next(stacks[w])
+            resid = X - lam @ f_initial
+            psi = max(float((resid**2).mean()), 1e-8)
             obs = [X[:, t] if X[:, t].any() else MISSING for t in range(doc["views"][uid])]
             f_seq, final, count = oracle_evolve(
                 lam, A, Q, psi * np.eye(lam.shape[0]), obs, f_initial[:, 0].copy()
             )
-            want[f"arr_{idx}"] = np.array(f_seq)
+            padded = np.zeros((T, len(s)))
+            padded[: len(obs)] = f_seq
+            evolved.append(padded)
             lams.append(lam)
             psis.append(psi)
             finals.append(final)
@@ -467,6 +456,7 @@ def test_stage_kalman_writes_the_oracle_filters(tmp_path):
             psi=np.array(psis), Lam=np.vstack(lams),
             f_post=np.array([s.f_post for s in finals]),
             P_post=np.array([s.P_post for s in finals]),
+            evolved=np.array(evolved),
         )
         assert got.keys() == want.keys(), cluster
         for name, array in want.items():
