@@ -15,7 +15,10 @@ log = logging.getLogger(__name__)
 DEFAULT_SESSION_TIMEOUT = 1800  # seconds; standard 30-minute web sessionization
 
 _REQUIRED = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values")
-_NOT_TEXT = (bool, list, dict)  # a JSON boolean, array or object
+_TEXT = frozenset((str, int, float))  # an id or label: JSON text or a number
+_HINT = _TEXT | {type(None)}  # `session`, which may be absent
+_KINDS = {kind.value: kind for kind in ReportKind}
+_TS_END = 2**63  # a `ts` must fit the int64 column of sessions.npz
 
 
 class FormatError(ValueError):
@@ -28,55 +31,53 @@ class ParseResult:
     skipped: int
 
 
-def _seconds(ts) -> int:
-    """ts as integer seconds: an integral number, or an integer as text.
-    A boolean or a fractional (or non-finite) number is malformed."""
-    if isinstance(ts, bool) or (isinstance(ts, float) and not ts.is_integer()):
-        raise ValueError(f"ts is not integer seconds: {ts!r}")
-    return int(ts)
-
-
 def hit_from_doc(row: dict) -> HitRecord:
     """One hit from a parsed JSON-lines or CSV row; raises ValueError if
-    malformed, which includes a row that is not an object, a NaN or
-    infinite value, a `ts` that is not integer seconds, a boolean, list or
-    object in an id, label or `session` field, and a boolean or object for
-    `values` or a boolean among them."""
-    if not isinstance(row, dict):
+    malformed: a row that is not an object; a missing or empty field; a
+    boolean, list or object in an id, label or `session` field; `values`
+    that are neither a list nor `;`-separated text, or that hold a boolean,
+    a NaN or an infinity; a `ts` that is not integer seconds below 2**63."""
+    if type(row) is not dict:
         raise ValueError(f"a row is a {type(row).__name__}, not an object")
-    missing = [k for k in _REQUIRED if row.get(k) in (None, "")]
-    if missing:
-        raise ValueError(f"missing fields: {missing}")
-    user, report, kind, metric, dim = (
-        row["user_id"], row["report_id"], row["kind"], row["metric"], row["dim_element"]
-    )
-    values = row["values"]
+    user, ts, report, kind, metric, dim, values = map(row.get, _REQUIRED)
     session = row.get("session")
-    if (
-        isinstance(user, _NOT_TEXT) or isinstance(report, _NOT_TEXT)
-        or isinstance(kind, _NOT_TEXT) or isinstance(metric, _NOT_TEXT)
-        or isinstance(dim, _NOT_TEXT) or isinstance(session, _NOT_TEXT)
-        or isinstance(values, (bool, dict))
-    ):
-        raise ValueError("a boolean, list or object in a field that holds text or a number")
-    kind = ReportKind(str(kind).lower())
-    if isinstance(values, str):
-        values = [float(v) for v in values.split(";") if v != ""]
-    elif bool in map(type, values):
-        raise ValueError("a boolean among the values")
-    values = tuple(map(float, values))
+    labels = (user, report, kind, metric, dim)
+    if not _TEXT.issuperset(map(type, labels)) or "" in labels or type(session) not in _HINT:
+        raise ValueError("an id or label that is missing, empty, or not text or a number")
+    if type(ts) is not int:
+        if type(ts) is str or (type(ts) is float and ts.is_integer()):
+            ts = int(ts)
+        else:
+            raise ValueError(f"ts is not integer seconds: {ts!r}")
+    if ts >= _TS_END:
+        raise ValueError(f"ts is 2**63 or more: {ts!r}")
+    if type(values) is list:
+        if bool in map(type, values):
+            raise ValueError("a boolean among the values")
+        values = tuple(map(float, values))
+    elif type(values) is str:
+        values = tuple(map(float, filter(None, values.split(";"))))
+    else:
+        raise ValueError(f"values are a {type(values).__name__}, not a list or text")
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite values")
     return HitRecord(
-        user_id=str(user),
-        timestamp=_seconds(row["ts"]),
-        report_id=str(report),
-        report_kind=kind,
-        metric=str(metric),
-        dimension_element=str(dim),
-        values=values,
-        session_hint=session or None,
+        str(user), ts, str(report), _KINDS.get(kind) or ReportKind(str(kind).lower()),
+        str(metric), str(dim), values, session or None,
     )
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_row(line: str):
+    """The JSON value of a stripped line, as json.loads reads it, which
+    would first scan the line's ends for whitespace; ValueError if the line
+    holds anything else."""
+    row, end = _decode(line)
+    if end != len(line):
+        raise ValueError(f"extra data after the row at column {end}")
+    return row
 
 
 def hit_to_doc(h: HitRecord) -> dict:
@@ -119,7 +120,7 @@ def parse_hits(source, format: str = "jsonl") -> ParseResult:
     for row in rows:
         total += 1
         try:
-            records.append(hit_from_doc(json.loads(row) if format == "jsonl" else row))
+            records.append(hit_from_doc(_json_row(row) if format == "jsonl" else row))
         except (ValueError, TypeError, KeyError) as exc:
             skipped += 1
             log.debug("skipping malformed row: %s", exc)

@@ -3,9 +3,9 @@ from the workdir, writes its own, and records a manifest entry."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
-import math
 import os
 import shutil
 import time
@@ -62,8 +62,9 @@ class PipelineConfig:
             raise ValueError(f"variant must be one of {', '.join(evaluation.VARIANTS)}")
 
 
-# Every file `_require` has let the running stage read: its manifest inputs.
-_reads: set[Path] = set()
+# Every file `_require` has let the running stage read, its manifest inputs,
+# with the SHA-256 of the bytes the stage read where `_read_bytes` took it.
+_reads: dict[Path, str | None] = {}
 
 
 def _begin_stage(workdir: Path) -> float:
@@ -78,15 +79,23 @@ def _require(path: Path) -> Path:
     """path, which the running stage reads; MissingArtifact if it is not there."""
     if not path.exists():
         raise MissingArtifact(str(path))
-    _reads.add(path)
+    _reads.setdefault(path, None)
     return path
 
 
-def _read_json(path: Path, stage: str, text: bytes | None = None):
-    """The JSON artifact that `intentrec <stage>` writes to path, or its
-    text if the caller has already read it; a truncated one is stale."""
+def _read_bytes(path: Path) -> tuple[bytes, str]:
+    """The bytes at path, which the running stage reads, and their SHA-256,
+    which its manifest records: the file is read and hashed once."""
+    data = _require(path).read_bytes()
+    _reads[path] = digest = hashlib.sha256(data).hexdigest()
+    return data, digest
+
+
+def _read_json(path: Path, stage: str):
+    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
+    one is stale."""
     try:
-        return json.loads(_require(path).read_text() if text is None else text)
+        return json.loads(_require(path).read_text())
     except json.JSONDecodeError as exc:
         raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
 
@@ -113,8 +122,9 @@ def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details
     manifest = _read_manifest(workdir)
     manifest[stage] = {
         "inputs": {
-            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name): _sha256(p)
-            for p in _reads if p.is_file()
+            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name):
+            digest or _sha256(p)
+            for p, digest in _reads.items() if p.is_file()
         },
         "config": config,
         "elapsed_s": round(time.time() - t0, 3),
@@ -125,60 +135,101 @@ def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details
     os.replace(tmp, workdir / "manifest.json")
 
 
-# sessions.json holds each split as columns: `lengths` (hits per session) and
-# one list per HitRecord field, in field order, all sessions' hits end to end.
-_HIT_COLUMNS = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values", "session")
-_KINDS = {kind.value: kind for kind in ReportKind}
+# sessions.npz holds `split_instant`, `vocab` (a JSON list, UTF-8 encoded) and
+# for each split one 1-D column per name below, prefixed `train_` or `test_`:
+# `lengths` (hits per session) and `values` (every hit's values, flat), then
+# one entry per hit, the hits of all sessions end to end: `ts`, `kind` (an
+# index into ReportKind), `counts` (the hit's number of values) and each text
+# column as an index into `vocab`.
+_SPLITS = ("train", "test")
+_TEXT_COLUMNS = ("user_id", "report_id", "metric", "dim_element", "session")
+_PER_HIT = ("ts", "kind", "counts", *_TEXT_COLUMNS)
+_SPLIT_COLUMNS = ("lengths", "values", *_PER_HIT)
+_SESSION_ARRAYS = dict.fromkeys(
+    ["split_instant", "vocab", *(f"{split}_{name}" for split in _SPLITS for name in _SPLIT_COLUMNS)]
+)
+_KIND_ORDER = tuple(ReportKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_ORDER)}
 
 
-def _split_columns(sessions: list[Session]) -> dict:
+class _Vocab(dict):
+    """Each distinct (type, value) -> its index, given on first sight: so
+    a session hint keeps its JSON type, and 1, 1.0 and "1" stay apart."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _split_arrays(sessions: list[Session], vocab: _Vocab) -> dict[str, np.ndarray]:
     hits = [h for s in sessions for h in s.hits]
+    user, ts, report, kind, metric, dim, values, session = zip(*hits) if hits else [()] * 8
+    text = (user, report, metric, dim, session)
     return {
-        "lengths": [len(s) for s in sessions],
-        "user_id": [h.user_id for h in hits],
-        "ts": [h.timestamp for h in hits],
-        "report_id": [h.report_id for h in hits],
-        "kind": [h.report_kind.value for h in hits],
-        "metric": [h.metric for h in hits],
-        "dim_element": [h.dimension_element for h in hits],
-        "values": [h.values for h in hits],
-        "session": [h.session_hint for h in hits],
+        "lengths": np.array([len(s) for s in sessions], dtype=np.int32),
+        "values": np.fromiter(chain.from_iterable(values), dtype=np.float64),
+        "ts": np.array(ts, dtype=np.int64),
+        "kind": np.array(list(map(_KIND_CODES.__getitem__, kind)), dtype=np.int32),
+        "counts": np.array(list(map(len, values)), dtype=np.int32),
+        **{
+            name: np.array(list(map(vocab.__getitem__, zip(map(type, col), col))), dtype=np.int32)
+            for name, col in zip(_TEXT_COLUMNS, text)
+        },
     }
-
-
-def _split_sessions(split: dict) -> list[Session]:
-    """The sessions of one split's columns; ValueError if they disagree."""
-    if not isinstance(split, dict) or split.keys() != {"lengths", *_HIT_COLUMNS}:
-        raise ValueError("a split is not a dict of the hit columns and `lengths`")
-    lengths = split["lengths"]
-    n_hits = sum(lengths)
-    if any(n < 1 for n in lengths):
-        raise ValueError("a session without hits")
-    short = [c for c in _HIT_COLUMNS if len(split[c]) != n_hits]
-    if short:
-        raise ValueError(f"columns {short} do not hold the {n_hits} hits of `lengths`")
-    if not all(map(math.isfinite, chain.from_iterable(split["values"]))):
-        raise ValueError("non-finite values")
-    hits = list(map(
-        HitRecord, split["user_id"], split["ts"], split["report_id"],
-        map(_KINDS.__getitem__, split["kind"]), split["metric"], split["dim_element"],
-        map(tuple, split["values"]), split["session"],
-    ))
-    sessions = []
-    end = 0
-    for n in lengths:
-        start, end = end, end + n
-        sessions.append(Session(user_id=hits[start].user_id, hits=hits[start:end]))
-    return sessions
 
 
 def save_dataset(dataset: Dataset, path: Path):
-    doc = {
-        "split_instant": dataset.split_instant,
-        "train": _split_columns(dataset.train),
-        "test": _split_columns(dataset.test),
+    """Write dataset to path as the columns of sessions.npz."""
+    vocab = _Vocab()
+    arrays = {
+        f"{split}_{name}": column
+        for split, sessions in zip(_SPLITS, (dataset.train, dataset.test))
+        for name, column in _split_arrays(sessions, vocab).items()
     }
-    path.write_text(json.dumps(doc, sort_keys=True))
+    words = json.dumps([value for _, value in vocab]).encode()
+    with path.open("wb") as fh:
+        np.savez(
+            fh, split_instant=np.int64(dataset.split_instant),
+            vocab=np.frombuffer(words, dtype=np.uint8), **arrays,
+        )
+
+
+def _split_sessions(columns: dict[str, np.ndarray], vocab: list) -> list[Session]:
+    """The sessions of one split's columns; ValueError if they disagree."""
+    for name, column in columns.items():
+        if column.ndim != 1 or column.dtype.kind != ("f" if name == "values" else "i"):
+            raise ValueError(f"column {name} is not a 1-D array of its dtype")
+    lengths, counts, values = columns["lengths"], columns["counts"], columns["values"]
+    if (lengths < 1).any():
+        raise ValueError("a session without hits")
+    n_hits = int(lengths.sum())
+    short = [name for name in _PER_HIT if len(columns[name]) != n_hits]
+    if short:
+        raise ValueError(f"columns {short} do not hold the {n_hits} hits of `lengths`")
+    if (counts < 1).any() or int(counts.sum()) != len(values):
+        raise ValueError(f"value counts do not split the {len(values)} values into hits")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite values")
+    sizes = {"kind": len(_KIND_ORDER), **dict.fromkeys(_TEXT_COLUMNS, len(vocab))}
+    outside = [n for n, size in sizes.items() if ((columns[n] < 0) | (columns[n] >= size)).any()]
+    if outside:
+        raise ValueError(f"columns {outside} hold codes outside their vocabulary")
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    user, report, metric, dim, session = (
+        map(vocab.__getitem__, columns[name].tolist()) for name in _TEXT_COLUMNS
+    )
+    hits = list(map(
+        HitRecord, user, columns["ts"].tolist(), report,
+        map(_KIND_ORDER.__getitem__, columns["kind"].tolist()), metric, dim,
+        map(tuple, map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends))), session,
+    ))
+    sessions = []
+    end = 0
+    for n in lengths.tolist():
+        start, end = end, end + n
+        sessions.append(Session(user_id=hits[start].user_id, hits=hits[start:end]))
+    return sessions
 
 
 # The last sessions file `load_dataset` parsed, keyed by the SHA-256 of its
@@ -189,22 +240,27 @@ _parsed: dict[str, Dataset] = {}
 
 def load_dataset(path: Path) -> Dataset:
     """The Dataset `save_dataset` wrote to path. The structure is checked
-    once per file, not per hit: a file of another layout, or one whose
+    once per file, not per hit: a file without one of the columns, or whose
     columns disagree, raises StaleArtifact; so does a truncated one. Each
     call returns its own Sessions and hit lists, so a caller may edit them."""
-    text = _require(path).read_bytes()
-    key = hashlib.sha256(text).hexdigest()
+    data, key = _read_bytes(path)
     if key not in _parsed:
+        arrays = _load_npz(path, "ingest", _SESSION_ARRAYS, data)
         try:
-            doc = _read_json(path, "ingest", text)
-            parsed = Dataset(
-                train=_split_sessions(doc["train"]),
-                test=_split_sessions(doc["test"]),
-                split_instant=doc["split_instant"],
-            )
+            vocab = json.loads(arrays["vocab"].tobytes())
+            split_instant = arrays["split_instant"]
+            if type(vocab) is not list or split_instant.shape or split_instant.dtype.kind != "i":
+                raise ValueError("vocab is not a JSON list, or split_instant not one integer")
+            splits = {
+                split: _split_sessions(
+                    {name: arrays[f"{split}_{name}"] for name in _SPLIT_COLUMNS}, vocab
+                )
+                for split in _SPLITS
+            }
+            parsed = Dataset(**splits, split_instant=int(split_instant))
         except (KeyError, TypeError, ValueError) as exc:
             raise StaleArtifact(
-                f"{path.name} does not hold the session columns this version writes "
+                f"{path} does not hold the session columns this version writes "
                 f"({type(exc).__name__}: {exc}); re-run `intentrec ingest`"
             ) from exc
         _parsed.clear()
@@ -217,17 +273,20 @@ def load_dataset(path: Path) -> Dataset:
     )
 
 
-def _load_npz(path: Path, stage: str, rows: dict[str, int | None]) -> dict[str, np.ndarray]:
-    """The arrays named in `rows` of the cluster .npz that `intentrec
-    <stage>` wrote to path; an array with a row count in `rows` (a stack,
-    one row per member) must hold that many rows. A truncated file is
-    stale, and so is one without such an array, such as one in the
-    positional layout (`arr_0`, ...) of earlier versions, or one whose stack
-    holds other members than clustering.json lists. The file is closed
-    whether or not it loads: np.load leaves a file it opened itself open
-    when it refuses it."""
+def _load_npz(
+    path: Path, stage: str, rows: dict[str, int | None], data: bytes | None = None
+) -> dict[str, np.ndarray]:
+    """The arrays named in `rows` of the .npz that `intentrec <stage>` wrote
+    to path, or of its bytes if the caller has already read them; an array
+    with a row count in `rows` (a stack, one row per member) must hold that
+    many rows. A truncated file is stale, and so is one without such an
+    array, such as one in the positional layout (`arr_0`, ...) of earlier
+    versions, or one whose stack holds other members than clustering.json
+    lists. Nothing pickled is read. The file is closed whether or not it
+    loads: np.load leaves a file it opened itself open when it refuses it."""
     try:
-        with _require(path).open("rb") as fh, np.load(fh) as z:
+        source = _require(path).open("rb") if data is None else io.BytesIO(data)
+        with source as fh, np.load(fh, allow_pickle=False) as z:
             missing = [name for name in rows if name not in z.files]
             if missing:
                 raise StaleArtifact(
@@ -293,7 +352,7 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
         parsed = ingest.parse_hits(fh, format=fmt)
     sessions = ingest.sessionize(parsed.records, timeout=config.timeout)
     dataset = ingest.temporal_split(sessions, train_fraction=config.train_fraction)
-    out = workdir / "sessions.json"
+    out = workdir / "sessions.npz"
     save_dataset(dataset, out)
     _note_manifest(
         workdir, "ingest",
@@ -310,7 +369,7 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
 
 def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
-    dataset = load_dataset(workdir / "sessions.json")
+    dataset = load_dataset(workdir / "sessions.npz")
     docs = []
     for uid, sessions in sorted(group_by_user(dataset.train).items()):
         g = navgraph.build_graph(sessions)
@@ -333,7 +392,7 @@ def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
 
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
-    dataset = load_dataset(workdir / "sessions.json")
+    dataset = load_dataset(workdir / "sessions.npz")
     per_user = group_by_user(dataset.train)
     features = {uid: context.usage_features(s) for uid, s in per_user.items()}
     clustering = context.cluster_users(features, seed=config.seed)
@@ -520,7 +579,7 @@ def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
 
 def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
-    dataset = load_dataset(workdir / "sessions.json")
+    dataset = load_dataset(workdir / "sessions.npz")
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
     evolved_per_user: dict[str, np.ndarray] = {}
@@ -619,7 +678,7 @@ def stage_recommend(
 
 def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.BenchmarkResult:
     t0 = _begin_stage(workdir)
-    dataset = load_dataset(workdir / "sessions.json")
+    dataset = load_dataset(workdir / "sessions.npz")
     model = load_model(workdir)
     result = evaluation.run_benchmark(
         dataset, model, k=config.k, min_unique_reports=config.min_unique_reports
@@ -654,9 +713,8 @@ def stage_sweep(workdir: Path, configs: list[PipelineConfig]):
     for cfg in configs:
         sub = workdir / f"sweep_R{cfg.rank}"
         sub.mkdir(parents=True, exist_ok=True)
-        for name in ("sessions.json", "graphs.json", "clustering.json"):
-            src = _require(workdir / name)
-            (sub / name).write_text(src.read_text())
+        for name in ("sessions.npz", "graphs.json", "clustering.json"):
+            shutil.copyfile(_require(workdir / name), sub / name)
         shutil.copytree(workdir / "tensors", _fresh_dir(sub / "tensors"), dirs_exist_ok=True)
         stage_factorize(sub, cfg)
         stage_kalman(sub, cfg)

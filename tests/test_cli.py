@@ -53,7 +53,7 @@ def _assert_serving_shapes(workdir: Path):
     cluster's fitted rank, and kalman/ holds one R-vector per training view,
     each cluster's in one array padded with zeros to its longest member's."""
     model = pipeline.load_model(workdir)
-    dataset = pipeline.load_dataset(workdir / "sessions.json")
+    dataset = pipeline.load_dataset(workdir / "sessions.npz")
     views = Counter(h.user_id for s in dataset.train for h in s.hits)
     assert model.rank_models
     assert set(model.serving) == set(views)
@@ -75,7 +75,7 @@ def _replay_test_split(workdir: Path, cfg: PipelineConfig, advance) -> list:
     """(user, current, top-k) of every test event, each view advancing its
     user's filter by `advance(serving, state, hit) -> (factor, state)`."""
     model = pipeline.load_model(workdir)
-    dataset = pipeline.load_dataset(workdir / "sessions.json")
+    dataset = pipeline.load_dataset(workdir / "sessions.npz")
     variant = RelevanceVariant(cfg.variant)
     lists = []
     for uid, sessions in sorted(group_by_user(dataset.test).items()):
@@ -120,9 +120,9 @@ def _counting_parses():
     split_sessions = pipeline._split_sessions
     counts = Counter()
 
-    def counted(split):
+    def counted(columns, vocab):
         counts["splits"] += 1
-        return split_sessions(split)
+        return split_sessions(columns, vocab)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_split_sessions", counted)
@@ -145,7 +145,7 @@ def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
 class TestStages:
     def test_artifacts_exist(self, workdir):
         for name in (
-            "hits.jsonl", "sessions.json", "graphs.json", "clustering.json",
+            "hits.jsonl", "sessions.npz", "graphs.json", "clustering.json",
             "rankmodel.json", "manifest.json",
         ):
             assert (workdir / name).exists(), name
@@ -161,7 +161,7 @@ class TestStages:
         doc = json.loads((workdir / "clustering.json").read_text())
         clusters = doc["clusters"]
         assert clusters
-        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        dataset = pipeline.load_dataset(workdir / "sessions.npz")
         members = [u for users in clusters.values() for u in users]
         assert sorted(members) == sorted({s.user_id for s in dataset.train})
         for sub in ("tensors", "factors", "kalman"):
@@ -183,7 +183,7 @@ class TestStages:
 
     def test_ingest_manifest_counts_the_split(self, workdir):
         entry = json.loads((workdir / "manifest.json").read_text())["ingest"]
-        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        dataset = pipeline.load_dataset(workdir / "sessions.npz")
         assert entry["train_sessions"] == len(dataset.train) > 0
         assert entry["test_sessions"] == len(dataset.test) > 0
         assert entry["train_hits"] == sum(len(s) for s in dataset.train)
@@ -228,10 +228,10 @@ class TestStages:
         evaluated = {
             u for u in model.serving if len(model.graphs[u].nodes) >= cfg.min_unique_reports
         }
-        dataset = pipeline.load_dataset(wd / "sessions.json")
+        dataset = pipeline.load_dataset(wd / "sessions.npz")
         sess = next(s for s in dataset.test if s.user_id in evaluated)
         sess.hits[0] = sess.hits[0]._replace(metric="never-viewed")
-        pipeline.save_dataset(dataset, wd / "sessions.json")
+        pipeline.save_dataset(dataset, wd / "sessions.npz")
         result = pipeline.stage_evaluate(wd, cfg)
         entry = json.loads((wd / "manifest.json").read_text())["evaluate"]
         assert entry["missing_views"] == result.missing_views == 1
@@ -251,7 +251,7 @@ class TestStages:
         result = pipeline.run_all(tmp_path, cfg, hits)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["ingest"]["skipped_rows"] == 1
-        dataset = pipeline.load_dataset(tmp_path / "sessions.json")
+        dataset = pipeline.load_dataset(tmp_path / "sessions.npz")
         assert sum(len(s) for s in dataset.train + dataset.test) == len(rows) - 1
         assert result.events > 0
 
@@ -278,7 +278,7 @@ class TestStages:
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         reports = {r.method: r for r in pipeline.stage_evaluate(workdir, cfg).reports}
         model = pipeline.load_model(workdir)
-        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        dataset = pipeline.load_dataset(workdir / "sessions.npz")
         rows: dict[str, list[tuple[float, ...]]] = {m: [] for m in ALL_METHODS}
 
         def by_relevance(recs):
@@ -384,18 +384,18 @@ class TestStages:
         }
         expected = {
             "ingest": {"hits.jsonl"},
-            "tensor": {"sessions.json"},
+            "tensor": {"sessions.npz"},
             "factorize": {"clustering.json", *(f"tensors/{c}.npz" for c in clusters)},
             "kalman": {
                 "clustering.json",
                 *(f"{sub}/{c}.npz" for c in clusters for sub in ("tensors", "factors")),
             },
             "train-rank": {
-                "sessions.json", "graphs.json", "clustering.json",
+                "sessions.npz", "graphs.json", "clustering.json",
                 *(f"kalman/{c}.npz" for c in clusters),
             },
-            "graph": {"sessions.json"},
-            "evaluate": {"sessions.json", *model_files},
+            "graph": {"sessions.npz"},
+            "evaluate": {"sessions.npz", *model_files},
             "recommend": model_files,
         }
         model = pipeline.load_model(workdir)
@@ -425,7 +425,7 @@ class TestStages:
             pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
         pipeline.stage_graph(wd, PipelineConfig(seed=3))
         manifest = json.loads((wd / "manifest.json").read_text())
-        assert set(manifest["graph"]["inputs"]) == {"sessions.json"}
+        assert set(manifest["graph"]["inputs"]) == {"sessions.npz"}
 
     def test_interrupted_manifest_write_keeps_the_old_manifest(self, workdir, tmp_path):
         wd = tmp_path / "wd"
@@ -468,7 +468,7 @@ class TestStages:
                         missing += int((~X.any(axis=0)).sum())
             return views, missing
 
-        dataset = pipeline.load_dataset(workdir / "sessions.json")
+        dataset = pipeline.load_dataset(workdir / "sessions.npz")
         entry = manifest["kalman"]
         assert (entry["views"], entry["missing_views"]) == view_counts(workdir)
         assert entry["views"] == sum(len(s.hits) for s in dataset.train)
@@ -584,6 +584,11 @@ class TestSessionsFile:
                      metric="durée"),
             ]),
             Session("u2", [_hit("u2", 7, "r1", histogram, (2.5, -1.0))]),
+            # a hint keeps its JSON type: 1, 1.0 and "1" are three sessions
+            Session("u3", [_hit("u3", 8, "1", series, (1.0,), 1)]),
+            Session("u3", [_hit("u3", 9, "1", series, (1.0,), 1.0)]),
+            Session("u3", [_hit("u3", 10, "1", series, (-0.0,), "1")]),
+            Session("u3", [_hit("u3", 2**63 - 1, "r1", series, (1e-300,), 2.5)]),
         ]
         test = [
             Session("usuário-1", [
@@ -592,7 +597,7 @@ class TestSessionsFile:
             ]),
         ]
         dataset = Dataset(train=train, test=test, split_instant=900)
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
         pipeline.save_dataset(dataset, first)
         loaded = pipeline.load_dataset(first)
         pipeline.save_dataset(loaded, second)
@@ -604,6 +609,9 @@ class TestSessionsFile:
         # == does not tell -0.0 from 0.0
         assert [[v.hex() for v in h.values] for h in hits] == [
             [v.hex() for v in h.values] for h in expected
+        ]
+        assert [type(h.session_hint) for h in hits] == [
+            type(h.session_hint) for h in expected
         ]
         for h in hits:
             assert type(h.values) is tuple
@@ -628,14 +636,26 @@ class TestSessionsFile:
 
     def test_every_reader_records_the_sessions_file(self, fitted):
         wd, _ = fitted
-        digest = hashlib.sha256((wd / "sessions.json").read_bytes()).hexdigest()
+        # each records the digest of the bytes it read, hashed once
+        digest = hashlib.sha256((wd / "sessions.npz").read_bytes()).hexdigest()
         manifest = json.loads((wd / "manifest.json").read_text())
         for stage in ("graph", "tensor", "train-rank", "evaluate"):
-            assert manifest[stage]["inputs"]["sessions.json"] == digest, stage
+            assert manifest[stage]["inputs"]["sessions.npz"] == digest, stage
+
+    def test_a_stage_hashes_the_sessions_file_once(self, fitted, tmp_path, monkeypatch):
+        # the manifest takes the digest load_dataset made of the bytes it
+        # read, and hashes only the other inputs again
+        wd = tmp_path / "wd"
+        shutil.copytree(fitted[0], wd)
+        hashed = []
+        sha256 = pipeline._sha256
+        monkeypatch.setattr(pipeline, "_sha256", lambda p: hashed.append(p.name) or sha256(p))
+        pipeline.stage_train_rank(wd, PipelineConfig(seed=3, rank=3))
+        assert "sessions.npz" not in hashed and "graphs.json" in hashed
 
     def test_edited_copy_leaves_later_loads_whole(self, fitted):
         wd, _ = fitted
-        path = wd / "sessions.json"
+        path = wd / "sessions.npz"
         edited = pipeline.load_dataset(path)
         edited.test[0].hits[0] = edited.test[0].hits[0]._replace(metric="edited")
         edited.train[0].hits.append(edited.train[1].hits[0])
@@ -650,8 +670,8 @@ class TestSessionsFile:
 
     def test_rewritten_file_is_parsed_again(self, fitted, tmp_path):
         # the memo answers by content, not by path
-        path = tmp_path / "sessions.json"
-        path.write_bytes((fitted[0] / "sessions.json").read_bytes())
+        path = tmp_path / "sessions.npz"
+        path.write_bytes((fitted[0] / "sessions.npz").read_bytes())
         dataset = pipeline.load_dataset(path)
         dataset.test[0].hits[0] = dataset.test[0].hits[0]._replace(metric="edited")
         pipeline.save_dataset(dataset, path)
@@ -694,66 +714,82 @@ class TestCliExitCodes:
         assert cli.main(["ingest", "--workdir", str(tmp_path)]) == cli.EXIT_OK
         return tmp_path
 
-    def _assert_stale_sessions(self, workdir, capsys):
+    def _assert_stale_sessions(self, workdir, capsys, names="ingest"):
         capsys.readouterr()
         assert cli.main(["graph", "--workdir", str(workdir)]) == cli.EXIT_MISSING_ARTIFACT
         err = capsys.readouterr().err
-        assert "sessions.json" in err and "ingest" in err
+        assert "sessions.npz" in err and names in err
         assert not (workdir / "graphs.json").exists()
 
     def test_row_layout_sessions_is_stale(self, ingested, capsys):
-        # sessions.json as the row layout wrote it: one dict per hit
-        path = ingested / "sessions.json"
+        # only a sessions.json as the row layout wrote it, one dict per hit:
+        # sessions.npz is missing
+        path = ingested / "sessions.npz"
         dataset = pipeline.load_dataset(path)
         doc = {
             "split_instant": dataset.split_instant,
             "train": [[hit_to_doc(h) for h in s.hits] for s in dataset.train],
             "test": [[hit_to_doc(h) for h in s.hits] for s in dataset.test],
         }
-        path.write_text(json.dumps(doc, sort_keys=True))
+        (ingested / "sessions.json").write_text(json.dumps(doc, sort_keys=True))
+        path.unlink()
+        self._assert_stale_sessions(ingested, capsys, names="missing artifact")
+
+    def test_json_in_place_of_sessions_is_stale(self, ingested, capsys):
+        path = ingested / "sessions.npz"
+        path.write_text(json.dumps({"split_instant": 0, "train": {}, "test": {}}))
         self._assert_stale_sessions(ingested, capsys)
 
+    @staticmethod
+    def _rewrite(path: Path, edit):
+        """Rewrite the sessions.npz at path with its columns passed through edit."""
+        with np.load(path) as z:
+            columns = {name: z[name] for name in z.files}
+        edit(columns)
+        np.savez(path, **columns)
+
     @pytest.mark.parametrize("edit", [
-        lambda split: split["report_id"].pop(),
-        lambda split: split["lengths"].insert(0, 0),
-        lambda split: split["values"][3].append(float("nan")),
-    ], ids=["short-column", "empty-session", "non-finite-value"])
+        lambda cols: cols.update(test_report_id=cols["test_report_id"][:-1]),
+        lambda cols: cols.update(test_lengths=np.insert(cols["test_lengths"], 0, 0)),
+        lambda cols: cols["test_values"].__setitem__(3, np.nan),
+        lambda cols: cols["test_metric"].__setitem__(0, len(json.loads(cols["vocab"].tobytes()))),
+        lambda cols: cols["train_kind"].__setitem__(0, -1),
+        lambda cols: cols["test_counts"].__setitem__(0, cols["test_counts"][0] + 1),
+        lambda cols: cols.pop("test_session"),
+        lambda cols: cols.update(test_ts=cols["test_ts"].astype(float)),
+    ], ids=[
+        "short-column", "empty-session", "non-finite-value", "out-of-vocabulary",
+        "unknown-kind", "value-counts", "missing-column", "float-ts",
+    ])
     def test_disagreeing_columns_are_stale(self, ingested, capsys, edit):
-        path = ingested / "sessions.json"
-        doc = json.loads(path.read_text())
-        edit(doc["test"])
-        path.write_text(json.dumps(doc, sort_keys=True))
+        self._rewrite(ingested / "sessions.npz", edit)
         self._assert_stale_sessions(ingested, capsys)
 
     def test_truncated_sessions_is_stale(self, ingested, capsys):
-        path = ingested / "sessions.json"
+        path = ingested / "sessions.npz"
         path.write_bytes(path.read_bytes()[:1000])
         self._assert_stale_sessions(ingested, capsys)
 
     @pytest.mark.parametrize("edit", [
         None,
-        lambda doc: doc["test"]["report_id"].pop(),
-        lambda doc: doc["train"]["lengths"].insert(0, 0),
+        lambda cols: cols.update(test_report_id=cols["test_report_id"][:-1]),
+        lambda cols: cols.update(train_lengths=np.insert(cols["train_lengths"], 0, 0)),
     ], ids=["truncated", "short-column", "empty-session"])
     def test_sessions_spoiled_after_a_load_is_stale(self, ingested, capsys, edit):
         # the process parsed the file whole before; its new bytes are
         # checked again, not answered from that parse
         assert cli.main(["graph", "--workdir", str(ingested)]) == cli.EXIT_OK
         graphs = (ingested / "graphs.json").read_bytes()
-        path = ingested / "sessions.json"
-        text = path.read_text()
+        path = ingested / "sessions.npz"
         if edit is None:
-            text = text[:1000]
+            path.write_bytes(path.read_bytes()[:1000])
         else:
-            doc = json.loads(text)
-            edit(doc)
-            text = json.dumps(doc, sort_keys=True)
-        path.write_text(text)
+            self._rewrite(path, edit)
         capsys.readouterr()
         for stage in ("graph", "tensor", "train-rank", "evaluate"):
             assert cli.main([stage, "--workdir", str(ingested)]) == cli.EXIT_MISSING_ARTIFACT
             err = capsys.readouterr().err
-            assert "sessions.json" in err and "ingest" in err, stage
+            assert "sessions.npz" in err and "ingest" in err, stage
         assert (ingested / "graphs.json").read_bytes() == graphs
 
     @pytest.mark.parametrize("name", [
