@@ -2,7 +2,7 @@
 user clustering, Kalman serving states and rank models."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,17 +25,36 @@ class TrainedModel:
     clustering: context.UserClustering
     rank_models: dict[str, ranksvm.RankModel]  # per user; latent spaces differ
     serving: dict[str, UserServing]
+    # per user: the graph's targets tuple, those of its targets with rank
+    # weights, and their weights stacked, built on the user's first scoring
+    _weights: dict[str, tuple[tuple[str, ...], tuple[str, ...], np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def intent_scores(self, user_id: str, f: np.ndarray) -> dict[str, float]:
         """Scores of the user's graph targets under the current factor f."""
-        graph = self.graphs[user_id]
+        return self.stacked_intent_scores(user_id, np.asarray(f)[None])[0]
+
+    def stacked_intent_scores(self, user_id: str, F: np.ndarray) -> list[dict[str, float]]:
+        """The scores of the user's graph targets under each factor (row of
+        F), from one stacked product: each factor is taken at unit norm (a
+        zero factor as it is), and each target with rank weights scored by
+        `ranksvm.stacked_scores`, in the order of the graph's targets."""
+        targets = self.graphs[user_id].targets()
         model = self.rank_models.get(user_id)
         if model is None:
-            return {}
-        norm = float(np.linalg.norm(f))
-        unit = f / norm if norm > 0 else f
-        weights = model.weights
-        return {t: ranksvm.intent_score(model, t, unit) for t in graph.targets() if t in weights}
+            return [{} for _ in F]
+        cached = self._weights.get(user_id)
+        if cached is None or cached[0] is not targets:  # detect_targets re-indexes
+            names = tuple(t for t in targets if t in model.weights)
+            W = np.array([model.weights[t].w for t in names])
+            cached = self._weights[user_id] = (targets, names, W)
+        _, names, W = cached
+        if not names:
+            return [{} for _ in F]
+        norm = ranksvm.row_norms(F)
+        unit = F / np.where(norm > 0, norm, 1.0)[:, None]
+        return [dict(zip(names, row)) for row in ranksvm.stacked_scores(W, unit).tolist()]
 
 
 def serving_factor(serving: UserServing, state: kalman.KalmanState, hit: HitRecord):

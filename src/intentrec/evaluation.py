@@ -54,10 +54,11 @@ def ndcg_at_k(shown: list[str], true_next: str, k: int = DEFAULT_TOP_K) -> float
     """Binary-relevance NDCG with a single relevant item (ideal DCG = 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for rank0, node in enumerate(shown[:k]):
-        if node == true_next:
-            return 1.0 / math.log2(rank0 + 2)
-    return 0.0
+    try:
+        rank0 = shown.index(true_next, 0, k)
+    except ValueError:
+        return 0.0
+    return 1.0 / math.log2(rank0 + 2)
 
 
 def precision_recall_at_k(
@@ -101,11 +102,17 @@ def _top(scores: dict[str, float], k: int) -> tuple[dict[str, float], list[str]]
     return scores, sorted(scores, key=lambda v: (-scores[v], v))[:k]
 
 
-def _ranked(
-    recs: list[recommender.Recommendation], by: str, k: int
-) -> tuple[dict[str, float], list[str]]:
-    """Each candidate's `by` field and the top-k nodes `rank` orders by it."""
-    return {r.node: getattr(r, by) for r in recs}, [r.node for r in recommender.rank(recs, k, by)]
+def _by_score(recs: list[recommender.Recommendation], k: int):
+    """Each candidate's K and the top-k nodes `rank` orders by it."""
+    return {r.node: r.score for r in recs}, [r.node for r in recommender.rank(recs, k)]
+
+
+def _by_relevance(recs: list[recommender.Recommendation], k: int):
+    """Each candidate's R and the top-k nodes `rank` orders by it."""
+    return (
+        {r.node: r.relevance for r in recs},
+        [r.node for r in recommender.rank(recs, k, "relevance")],
+    )
 
 
 def run_benchmark(
@@ -119,6 +126,13 @@ def run_benchmark(
     Users unseen in training (or with too few unique training reports) are
     skipped and counted. Methods needing context artifacts fall back to
     frequency-only behavior for users excluded from the factorization.
+
+    Each user is evaluated in two passes. The first advances the user's
+    filter through all of the user's test views and keeps each event's
+    Kalman and PARAFAC2-only factors; their intent scores then come from one
+    stacked product per factor kind. The second scores, ranks and measures
+    each event; the mass and frequency rankings, which only the current
+    report's candidates decide, are made once per current report.
     """
     rows: dict[str, list[tuple[float, float, float, float]]] = {m: [] for m in ALL_METHODS}
     skipped_unseen = 0
@@ -137,45 +151,61 @@ def run_benchmark(
         serving = model.serving.get(uid)
         state = copy.deepcopy(serving.final_state) if serving else None
 
+        events: list[tuple[str, str]] = []  # (current, true next) report
+        f_kal: list[np.ndarray] = []
+        f_pf2: list[np.ndarray] = []
         for sess in test_by_user[uid]:
-            f_kal = np.zeros(1)
-            f_pf2 = np.zeros(1)
-            for i, hit in enumerate(sess.hits):
+            hits = sess.hits
+            for i, hit in enumerate(hits):
                 if serving is not None:
                     settled = state.settled is not None
-                    f_kal, f_pf2, state = serving_factor(serving, state, hit)
+                    kal, pf2, state = serving_factor(serving, state, hit)
                     views += 1
                     steady_views += settled and state.settled is not None
                     # only a missing view's exact step leaves no gain
                     missing_views += state.gain is None
-                if i + 1 >= len(sess.hits):
+                if i + 1 >= len(hits):
                     continue
-                u = hit.report_id
-                v_star = sess.hits[i + 1].report_id
-                if u not in graph.nodes:
+                if hit.report_id not in graph.nodes:
                     skipped_unseen += 1
                     continue
-                candidates = recommender.enumerate_candidates(graph, u)
-                scores_kal = model.intent_scores(uid, f_kal) if serving else {}
-                scores_pf2 = model.intent_scores(uid, f_pf2) if serving else {}
-                kal = {
-                    v: recommender.score(graph, candidates, scores_kal, variant)
-                    for v, variant in _VARIANT_ENUMS.items()
-                }
-                pf2 = recommender.score(graph, candidates, scores_pf2, RelevanceVariant.SUM_I)
-                # the context baselines score sum-i's R alone (alpha=1, W
-                # stripped, beta=0); the variants score K
-                methods = {
+                events.append((hit.report_id, hits[i + 1].report_id))
+                if serving is not None:
+                    f_kal.append(kal)
+                    f_pf2.append(pf2)
+        if not events:
+            continue
+        if serving is not None:
+            scores_kal = model.stacked_intent_scores(uid, np.array(f_kal))
+            scores_pf2 = model.stacked_intent_scores(uid, np.array(f_pf2))
+        else:
+            scores_kal = scores_pf2 = [{}] * len(events)
+
+        baselines: dict[str, dict] = {}
+        for (u, v_star), s_kal, s_pf2 in zip(events, scores_kal, scores_pf2):
+            candidates = recommender.enumerate_candidates(graph, u)
+            if u not in baselines:
+                baselines[u] = {
                     "mass": _top({v: graph.nodes[v].mass for v, _, _ in candidates}, k),
                     "frequency": _top({v: w for v, w, _ in candidates}, k),
-                    "context": _ranked(kal["sum-i"], "relevance", k),
-                    "parafac2": _ranked(pf2, "relevance", k),
-                    **{v: _ranked(kal[v], "score", k) for v in VARIANTS},
                 }
-                for method, (scores, shown) in methods.items():
-                    precision, recall = precision_recall_at_k(shown, v_star, k)
-                    ndcg, auc = ndcg_at_k(shown, v_star, k), event_auc(scores, v_star)
-                    rows[method].append((ndcg, precision, recall, auc))
+            kal = {
+                v: recommender.score(graph, candidates, s_kal, variant)
+                for v, variant in _VARIANT_ENUMS.items()
+            }
+            pf2 = recommender.score(graph, candidates, s_pf2, RelevanceVariant.SUM_I)
+            # the context baselines score sum-i's R alone (alpha=1, W
+            # stripped, beta=0); the variants score K
+            methods = {
+                **baselines[u],
+                "context": _by_relevance(kal["sum-i"], k),
+                "parafac2": _by_relevance(pf2, k),
+                **{v: _by_score(kal[v], k) for v in VARIANTS},
+            }
+            for method, (scores, shown) in methods.items():
+                precision, recall = precision_recall_at_k(shown, v_star, k)
+                ndcg, auc = ndcg_at_k(shown, v_star, k), event_auc(scores, v_star)
+                rows[method].append((ndcg, precision, recall, auc))
 
     reports = [report(m, rows[m]) for m in ALL_METHODS]
     if not any(r.events for r in reports):

@@ -36,7 +36,8 @@ def hit_from_doc(row: dict) -> HitRecord:
     malformed: a row that is not an object; a missing or empty field; a
     boolean, list or object in an id, label or `session` field; `values`
     that are neither a list nor `;`-separated text, or that hold a boolean,
-    a NaN or an infinity; a `ts` that is not integer seconds below 2**63."""
+    a NaN, an infinity or a number too large for a float; a `ts` that is not
+    integer seconds below 2**63."""
     if type(row) is not dict:
         raise ValueError(f"a row is a {type(row).__name__}, not an object")
     user, ts, report, kind, metric, dim, values = map(row.get, _REQUIRED)
@@ -54,7 +55,10 @@ def hit_from_doc(row: dict) -> HitRecord:
     if type(values) is list:
         if bool in map(type, values):
             raise ValueError("a boolean among the values")
-        values = tuple(map(float, values))
+        try:
+            values = tuple(map(float, values))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("a value too large for a float") from None
     elif type(values) is str:
         values = tuple(map(float, filter(None, values.split(";"))))
     else:

@@ -25,21 +25,23 @@ class NodeAttrs:
 class _Index:
     """What queries read from a graph: adjacency sorted by successor id, as
     weights and as Dijkstra lengths -ln(W), the sorted targets, and each
-    queried source's intent distances."""
+    queried source's intent distances and recommendation candidates."""
     successors: dict[str, tuple[tuple[str, float], ...]]
     lengths: dict[str, tuple[tuple[str, float], ...]]
     targets: tuple[str, ...]
     distances: dict[str, dict[str, float]] = field(default_factory=dict)
+    candidates: dict[str, list[tuple[str, float, int]]] = field(default_factory=dict)
 
 
 @dataclass
 class NavGraph:
     """A user's navigation graph.
 
-    The first query (successors, targets, intent_distances) indexes the
-    edges and target flags; detect_targets drops the index. Feedback only
-    scales alpha/beta, which no query reads, so the index stays valid between
-    fits. Query results are shared with the index and must not be mutated.
+    The first query (successors, targets, intent_distances or
+    `recommender.enumerate_candidates`) indexes the edges and target flags;
+    detect_targets drops the index. Feedback only scales alpha/beta, which
+    no query reads, so the index stays valid between fits. Query results are
+    shared with the index and must not be mutated.
     """
     user_id: str
     nodes: dict[str, NodeAttrs] = field(default_factory=dict)

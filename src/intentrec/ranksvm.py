@@ -60,9 +60,14 @@ class RankModel:
 
 
 def _unit_rows(factors) -> np.ndarray:
-    norms = [np.linalg.norm(f) for f in factors]
-    rows = [f / n for f, n in zip(factors, norms) if n > 0]
-    return np.array(rows) if rows else np.empty((0, 0))
+    """The nonzero factors as unit rows, each divided by its `row_norms`
+    norm; (0, 0) when none is nonzero."""
+    if not len(factors):
+        return np.empty((0, 0))
+    rows = np.array(factors, dtype=float)
+    norms = row_norms(rows)
+    keep = norms > 0
+    return rows[keep] / norms[keep, None] if keep.any() else np.empty((0, 0))
 
 
 def session_final_target(report_sequence: list[str], targets: set[str]) -> str | None:
@@ -136,6 +141,12 @@ class _Batch(NamedTuple):
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a_i . b_i, each summed as `a_i @ b_i` sums it."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, the square root of the row's dot product
+    with itself, as np.linalg.norm takes it."""
+    return np.sqrt(_dots(rows, rows))
 
 
 def _products(R: np.ndarray, rows: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -246,7 +257,7 @@ def _solve_batch(sets: list[RankTrainingSet], lam: float) -> list[IntentWeights]
         live = np.delete(live, searching)  # their objective no longer moves
         live = live[iterations[live] < MAX_NEWTON_ITERS]
 
-    norm = np.sqrt(_dots(W, W))
+    norm = row_norms(W)
     capped = np.flatnonzero(norm > WEIGHT_NORM_CAP)
     if capped.size:
         W[capped] *= (WEIGHT_NORM_CAP / norm[capped])[:, None]
@@ -319,7 +330,17 @@ def train_all(training_sets: dict[str, RankTrainingSet], lam: float = DEFAULT_LA
     return RankModel(dict(zip(intents, weights)), trade_off=lam)
 
 
+def stacked_scores(W: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Normalized intent scores (4 + <w, f>) / 8, clamped to [0, 1], of every
+    factor f (row of F, E x R) under every intent's weights w (row of W,
+    T x R), as an E x T array. Each <w, f> is a one-row product, the dot
+    product that `w @ f` takes; a plain `W @ f` would sum in another order.
+    A NaN score stays NaN."""
+    raw = (W[:, None, :] @ F[:, None, :, None])[..., 0, 0]
+    return np.minimum(np.maximum((4.0 + raw) / 8.0, 0.0), 1.0)
+
+
 def intent_score(model: RankModel, intent: str, f: np.ndarray) -> float:
-    """Normalized intent score (4 + <w, f>) / 8, clamped to [0, 1]."""
-    raw = float(model.weights[intent].w @ f)
-    return min(max((4.0 + raw) / 8.0, 0.0), 1.0)
+    """Normalized intent score of one factor, a stack of one."""
+    w = model.weights[intent].w
+    return float(stacked_scores(w[None], np.asarray(f, dtype=float)[None])[0, 0])

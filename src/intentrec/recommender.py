@@ -104,13 +104,22 @@ def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]
 
     2-step weights maximize W_uv * W_vw over intermediates; nodes already
     reachable in one step keep their 1-step entry only, and u is excluded.
+    The list is memoized on the graph's index, as intent_distances' results
+    are, and shared: callers must not mutate it.
     """
+    index = graph._index
+    if index is not None:
+        memo = index.candidates.get(u)
+        if memo is not None:
+            return memo
     if u not in graph.nodes:
         raise KeyError(f"unknown node: {u!r}")
-    one_step = dict(graph.successors(u))
+    index = graph._indexed()
+    successors = index.successors
+    one_step = dict(successors.get(u, ()))
     two_step: dict[str, float] = {}
     for v, w_uv in one_step.items():
-        for w_node, w_vw in graph.successors(v):
+        for w_node, w_vw in successors.get(v, ()):
             if w_node == u or w_node in one_step:
                 continue
             prod = w_uv * w_vw
@@ -118,6 +127,7 @@ def enumerate_candidates(graph: NavGraph, u: str) -> list[tuple[str, float, int]
                 two_step[w_node] = prod
     out = [(v, w, 1) for v, w in sorted(one_step.items())]
     out += [(v, w, 2) for v, w in sorted(two_step.items())]
+    index.candidates[u] = out
     return out
 
 
@@ -132,11 +142,15 @@ def score(
     relevance R taken from graph's own paths."""
     nodes, source_user = graph.nodes, graph.user_id
     collapse, items = _collapse(variant), intent_scores.items()
+    memo = graph._indexed().distances  # intent_distances' memo, read first
     recs: list[Recommendation] = []
     for v, w_uv, step in candidates:
         attrs = nodes[v]
         alpha, beta, mass = attrs.alpha, attrs.beta, attrs.mass
-        r_v = collapse(items, intent_distances(graph, v))
+        distances = memo.get(v)
+        if distances is None:
+            distances = intent_distances(graph, v)
+        r_v = collapse(items, distances)
         # positional, in field order: keywords cost about a third of this loop
         recs.append(Recommendation(
             v, alpha * w_uv * r_v + beta * mass, r_v, w_uv, mass,

@@ -81,3 +81,22 @@ def two_width_workdir(workdir: Path) -> tuple[pipeline.PipelineConfig, list[str]
     for stage in (pipeline.stage_graph, pipeline.stage_tensor, pipeline.stage_factorize):
         stage(workdir, cfg)
     return cfg, wide
+
+
+def per_target_intent_scores(model, user_id: str, f: np.ndarray) -> dict[str, float]:
+    """`TrainedModel.intent_scores` one target at a time, the bitwise oracle
+    of its stacked product: f at unit norm (a zero factor as it is), then
+    the clamped (4 + <w, f>) / 8 of each of the user's graph targets that
+    has rank weights, in target order."""
+    graph = model.graphs[user_id]
+    rank_model = model.rank_models.get(user_id)
+    if rank_model is None:
+        return {}
+    norm = float(np.linalg.norm(f))
+    unit = f / norm if norm > 0 else f
+    out = {}
+    for t in graph.targets():
+        if t in rank_model.weights:
+            raw = float(rank_model.weights[t].w @ unit)
+            out[t] = min(max((4.0 + raw) / 8.0, 0.0), 1.0)
+    return out

@@ -2,6 +2,7 @@
 
 Each test prints one PASS/FAIL line for its criterion.
 """
+import copy
 import math
 import time
 
@@ -9,15 +10,17 @@ import numpy as np
 import pytest
 
 from intentrec import pipeline, synth
+from intentrec.artifacts import serving_factor
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence, initial_state, step
+from intentrec.models import group_by_user
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
 from intentrec.parafac2 import decompose, reconstruct, stack_panels
 from intentrec.pipeline import PipelineConfig
 from intentrec.ranksvm import RankModel, RankTrainingSet, intent_score, train
 from intentrec.recommender import RelevanceVariant, recommend
 
-from conftest import random_sessions
+from conftest import per_target_intent_scores, random_sessions
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -43,17 +46,23 @@ def _run_pipeline(tmp_path, seed, *, n_users, sessions_per_user, rho, n_seeds_ta
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def fits(tmp_path_factory):
+    """Acceptance-scale fits of seeds 1-5: (NDCG by method, hits, seconds, workdir)."""
     root = tmp_path_factory.mktemp("ordering")
     out = []
     for seed in (1, 2, 3, 4, 5):
         t0 = time.time()
-        ndcg, hits, _ = _run_pipeline(
+        ndcg, hits, wd = _run_pipeline(
             root, seed, n_users=200, sessions_per_user=20, rho=0.8,
             n_seeds_tag="s",
         )
-        out.append((ndcg, hits, time.time() - t0))
+        out.append((ndcg, hits, time.time() - t0, wd))
     return out
+
+
+@pytest.fixture(scope="module")
+def runs(fits):
+    return [fit[:3] for fit in fits]
 
 
 class TestOrderingReproduction:
@@ -81,6 +90,31 @@ class TestOrderingReproduction:
             "ordering: >=10k hits and full pipeline under 5 minutes",
             min_hits >= 10_000 and max_t < 300.0,
             f"min hits {min_hits}, slowest run {max_t:.1f}s",
+        )
+
+
+class TestStackedIntentScores:
+    def test_every_seed1_test_factor_scores_as_the_per_target_loop(self, fits):
+        wd = fits[0][3]
+        model = pipeline.load_model(wd)
+        dataset = pipeline.load_dataset(wd / "sessions.npz")
+        factors = differ = 0
+        for uid, sessions in sorted(group_by_user(dataset.test).items()):
+            serving = model.serving.get(uid)
+            if serving is None or uid not in model.graphs:
+                continue
+            state = copy.deepcopy(serving.final_state)
+            F = []
+            for hit in (h for sess in sessions for h in sess.hits):
+                f_kal, f_pf2, state = serving_factor(serving, state, hit)
+                F += [f_kal, f_pf2]
+            for f, got in zip(F, model.stacked_intent_scores(uid, np.array(F))):
+                differ += list(got.items()) != list(per_target_intent_scores(model, uid, f).items())
+                factors += 1
+        _report(
+            "intent scores: stacked product equals the per-target loop",
+            differ == 0 and factors > 10_000,
+            f"{differ} of {factors} seed-1 Kalman and PARAFAC2 test factors differ",
         )
 
 

@@ -3,11 +3,13 @@ import copy
 import numpy as np
 
 from intentrec import kalman
-from intentrec.artifacts import UserServing, serving_factor
-from intentrec.context import FeatureLayout, context_vector
+from intentrec.artifacts import TrainedModel, UserServing, serving_factor
+from intentrec.context import FeatureLayout, UserClustering, context_vector
 from intentrec.models import ReportKind
+from intentrec.navgraph import NavGraph, NodeAttrs, detect_targets
+from intentrec.ranksvm import IntentWeights, RankModel
 
-from conftest import make_hit
+from conftest import make_hit, per_target_intent_scores
 
 PAIRS = [("m", "d"), ("m2", "d2")]
 
@@ -63,3 +65,68 @@ class TestServingFactor:
             np.testing.assert_array_equal(f_pf2, serving.Lam_pinv @ x)
             np.testing.assert_array_equal(state.P_post, expected.P_post)
             assert (state.settled is None) == (expected.settled is None)
+
+
+def _scored_model(rng, rank=4):
+    """Two users on one graph each: "ranked" has rank weights for targets t1
+    and t3 (t2 has none; "x" is no target), of norm up to 10 so that the
+    clamp binds; "unranked" has no rank model."""
+    graphs = {}
+    for uid in ("ranked", "unranked"):
+        g = NavGraph(user_id=uid)
+        for n in ("a", "t1", "t2", "t3", "x"):
+            g.nodes[n] = NodeAttrs()
+        for v in ("t1", "t2", "t3"):
+            g.edges[("a", v)] = 1.0 / 3.0
+        detect_targets(g)
+        graphs[uid] = g
+    weights = {
+        t: IntentWeights(w=rng.normal(size=rank) * rng.uniform(0.1, 10.0))
+        for t in ("t3", "x", "t1")
+    }
+    return TrainedModel(
+        graphs=graphs,
+        clustering=UserClustering(assignments={}, centroids=np.zeros((1, 3))),
+        rank_models={"ranked": RankModel(weights)},
+        serving={},
+    )
+
+
+def _bits(scores: dict[str, float]) -> list[tuple[str, str]]:
+    return [(t, s.hex()) for t, s in scores.items()]
+
+
+class TestStackedIntentScores:
+    def test_stack_matches_the_per_target_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        model = _scored_model(rng)
+        F = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        F[[0, 7]] = 0.0  # a zero factor is scored as it is
+        F[9] = [-0.0, 0.0, -0.0, 0.0]
+        F[11, 2] = np.nan
+        stacked = model.stacked_intent_scores("ranked", F)
+        assert list(stacked[0]) == ["t1", "t3"]  # in target order, t2 has no weights
+        assert stacked[0] == {"t1": 0.5, "t3": 0.5}
+        for f, got in zip(F, stacked):
+            assert _bits(got) == _bits(per_target_intent_scores(model, "ranked", f))
+            assert _bits(model.intent_scores("ranked", f)) == _bits(got)
+        clamped = [s for row in stacked for s in row.values() if s in (0.0, 1.0)]
+        assert len(clamped) > 10
+
+    def test_user_without_rank_model_scores_nothing(self):
+        model = _scored_model(np.random.default_rng(9))
+        assert model.stacked_intent_scores("unranked", np.ones((3, 4))) == [{}, {}, {}]
+        assert model.intent_scores("unranked", np.ones(4)) == {}
+
+    def test_weights_follow_redetected_targets(self):
+        rng = np.random.default_rng(10)
+        model = _scored_model(rng)
+        f = rng.normal(size=4)
+        assert list(model.intent_scores("ranked", f)) == ["t1", "t3"]
+        graph = model.graphs["ranked"]
+        graph.edges[("a", "x")] = 0.25  # x becomes a target, which has weights
+        detect_targets(graph)
+        assert list(model.intent_scores("ranked", f)) == ["t1", "t3", "x"]
+        assert _bits(model.intent_scores("ranked", f)) == _bits(
+            per_target_intent_scores(model, "ranked", f)
+        )

@@ -107,6 +107,18 @@ class TestParseHits:
         result = parse_hits("\n".join([header, *csv_rows]), format="csv")
         assert (len(result.records), result.skipped) == (2, 2)
 
+    def test_value_too_large_for_a_float_is_malformed(self):
+        # a JSON integer beyond the float range is a malformed row, as
+        # "1e999" is: skipped and counted, not an OverflowError
+        huge = _row(ts=101, values=[1.0, 10**400])
+        with pytest.raises(ValueError):
+            hit_from_doc(json.loads(json.dumps(huge)))
+        lines = [json.dumps(_row(ts=100)), json.dumps(huge), json.dumps(_row(ts=102))]
+        result = parse_hits("\n".join(lines))
+        assert result.skipped == 1
+        assert [h.timestamp for h in result.records] == [100, 102]
+        assert [h.values for h in result.records] == [(1.0, 2.0, 3.0)] * 2
+
     @pytest.mark.parametrize("line", NOT_AN_OBJECT)
     def test_row_that_is_not_an_object_is_malformed(self, line):
         lines = [json.dumps(_row(ts=100 + i)) for i in range(75)]

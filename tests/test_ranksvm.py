@@ -81,6 +81,22 @@ class TestTrainingSets:
             assert train(ts["I"]).degenerate
 
 
+    @pytest.mark.parametrize("shape", ["xxoxx" * 40, "oxo", "ooo", "x", ""],
+                             ids=["many-with-zero-rows", "one-nonzero", "all-zero", "one", "none"])
+    def test_unit_rows_match_the_per_row_norms_bitwise(self, shape):
+        # x is a random factor of random scale, o a zero one
+        rng = np.random.default_rng(13)
+        factors = [
+            rng.normal(size=5) * 10.0 ** int(rng.integers(-3, 4)) if c == "x" else np.zeros(5)
+            for c in shape
+        ]
+        norms = [np.linalg.norm(f) for f in factors]
+        rows = [f / n for f, n in zip(factors, norms) if n > 0]
+        want = np.array(rows) if rows else np.empty((0, 0))
+        got = _unit_rows(factors)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestTrain:
     def test_two_point_analytic_case(self):
         ts = RankTrainingSet(

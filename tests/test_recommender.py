@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -88,6 +89,75 @@ class TestCandidates:
     def test_unknown_node(self):
         with pytest.raises(KeyError):
             enumerate_candidates(NavGraph(user_id="u1"), "nope")
+
+
+def _cold(g: NavGraph) -> NavGraph:
+    """A copy of g that has answered no query yet."""
+    return NavGraph.from_json(g.to_json())
+
+
+class TestCandidateMemo:
+    def test_memo_matches_fresh_enumeration_and_survives_feedback(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            g = build_graph(random_sessions(rng, n_sessions=5))
+            detect_targets(g)
+            scores = {t: float(rng.uniform()) for t in g.targets()}
+            for _ in range(4):
+                for u in sorted(g.nodes):
+                    memo = enumerate_candidates(g, u)
+                    assert memo is enumerate_candidates(g, u)
+                    assert memo == enumerate_candidates(_cold(g), u)
+                # feedback only scales alpha/beta, which scoring reads anew
+                current = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+                memo = enumerate_candidates(g, current)
+                shown = rank(recommend(g, current, scores))
+                if shown:
+                    apply_feedback(g, shown, FeedbackKind.EXPLICIT_POS, node=shown[0].node)
+                    apply_feedback(g, shown, FeedbackKind.IMPLICIT_NEG)
+                assert enumerate_candidates(g, current) is memo
+                assert recommend(g, current, scores) == recommend(_cold(g), current, scores)
+
+    def test_detect_targets_drops_the_memo(self):
+        g = _graph({("u", "a"): 1.0, ("a", "b"): 1.0}, targets=("b",))
+        first = enumerate_candidates(g, "u")
+        assert first == [("a", 1.0, 1), ("b", 1.0, 2)]
+        g.nodes["c"] = NodeAttrs()
+        g.edges[("u", "a")] = g.edges[("u", "c")] = 0.5
+        detect_targets(g)
+        again = enumerate_candidates(g, "u")
+        assert again is not first
+        assert again == [("a", 0.5, 1), ("c", 0.5, 1), ("b", 0.5, 2)]
+        assert first == [("a", 1.0, 1), ("b", 1.0, 2)]
+
+    def test_group_recommend_leaves_the_memo_unchanged(self):
+        novice = build_graph([make_session("novice", ["hub", "x"])])
+        expert = build_graph([make_session("expert", ["hub", "x", "t"]),
+                              make_session("expert", ["hub", "deep", "t"])])
+        for g in (novice, expert):
+            detect_targets(g)
+        graphs = {"novice": novice, "expert": expert}
+        clustering = UserClustering(
+            assignments={"novice": 0, "expert": 3}, centroids=np.zeros((4, 3))
+        )
+        memo = enumerate_candidates(expert, "hub")
+        before = list(memo)
+        recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
+        assert "x" in {v for v, _, _ in before} and "x" not in {r.node for r in recs}
+        assert enumerate_candidates(expert, "hub") is memo and memo == before
+
+    def test_deepcopy_of_a_queried_graph_returns_the_same_candidates(self):
+        rng = np.random.default_rng(31)
+        g = build_graph(random_sessions(rng, n_sessions=6, n_reports=8))
+        detect_targets(g)
+        scores = {t: float(rng.uniform()) for t in g.targets()}
+        served = {u: recommend(g, u, scores) for u in sorted(g.nodes)}
+        twin = copy.deepcopy(g)
+        for u in sorted(g.nodes):
+            assert enumerate_candidates(twin, u) == enumerate_candidates(g, u)
+            assert enumerate_candidates(twin, u) is not enumerate_candidates(g, u)
+            assert recommend(twin, u, scores) == served[u]
+
 
 
 class TestScoreCandidates:
