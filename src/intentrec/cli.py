@@ -1,4 +1,5 @@
-"""Command-line driver for the full pipeline."""
+"""Command-line driver for the full pipeline. Each command imports the
+layers it runs: `recommend` only the NumPy-free `store` and its imports."""
 from __future__ import annotations
 
 import argparse
@@ -9,9 +10,9 @@ import sys
 import typing
 from pathlib import Path
 
-from . import evaluation, pipeline, synth
-from .ingest import FormatError
-from .pipeline import MissingArtifact, PipelineConfig, StaleArtifact
+from .config import VARIANTS, PipelineConfig
+from .models import FormatError
+from .store import MissingArtifact, StaleArtifact, stage_recommend
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,7 +31,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--rank-lambda", type=float, dest="rank_lambda")
     p.add_argument("--process-noise", type=float, dest="process_noise")
-    p.add_argument("--variant", choices=[v for v in evaluation.VARIANTS])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--min-unique-reports", type=int, dest="min_unique_reports")
@@ -136,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
+def _synth_config(args: argparse.Namespace):
+    from . import synth
+
     base = _config_file(args.config)
     overrides = {
         "n_users": args.users,
@@ -159,6 +162,15 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
     try:
+        if args.command == "recommend":
+            doc = stage_recommend(
+                args.workdir, _pipeline_config(args), args.user, args.current, args.collaborative
+            )
+            print(json.dumps(doc, indent=2, sort_keys=True))
+            return EXIT_OK
+
+        from . import evaluation, pipeline
+
         if args.command == "synth":
             out = pipeline.stage_synth(args.workdir, _synth_config(args))
             print(f"wrote {out}")
@@ -178,12 +190,6 @@ def main(argv: list[str] | None = None) -> int:
             out = pipeline.stage_kalman(workdir, config)
         elif args.command == "train-rank":
             out = pipeline.stage_train_rank(workdir, config)
-        elif args.command == "recommend":
-            doc = pipeline.stage_recommend(
-                workdir, config, args.user, args.current, args.collaborative
-            )
-            print(json.dumps(doc, indent=2, sort_keys=True))
-            return EXIT_OK
         elif args.command == "evaluate":
             result = pipeline.stage_evaluate(workdir, config)
             print(evaluation.results_table(result.reports))

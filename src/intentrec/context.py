@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HitRecord, ReportKind, Session
+from .models import SLOTS_PER_PAIR, HitRecord, ReportKind, Session
 
 log = logging.getLogger(__name__)
 
-SLOTS_PER_PAIR = 6
 N_CLUSTERS = 4
 
 

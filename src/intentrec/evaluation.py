@@ -12,15 +12,13 @@ import numpy as np
 
 from . import recommender
 from .artifacts import TrainedModel, serving_factor
+from .config import DEFAULT_MIN_UNIQUE_REPORTS, VARIANTS
 from .models import Dataset, group_by_user
 from .recommender import DEFAULT_TOP_K, RelevanceVariant
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MIN_UNIQUE_REPORTS = 5
-
 BASELINES = ("mass", "frequency", "context", "parafac2")
-VARIANTS = ("max-ixd", "dot-ixd", "max-i", "sum-i")
 ALL_METHODS = BASELINES + VARIANTS
 _VARIANT_ENUMS = {v: RelevanceVariant(v) for v in VARIANTS}
 

@@ -8,21 +8,16 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .models import Dataset, HitRecord, ReportKind, Session
+from .config import DEFAULT_SESSION_TIMEOUT
+from .models import Dataset, FormatError, HitRecord, ReportKind, Session
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SESSION_TIMEOUT = 1800  # seconds; standard 30-minute web sessionization
 
 _REQUIRED = ("user_id", "ts", "report_id", "kind", "metric", "dim_element", "values")
 _TEXT = frozenset((str, int, float))  # an id or label: JSON text or a number
 _HINT = _TEXT | {type(None)}  # `session`, which may be absent
 _KINDS = {kind.value: kind for kind in ReportKind}
 _TS_END = 2**63  # a `ts` must fit the int64 column of sessions.npz
-
-
-class FormatError(ValueError):
-    pass
 
 
 @dataclass

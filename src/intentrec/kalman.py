@@ -32,7 +32,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MISSING = None  # sentinel for an absent contextual signal
-DEFAULT_PROCESS_NOISE = 1.0
 # An observed exact step that moves P_post by at most this much (relative,
 # Frobenius norm) has settled P; the filter then keeps its gain.
 SETTLED_TOLERANCE = 1e-12

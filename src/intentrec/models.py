@@ -5,6 +5,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+# The context features of one (metric, dimension element) pair: a user's
+# context width N_u is this times the pairs of its feature layout.
+SLOTS_PER_PAIR = 6
+
+
+class FormatError(ValueError):
+    """A hit log whose rows are malformed beyond the tolerated share."""
+
 
 class ReportKind(str, Enum):
     TIME_SERIES = "timeseries"

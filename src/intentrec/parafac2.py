@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_RANK = 5
+from .config import DEFAULT_MAX_ITERS, DEFAULT_RANK
+
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_ITERS = 500
 
 
 @dataclass

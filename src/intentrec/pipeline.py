@@ -2,137 +2,43 @@
 from the workdir, writes its own, and records a manifest entry."""
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import logging
-import os
 import shutil
-import time
-import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, recommender, synth
+from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, synth
 from .artifacts import TrainedModel, UserServing
+from .config import PipelineConfig
 from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
+from .store import (  # noqa: F401  (MissingArtifact, stage_recommend: re-exported)
+    F8,
+    MissingArtifact,
+    StaleArtifact,
+    _assignments,
+    _begin_stage,
+    _check_ranks,
+    _note_manifest,
+    _read_bytes,
+    _read_clustering,
+    _read_json,
+    _require,
+    _serving_rows,
+    _widths,
+    load_graphs,
+    read_npz,
+    stage_recommend,
+)
 
 log = logging.getLogger(__name__)
 
 TRANSITION_RIDGE = 1e-3
 PARAFAC2_TOL = 1e-6  # parafac2.DEFAULT_TOL (1e-7) costs ~12x the iterations for no NDCG gain
-
-
-class MissingArtifact(FileNotFoundError):
-    pass
-
-
-class StaleArtifact(Exception):
-    """An artifact an earlier version (or an interrupted stage) left behind,
-    which this version cannot read: re-run the stage that writes it."""
-
-
-@dataclass
-class PipelineConfig:
-    timeout: float = ingest.DEFAULT_SESSION_TIMEOUT
-    train_fraction: float = 0.7
-    rank: int = parafac2.DEFAULT_RANK
-    max_iters: int = parafac2.DEFAULT_MAX_ITERS
-    rank_lambda: float = ranksvm.DEFAULT_LAMBDA
-    process_noise: float = kalman.DEFAULT_PROCESS_NOISE
-    variant: str = "sum-i"
-    k: int = recommender.DEFAULT_TOP_K
-    seed: int = 0
-    min_unique_reports: int = evaluation.DEFAULT_MIN_UNIQUE_REPORTS
-
-    def __post_init__(self):
-        # timeout and train_fraction are refused by ingest before it writes
-        for name in ("k", "rank", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.process_noise >= 0:
-            raise ValueError("process_noise must be >= 0")
-        if not self.rank_lambda > 0:
-            raise ValueError("rank_lambda must be > 0")
-        if self.variant not in evaluation.VARIANTS:
-            raise ValueError(f"variant must be one of {', '.join(evaluation.VARIANTS)}")
-
-
-# Every file `_require` has let the running stage read, its manifest inputs,
-# with the SHA-256 of the bytes the stage read where `_read_bytes` took it.
-_reads: dict[Path, str | None] = {}
-
-
-def _begin_stage(workdir: Path) -> float:
-    """Forget what earlier stages read and check the workdir's manifest, so
-    a stage refuses a torn one before it writes; the time this one starts."""
-    _reads.clear()
-    _read_manifest(workdir)
-    return time.time()
-
-
-def _require(path: Path) -> Path:
-    """path, which the running stage reads; MissingArtifact if it is not there."""
-    if not path.exists():
-        raise MissingArtifact(str(path))
-    _reads.setdefault(path, None)
-    return path
-
-
-def _read_bytes(path: Path) -> tuple[bytes, str]:
-    """The bytes at path, which the running stage reads, and their SHA-256,
-    which its manifest records: the file is read and hashed once."""
-    data = _require(path).read_bytes()
-    _reads[path] = digest = hashlib.sha256(data).hexdigest()
-    return data, digest
-
-
-def _read_json(path: Path, stage: str):
-    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
-    one is stale."""
-    try:
-        return json.loads(_require(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _read_manifest(workdir: Path) -> dict:
-    """The workdir's manifest.json, {} before any stage has run; a torn one
-    is stale. It is no stage's input, so it bypasses `_require`."""
-    path = workdir / "manifest.json"
-    try:
-        return json.loads(path.read_text()) if path.exists() else {}
-    except ValueError as exc:
-        raise StaleArtifact(
-            f"{path} is not whole JSON ({exc}); remove it, as no stage rewrites it whole"
-        ) from exc
-
-
-def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details):
-    """Record the stage in manifest.json, its inputs being the files it read.
-    The manifest is replaced whole, so an interrupted stage cannot tear it."""
-    manifest = _read_manifest(workdir)
-    manifest[stage] = {
-        "inputs": {
-            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name):
-            digest or _sha256(p)
-            for p, digest in _reads.items() if p.is_file()
-        },
-        "config": config,
-        "elapsed_s": round(time.time() - t0, 3),
-        **details,
-    }
-    tmp = workdir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, workdir / "manifest.json")
 
 
 # sessions.npz holds `split_instant`, `vocab` (a JSON list, UTF-8 encoded) and
@@ -145,9 +51,15 @@ _SPLITS = ("train", "test")
 _TEXT_COLUMNS = ("user_id", "report_id", "metric", "dim_element", "session")
 _PER_HIT = ("ts", "kind", "counts", *_TEXT_COLUMNS)
 _SPLIT_COLUMNS = ("lengths", "values", *_PER_HIT)
-_SESSION_ARRAYS = dict.fromkeys(
-    ["split_instant", "vocab", *(f"{split}_{name}" for split in _SPLITS for name in _SPLIT_COLUMNS)]
-)
+# each array's dtype as np.save records it, the one `save_dataset` writes
+_SESSION_DTYPES = {
+    "split_instant": np.dtype(np.int64).str,
+    "vocab": np.dtype(np.uint8).str,
+    **{
+        f"{split}_{name}": np.dtype({"values": np.float64, "ts": np.int64}.get(name, np.int32)).str
+        for split in _SPLITS for name in _SPLIT_COLUMNS
+    },
+}
 _KIND_ORDER = tuple(ReportKind)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KIND_ORDER)}
 
@@ -195,10 +107,11 @@ def save_dataset(dataset: Dataset, path: Path):
 
 
 def _split_sessions(columns: dict[str, np.ndarray], vocab: list) -> list[Session]:
-    """The sessions of one split's columns; ValueError if they disagree."""
+    """The sessions of one split's columns, each of its `_SESSION_DTYPES`
+    dtype; ValueError if they disagree."""
     for name, column in columns.items():
-        if column.ndim != 1 or column.dtype.kind != ("f" if name == "values" else "i"):
-            raise ValueError(f"column {name} is not a 1-D array of its dtype")
+        if column.ndim != 1:
+            raise ValueError(f"column {name} is not a 1-D array")
     lengths, counts, values = columns["lengths"], columns["counts"], columns["values"]
     if (lengths < 1).any():
         raise ValueError("a session without hits")
@@ -245,11 +158,11 @@ def load_dataset(path: Path) -> Dataset:
     call returns its own Sessions and hit lists, so a caller may edit them."""
     data, key = _read_bytes(path)
     if key not in _parsed:
-        arrays = _load_npz(path, "ingest", _SESSION_ARRAYS, data)
+        arrays = _load_npz(path, "ingest", dict.fromkeys(_SESSION_DTYPES), data, _SESSION_DTYPES)
         try:
             vocab = json.loads(arrays["vocab"].tobytes())
             split_instant = arrays["split_instant"]
-            if type(vocab) is not list or split_instant.shape or split_instant.dtype.kind != "i":
+            if type(vocab) is not list or split_instant.shape:
                 raise ValueError("vocab is not a JSON list, or split_instant not one integer")
             splits = {
                 split: _split_sessions(
@@ -274,37 +187,18 @@ def load_dataset(path: Path) -> Dataset:
 
 
 def _load_npz(
-    path: Path, stage: str, rows: dict[str, int | None], data: bytes | None = None
+    path: Path,
+    stage: str,
+    rows: dict[str, int | None],
+    data: bytes | None = None,
+    dtype: str | dict[str, str] = F8,
 ) -> dict[str, np.ndarray]:
-    """The arrays named in `rows` of the .npz that `intentrec <stage>` wrote
-    to path, or of its bytes if the caller has already read them; an array
-    with a row count in `rows` (a stack, one row per member) must hold that
-    many rows. A truncated file is stale, and so is one without such an
-    array, such as one in the positional layout (`arr_0`, ...) of earlier
-    versions, or one whose stack holds other members than clustering.json
-    lists. Nothing pickled is read. The file is closed whether or not it
-    loads: np.load leaves a file it opened itself open when it refuses it."""
-    try:
-        source = _require(path).open("rb") if data is None else io.BytesIO(data)
-        with source as fh, np.load(fh, allow_pickle=False) as z:
-            missing = [name for name in rows if name not in z.files]
-            if missing:
-                raise StaleArtifact(
-                    f"{path} holds no array {', '.join(missing)}, so it is not in this "
-                    f"version's layout; re-run `intentrec {stage}`"
-                )
-            arrays = {name: z[name] for name in rows}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise StaleArtifact(
-            f"{path} is not a whole .npz ({type(exc).__name__}: {exc}); re-run `intentrec {stage}`"
-        ) from exc
-    for name, n in rows.items():
-        if n is not None and arrays[name].shape[:1] != (n,):
-            raise StaleArtifact(
-                f"{path} holds {name} of shape {arrays[name].shape}, not {n} members' rows "
-                f"as clustering.json lists; re-run `intentrec {stage}`"
-            )
-    return arrays
+    """The arrays `read_npz` reads and checks, as read-only NumPy arrays
+    over its bytes."""
+    return {
+        name: np.frombuffer(array.data, dtype=array.descr).reshape(array.shape)
+        for name, array in read_npz(path, stage, rows, data, dtype).items()
+    }
 
 
 def _fresh_dir(path: Path) -> Path:
@@ -381,15 +275,6 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
     return out
 
 
-def load_graphs(workdir: Path) -> dict[str, navgraph.NavGraph]:
-    docs = _read_json(workdir / "graphs.json", "graph")
-    graphs = {}
-    for doc in docs:
-        g = navgraph.NavGraph.from_json(doc)
-        graphs[g.user_id] = g
-    return graphs
-
-
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.npz")
@@ -420,33 +305,14 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     return workdir / "tensors"
 
 
-_CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
-
-
-def _read_clustering(workdir: Path) -> dict:
-    """clustering.json as `stage_tensor` wrote it: each cluster's sorted
-    members (the row order of its .npz arrays), each user's view count and
-    feature slots, and the k-means diagnostics. Another layout is stale."""
-    path = workdir / "clustering.json"
-    doc = _read_json(path, "tensor")
-    if not isinstance(doc, dict) or doc.keys() != _CLUSTERING_KEYS:
-        raise StaleArtifact(f"{path} is not this version's layout; re-run `intentrec tensor`")
-    return doc
-
-
 def load_clustering(doc: dict) -> context.UserClustering:
     """A `_read_clustering` doc's clustering; a user's cluster is the one listing it."""
     return context.UserClustering(
-        assignments={u: int(c) for c, members in doc["clusters"].items() for u in members},
+        assignments=_assignments(doc),
         centroids=np.asarray(doc["centroids"]),
         insufficient=doc["insufficient"],
         empty_clusters=doc["empty_clusters"],
     )
-
-
-def _widths(doc: dict, members: list[str]) -> list[int]:
-    """Each member's width N_u, from its feature slots in a `_read_clustering` doc."""
-    return [context.SLOTS_PER_PAIR * len(doc["slots"][u]) for u in members]
 
 
 def _stacks(groups: dict[int, list[int]], prefix: str) -> dict[str, int]:
@@ -559,11 +425,10 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
 def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
     """Each member's filter as `stage_kalman` wrote it, read from `kalman/`
     and the member lists and feature slots of the `_read_clustering` doc."""
-    names = dict.fromkeys(("A", "Q", "psi", "Lam", "f_post", "P_post"))
     serving: dict[str, UserServing] = {}
     for cluster_id, members in doc["clusters"].items():
         path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
-        A, Q, psi, Lam, f_post, P_post = _load_npz(path, "kalman", names).values()
+        A, Q, psi, Lam, f_post, P_post = _load_npz(path, "kalman", _serving_rows(doc, members)).values()
         row = 0
         for idx, uid in enumerate(members):
             layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
@@ -634,46 +499,14 @@ def load_model(workdir: Path) -> TrainedModel:
     clustering_doc = _read_clustering(workdir)
     doc = _read_json(workdir / "rankmodel.json", "train-rank")
     rank_models = {u: ranksvm.RankModel.from_json(m) for u, m in doc.items()}
+    serving = _load_serving(workdir, clustering_doc)
+    _check_ranks(workdir, doc, {u: len(s.final_state.f_post) for u, s in serving.items()})
     return TrainedModel(
         graphs=graphs,
         clustering=load_clustering(clustering_doc),
         rank_models=rank_models,
-        serving=_load_serving(workdir, clustering_doc),
+        serving=serving,
     )
-
-
-def stage_recommend(
-    workdir: Path,
-    config: PipelineConfig,
-    user: str,
-    current: str,
-    collaborative: bool = False,
-) -> dict:
-    t0 = _begin_stage(workdir)
-    model = load_model(workdir)
-    if user not in model.graphs:
-        raise KeyError(f"unknown user: {user!r}")
-    graph = model.graphs[user]
-    serving = model.serving.get(user)
-    if serving is not None:
-        f = serving.final_state.f_post
-        intent_scores = model.intent_scores(user, f)
-    else:
-        intent_scores = {}
-    variant = recommender.RelevanceVariant(config.variant)
-    recs = recommender.recommend(graph, current, intent_scores, variant)
-    if collaborative:
-        recs += recommender.group_recommend(
-            user, model.clustering, model.graphs, current, intent_scores, variant
-        )
-    ranked = recommender.rank(recs, k=config.k)
-    request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
-    doc = {**request, "recs": [r.to_json() for r in ranked]}
-    out = workdir / "recommendations.jsonl"
-    with out.open("a") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    _note_manifest(workdir, "recommend", {**request, "collaborative": collaborative}, t0)
-    return doc
 
 
 def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.BenchmarkResult:

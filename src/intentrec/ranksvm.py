@@ -9,10 +9,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_LAMBDA
+
 log = logging.getLogger(__name__)
 
 WEIGHT_NORM_CAP = 4.0
-DEFAULT_LAMBDA = 1.0
 MAX_NEWTON_ITERS = 50
 MAX_BACKTRACKS = 40
 BATCH_INTENTS = 32  # sets solved together; bounds the padded temporaries

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .context import UserClustering
 from .navgraph import ALPHA_BETA_FLOOR, NavGraph, intent_distances
+
+if TYPE_CHECKING:  # context imports NumPy, which serving a request does not need
+    from .context import UserClustering
 
 DEFAULT_TOP_K = 10
 DEFAULT_FEEDBACK_RATE = 0.1

@@ -1,0 +1,359 @@
+"""The workdir's artifact files: reading and checking them, the manifest
+that records which files each stage read, and `stage_recommend`, which
+serves one request from them. NumPy-free, so that a cold `intentrec
+recommend` imports neither NumPy nor the fitting layers; `pipeline` reads
+the same files through this module and re-exports it."""
+from __future__ import annotations
+
+import ast
+import hashlib
+import io
+import json
+import math
+import os
+import struct
+import sys
+import time
+import zipfile
+from pathlib import Path
+from typing import NamedTuple
+
+from . import recommender
+from .config import PipelineConfig
+from .models import SLOTS_PER_PAIR
+from .navgraph import NavGraph
+
+
+class MissingArtifact(FileNotFoundError):
+    pass
+
+
+class StaleArtifact(Exception):
+    """An artifact an earlier version (or an interrupted stage) left behind,
+    which this version cannot read: re-run the stage that writes it."""
+
+
+# Every file `_require` has let the running stage read, its manifest inputs,
+# with the SHA-256 of the bytes the stage read where `_read_bytes` took it.
+_reads: dict[Path, str | None] = {}
+
+
+def _begin_stage(workdir: Path) -> float:
+    """Forget what earlier stages read and check the workdir's manifest, so
+    a stage refuses a torn one before it writes; the time this one starts."""
+    _reads.clear()
+    _read_manifest(workdir)
+    return time.time()
+
+
+def _require(path: Path) -> Path:
+    """path, which the running stage reads; MissingArtifact if it is not there."""
+    if not path.exists():
+        raise MissingArtifact(str(path))
+    _reads.setdefault(path, None)
+    return path
+
+
+def _read_bytes(path: Path) -> tuple[bytes, str]:
+    """The bytes at path, which the running stage reads, and their SHA-256,
+    which its manifest records: the file is read and hashed once."""
+    data = _require(path).read_bytes()
+    _reads[path] = digest = hashlib.sha256(data).hexdigest()
+    return data, digest
+
+
+def _read_json(path: Path, stage: str):
+    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
+    one is stale."""
+    try:
+        return json.loads(_require(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _read_manifest(workdir: Path) -> dict:
+    """The workdir's manifest.json, {} before any stage has run; a torn one
+    is stale. It is no stage's input, so it bypasses `_require`."""
+    path = workdir / "manifest.json"
+    try:
+        return json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:
+        raise StaleArtifact(
+            f"{path} is not whole JSON ({exc}); remove it, as no stage rewrites it whole"
+        ) from exc
+
+
+def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details):
+    """Record the stage in manifest.json, its inputs being the files it read.
+    The manifest is replaced whole, so an interrupted stage cannot tear it."""
+    manifest = _read_manifest(workdir)
+    manifest[stage] = {
+        "inputs": {
+            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name):
+            digest or _sha256(p)
+            for p, digest in _reads.items() if p.is_file()
+        },
+        "config": config,
+        "elapsed_s": round(time.time() - t0, 3),
+        **details,
+    }
+    tmp = workdir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, workdir / "manifest.json")
+
+
+# ---------------------------------------------------------------- .npz
+
+
+# The dtype descr of the float64 arrays the fitting stages write, in this
+# host's byte order as np.save records it.
+F8 = ("<" if sys.byteorder == "little" else ">") + "f8"
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_KEYS = {"descr", "fortran_order", "shape"}
+
+
+class NpyArray(NamedTuple):
+    """One array of an .npz as `read_npz` checked it."""
+
+    descr: str  # its dtype, as np.save records it
+    shape: tuple[int, ...]
+    data: memoryview  # its elements in C order, exactly as many bytes as they take
+
+
+def _npy(raw: bytes, dtype: str) -> NpyArray:
+    """The array in raw, the bytes of an .npy file of format version 1, 2
+    or 3, if it is a C-order array of dtype; ValueError saying what it is
+    otherwise."""
+    if raw[:6] != _NPY_MAGIC or len(raw) < 12:
+        raise ValueError("no .npy header")
+    major = raw[6]
+    if major not in (1, 2, 3):
+        raise ValueError(f".npy format version {major}")
+    start = 10 if major == 1 else 12
+    end = start + int.from_bytes(raw[8:start], "little")
+    try:
+        header = ast.literal_eval(raw[start:end].decode("utf8" if major == 3 else "latin1"))
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"a .npy header that does not parse ({exc})") from None
+    if not isinstance(header, dict) or header.keys() != _NPY_KEYS:
+        raise ValueError("a .npy header without exactly descr, fortran_order and shape")
+    descr, shape = header["descr"], header["shape"]
+    if not isinstance(descr, str) or "O" in descr:
+        raise ValueError(f"pickled objects or records ({descr!r}), which this version never writes")
+    if header["fortran_order"]:
+        raise ValueError("a Fortran-order array, which this version never writes")
+    if descr != dtype:
+        raise ValueError(f"an array of dtype {descr}, not {dtype}")
+    if not isinstance(shape, tuple) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"an array of shape {shape!r}")
+    size = math.prod(shape) * int(descr[2:])
+    if len(raw) - end != size:
+        raise ValueError(f"{len(raw) - end} bytes for shape {shape}, not {size}")
+    return NpyArray(descr, shape, memoryview(raw)[end:])
+
+
+def read_npz(
+    path: Path,
+    stage: str,
+    rows: dict[str, int | None],
+    data: bytes | None = None,
+    dtype: str | dict[str, str] = F8,
+) -> dict[str, NpyArray]:
+    """The arrays named in `rows` of the .npz that `intentrec <stage>` wrote
+    to path, or of its bytes if the caller has already read them, each of
+    `dtype` (or of its entry in `dtype`); an array with a row count in
+    `rows` (a stack, one row per member) must hold that many rows. A file
+    that is not so is stale: a truncated one, one without such an array
+    (as in the positional layout, `arr_0`, ..., of earlier versions), one
+    holding it pickled, in Fortran order or of another dtype, and one whose
+    stack holds other members than clustering.json lists. Only the named
+    arrays are read, and nothing is unpickled."""
+    if data is None:
+        data, _ = _read_bytes(path)
+
+    def stale(what: str) -> StaleArtifact:
+        return StaleArtifact(f"{path} {what}; re-run `intentrec {stage}`")
+
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as z:
+            files = set(z.namelist())
+            missing = [name for name in rows if f"{name}.npy" not in files]
+            if missing:
+                raise stale(
+                    f"holds no array {', '.join(missing)}, so it is not in this version's layout"
+                )
+            raw = {name: z.read(f"{name}.npy") for name in rows}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise stale(f"is not a whole .npz ({type(exc).__name__}: {exc})") from exc
+    arrays = {}
+    for name, n in rows.items():
+        try:
+            arrays[name] = array = _npy(raw[name], dtype if isinstance(dtype, str) else dtype[name])
+        except ValueError as exc:
+            raise stale(f"holds {name} as {exc}") from exc
+        if n is not None and array.shape[:1] != (n,):
+            raise stale(f"holds {name} of shape {array.shape}, not the {n} rows clustering.json lists")
+    return arrays
+
+
+# ---------------------------------------------------------------- model files
+
+
+def load_graphs(workdir: Path) -> dict[str, NavGraph]:
+    docs = _read_json(workdir / "graphs.json", "graph")
+    graphs = {}
+    for doc in docs:
+        g = NavGraph.from_json(doc)
+        graphs[g.user_id] = g
+    return graphs
+
+
+_CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
+
+
+def _read_clustering(workdir: Path) -> dict:
+    """clustering.json as `stage_tensor` wrote it: each cluster's sorted
+    members (the row order of its .npz arrays), each user's view count and
+    feature slots, and the k-means diagnostics. Another layout is stale."""
+    path = workdir / "clustering.json"
+    doc = _read_json(path, "tensor")
+    if not isinstance(doc, dict) or doc.keys() != _CLUSTERING_KEYS:
+        raise StaleArtifact(f"{path} is not this version's layout; re-run `intentrec tensor`")
+    return doc
+
+
+def _assignments(doc: dict) -> dict[str, int]:
+    """Each user's cluster in a `_read_clustering` doc: the one listing it."""
+    return {u: int(c) for c, members in doc["clusters"].items() for u in members}
+
+
+def _widths(doc: dict, members: list[str]) -> list[int]:
+    """Each member's width N_u, from its feature slots in a `_read_clustering` doc."""
+    return [SLOTS_PER_PAIR * len(doc["slots"][u]) for u in members]
+
+
+def _serving_rows(doc: dict, members: list[str]) -> dict[str, int | None]:
+    """The `read_npz` rows of the filters in a cluster's `kalman/` .npz: A and
+    Q, then psi, Lam, f_post and P_post, of which Lam holds each member's
+    N_u rows one after another and the others one row per member."""
+    n = len(members)
+    return {"A": None, "Q": None, "psi": n, "Lam": sum(_widths(doc, members)), "f_post": n, "P_post": n}
+
+
+def _check_ranks(workdir: Path, rank_doc: dict, ranks: dict[str, int]):
+    """Refuse rankmodel.json when a user's rank weights are not of the rank
+    R of the user's Kalman factor (`ranks`), as after `factorize` and
+    `kalman` re-ran at another rank: a score would dot vectors of unequal
+    lengths."""
+    for uid, model in rank_doc.items():
+        rank = ranks.get(uid)
+        if rank is None:
+            continue
+        for intent, entry in model["intents"].items():
+            if len(entry["w"]) != rank:
+                raise StaleArtifact(
+                    f"{workdir / 'rankmodel.json'} holds weights of length {len(entry['w'])} for "
+                    f"{uid} {intent}, whose factor in kalman/ has rank {rank}; "
+                    f"re-run `intentrec train-rank`"
+                )
+
+
+# ---------------------------------------------------------------- scoring
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter of a 53-bit significand
+
+
+def fma_dot(x: list[float], y: list[float]) -> float:
+    """<x, y> as a chain of fused multiply-adds, s = fma(x_i, y_i, s) from
+    s = +0.0, each step rounded once: the dot product NumPy's BLAS takes of
+    vectors shorter than 16, so that `intent_scores` scores as `TrainedModel.
+    intent_scores` does. NumPy takes one pair's as their product, which
+    differs only in the sign of a zero. Each fma is the correctly rounded
+    sum of s and the product split exactly into p + e (Dekker's TwoProduct
+    over Veltkamp's split), exact unless a product over- or underflows.
+    Vectors of unequal lengths are a ValueError, never truncated."""
+    if len(x) == 1 == len(y):
+        return x[0] * y[0]
+    s = 0.0
+    for a, b in zip(x, y, strict=True):
+        p = a * b
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        s = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, s))
+    return s
+
+
+def intent_scores(targets: tuple[str, ...], rank_model: dict | None, f: list[float]) -> dict[str, float]:
+    """The scores of a user's graph targets under its factor f, from the
+    user's entry of rankmodel.json (None without one): f is taken at unit
+    norm (a zero factor as it is), and each target with rank weights w
+    scored (4 + <w, f>) / 8, clamped to [0, 1]. Pure Python, bit for bit
+    `TrainedModel.intent_scores`."""
+    if rank_model is None:
+        return {}
+    weights = rank_model["intents"]
+    norm = math.sqrt(fma_dot(f, f))
+    if norm > 0:
+        f = [x / norm for x in f]
+    return {
+        t: min(max((4.0 + fma_dot(weights[t]["w"], f)) / 8.0, 0.0), 1.0)
+        for t in targets if t in weights
+    }
+
+
+class _Clustering(NamedTuple):
+    """What `recommender.group_recommend` reads of a UserClustering."""
+
+    assignments: dict[str, int]
+
+
+def stage_recommend(
+    workdir: Path,
+    config: PipelineConfig,
+    user: str,
+    current: str,
+    collaborative: bool = False,
+) -> dict:
+    """The top-k recommendations for user at report current, appended to
+    recommendations.jsonl. Every file `pipeline.load_model` reads is read,
+    checked and recorded as it checks them, but only the user's factor is
+    decoded, and scored by `intent_scores`."""
+    t0 = _begin_stage(workdir)
+    graphs = load_graphs(workdir)
+    doc = _read_clustering(workdir)
+    rank_doc = _read_json(workdir / "rankmodel.json", "train-rank")
+    f, ranks = None, {}
+    for cluster_id, members in doc["clusters"].items():
+        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
+        f_post = read_npz(path, "kalman", _serving_rows(doc, members))["f_post"]
+        rank = f_post.shape[-1]
+        ranks.update(dict.fromkeys(members, rank))
+        if user in members:
+            f = list(struct.unpack_from(f"={rank}d", f_post.data, 8 * rank * members.index(user)))
+    _check_ranks(workdir, rank_doc, ranks)
+    if user not in graphs:
+        raise KeyError(f"unknown user: {user!r}")
+    graph = graphs[user]
+    scores = {} if f is None else intent_scores(graph.targets(), rank_doc.get(user), f)
+    variant = recommender.RelevanceVariant(config.variant)
+    recs = recommender.recommend(graph, current, scores, variant)
+    if collaborative:
+        recs += recommender.group_recommend(
+            user, _Clustering(_assignments(doc)), graphs, current, scores, variant
+        )
+    ranked = recommender.rank(recs, k=config.k)
+    request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
+    out = {**request, "recs": [r.to_json() for r in ranked]}
+    with (workdir / "recommendations.jsonl").open("a") as fh:
+        fh.write(json.dumps(out, sort_keys=True) + "\n")
+    _note_manifest(workdir, "recommend", {**request, "collaborative": collaborative}, t0)
+    return out

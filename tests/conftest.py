@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intentrec import pipeline, synth
+from intentrec import pipeline, recommender, synth
 from intentrec.models import HitRecord, ReportKind, Session
 
 
@@ -100,3 +100,19 @@ def per_target_intent_scores(model, user_id: str, f: np.ndarray) -> dict[str, fl
             raw = float(rank_model.weights[t].w @ unit)
             out[t] = min(max((4.0 + raw) / 8.0, 0.0), 1.0)
     return out
+
+
+def numpy_recommend_doc(model, config, user: str, current: str, collaborative: bool) -> dict:
+    """The doc `stage_recommend` returns, built from a `load_model` model as
+    the NumPy serving path builds it: the oracle of its pure-Python scoring."""
+    serving = model.serving.get(user)
+    scores = model.intent_scores(user, serving.final_state.f_post) if serving else {}
+    variant = recommender.RelevanceVariant(config.variant)
+    recs = recommender.recommend(model.graphs[user], current, scores, variant)
+    if collaborative:
+        recs += recommender.group_recommend(
+            user, model.clustering, model.graphs, current, scores, variant
+        )
+    ranked = recommender.rank(recs, k=config.k)
+    request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
+    return {**request, "recs": [r.to_json() for r in ranked]}

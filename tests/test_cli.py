@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -12,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import numpy_recommend_doc
 
-from intentrec import cli, kalman, pipeline, synth
+import intentrec
+from intentrec import cli, kalman, pipeline, store, synth
 from intentrec.artifacts import serving_factor
 from intentrec.context import context_vector
 from intentrec.evaluation import (
@@ -436,7 +441,7 @@ class TestStages:
             raise KeyboardInterrupt
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline.os, "replace", interrupted)
+            patch.setattr(store.os, "replace", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 pipeline.stage_graph(wd, PipelineConfig(seed=3))
         assert (wd / "manifest.json").read_bytes() == before
@@ -648,8 +653,8 @@ class TestSessionsFile:
         wd = tmp_path / "wd"
         shutil.copytree(fitted[0], wd)
         hashed = []
-        sha256 = pipeline._sha256
-        monkeypatch.setattr(pipeline, "_sha256", lambda p: hashed.append(p.name) or sha256(p))
+        sha256 = store._sha256
+        monkeypatch.setattr(store, "_sha256", lambda p: hashed.append(p.name) or sha256(p))
         pipeline.stage_train_rank(wd, PipelineConfig(seed=3, rank=3))
         assert "sessions.npz" not in hashed and "graphs.json" in hashed
 
@@ -915,6 +920,113 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "stale artifact" in err and str(path) in err and "intentrec tensor`" in err, err
         assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    @staticmethod
+    def _request(wd: Path) -> list[str]:
+        """A recommend request of the workdir's first served user, at the
+        first report its graph leaves."""
+        model = pipeline.load_model(wd)
+        uid = sorted(model.serving)[0]
+        return ["--user", uid, "--current", min(model.graphs[uid].edges)[0]]
+
+    def _assert_refused(self, wd, capsys, path, writer, request):
+        """recommend and evaluate both refuse wd, naming path and the stage
+        that rewrites it, and leave the workdir as it was."""
+        argvs = (["recommend", *request], ["evaluate"])
+        for name in ("results.csv", "recommendations.jsonl"):
+            (wd / name).write_text(f"sentinel {name}\n")
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        for argv in argvs:
+            assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT, argv
+            err = capsys.readouterr().err
+            assert "stale artifact" in err and str(path) in err, err
+            assert f"intentrec {writer}`" in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    @pytest.mark.parametrize("name", ["f_post", "P_post", "psi", "Lam"])
+    def test_stack_short_of_the_members_is_stale(self, workdir, tmp_path, capsys, name):
+        # a kalman/ stack without the last member's rows, as clustering.json
+        # lists more members than it holds, is stale: not an IndexError
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        path = wd / "kalman" / "cluster_0.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays[name] = arrays[name][:-1]
+        np.savez(path, **arrays)
+        self._assert_refused(wd, capsys, path, "kalman", self._request(workdir))
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.astype(object),
+        lambda a: np.asfortranarray(a),
+        lambda a: a.astype(np.float32),
+    ], ids=["object", "fortran", "float32"])
+    def test_member_numpy_would_load_is_stale(self, workdir, tmp_path, capsys, edit):
+        # an f_post pickled, in Fortran order or of another dtype is no array
+        # this version writes: both the pure-Python and the NumPy reader
+        # refuse it, as one reader
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
+        path = wd / "kalman" / f"cluster_{max(clusters, key=lambda c: len(clusters[c]))}.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        assert arrays["f_post"].shape[0] > 1 and arrays["f_post"].shape[1] > 1
+        arrays["f_post"] = edit(arrays["f_post"])
+        np.savez(path, **arrays)
+        self._assert_refused(wd, capsys, path, "kalman", self._request(workdir))
+
+    def test_rank_weights_of_another_rank_are_stale(self, workdir, tmp_path, capsys):
+        # factorize and kalman re-run at another rank leave rankmodel.json
+        # with weights of the old rank: stale, not a matmul error and not a
+        # dot truncated to the shorter vector
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        for argv in (["factorize", "--rank", "2"], ["kalman"]):
+            assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_OK
+        self._assert_refused(
+            wd, capsys, wd / "rankmodel.json", "train-rank", self._request(workdir)
+        )
+
+    @pytest.mark.parametrize("collaborative", [False, True], ids=["own", "collaborative"])
+    def test_recommend_is_the_numpy_path_bitwise(self, workdir, tmp_path, collaborative):
+        # every user at every report of its graph: the doc stage_recommend
+        # scores in pure Python is the one the NumPy model builds
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        model = pipeline.load_model(wd)
+        cfg = PipelineConfig(seed=3)
+        requests = [(u, node) for u, g in sorted(model.graphs.items()) for node in sorted(g.nodes)]
+        assert len({u for u, _ in requests}) == len(model.graphs) > 1
+        for user, current in requests:
+            got = pipeline.stage_recommend(wd, cfg, user, current, collaborative)
+            expected = numpy_recommend_doc(model, cfg, user, current, collaborative)
+            assert json.dumps(got) == json.dumps(expected), (user, current)
+
+    def test_recommend_imports_no_numpy(self, workdir, tmp_path):
+        # a cold recommend loads neither NumPy nor any fitting layer
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        argv = ["recommend", "--workdir", str(wd), *self._request(wd), "--collaborative"]
+        script = (
+            "import json, sys\n"
+            "from intentrec import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+        )
+        src = str(Path(intentrec.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        code, modules = json.loads(done.stderr.splitlines()[-1])
+        assert code == cli.EXIT_OK
+        assert json.loads(done.stdout)["recs"]
+        fitting = {"pipeline", "evaluation", "synth", "parafac2", "kalman", "ranksvm", "context",
+                   "artifacts", "ingest"}
+        assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+        assert [m for m in modules if m.removeprefix("intentrec.") in fitting] == []
 
     @pytest.mark.parametrize("name,command,output", [
         ("tensors/cluster_1.npz", ["factorize", "--rank", "3"], "factors"),
