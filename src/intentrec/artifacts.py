@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import context, kalman, navgraph, ranksvm
+from . import context, kalman, navgraph, ranksvm, recommender
 from .models import HitRecord
 
 
@@ -22,7 +22,7 @@ class UserServing:
 @dataclass
 class TrainedModel:
     graphs: dict[str, navgraph.NavGraph]
-    clustering: context.UserClustering
+    clustering: recommender.Clustering
     rank_models: dict[str, ranksvm.RankModel]  # per user; latent spaces differ
     serving: dict[str, UserServing]
     # per user: the graph's targets tuple, those of its targets with rank

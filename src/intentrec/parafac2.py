@@ -179,11 +179,6 @@ def decompose(
     return factors, report
 
 
-def reconstruct(factors: Parafac2Factors, group: int) -> np.ndarray:
-    """X_hat_u = G_u H diag(s_u) V' of each member of a width group's stack."""
-    return loading_matrix(factors, group) @ factors.V.T
-
-
 def initial_latent_factors(factors: Parafac2Factors) -> np.ndarray:
     """Shared initial latent factors V' (R x T), identical for every user.
 

@@ -16,21 +16,21 @@ from . import context, evaluation, ingest, kalman, navgraph, parafac2, ranksvm, 
 from .artifacts import TrainedModel, UserServing
 from .config import PipelineConfig
 from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
+from .recommender import Clustering
 from .store import (  # noqa: F401  (MissingArtifact, stage_recommend: re-exported)
     F8,
     MissingArtifact,
+    NpyArray,
     StaleArtifact,
     _assignments,
     _begin_stage,
-    _check_ranks,
     _note_manifest,
     _read_bytes,
     _read_clustering,
-    _read_json,
     _require,
-    _serving_rows,
     _widths,
     load_graphs,
+    read_model,
     read_npz,
     stage_recommend,
 )
@@ -186,6 +186,11 @@ def load_dataset(path: Path) -> Dataset:
     )
 
 
+def _array(array: NpyArray) -> np.ndarray:
+    """A checked `read_npz` array as a read-only NumPy array over its bytes."""
+    return np.frombuffer(array.data, dtype=array.descr).reshape(array.shape)
+
+
 def _load_npz(
     path: Path,
     stage: str,
@@ -193,12 +198,8 @@ def _load_npz(
     data: bytes | None = None,
     dtype: str | dict[str, str] = F8,
 ) -> dict[str, np.ndarray]:
-    """The arrays `read_npz` reads and checks, as read-only NumPy arrays
-    over its bytes."""
-    return {
-        name: np.frombuffer(array.data, dtype=array.descr).reshape(array.shape)
-        for name, array in read_npz(path, stage, rows, data, dtype).items()
-    }
+    """The arrays `read_npz` reads and checks, as `_array`s."""
+    return {name: _array(a) for name, a in read_npz(path, stage, rows, data, dtype).items()}
 
 
 def _fresh_dir(path: Path) -> Path:
@@ -303,16 +304,6 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
             )
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
     return workdir / "tensors"
-
-
-def load_clustering(doc: dict) -> context.UserClustering:
-    """A `_read_clustering` doc's clustering; a user's cluster is the one listing it."""
-    return context.UserClustering(
-        assignments=_assignments(doc),
-        centroids=np.asarray(doc["centroids"]),
-        insufficient=doc["insufficient"],
-        empty_clusters=doc["empty_clusters"],
-    )
 
 
 def _stacks(groups: dict[int, list[int]], prefix: str) -> dict[str, int]:
@@ -422,26 +413,6 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     return workdir / "kalman"
 
 
-def _load_serving(workdir: Path, doc: dict) -> dict[str, UserServing]:
-    """Each member's filter as `stage_kalman` wrote it, read from `kalman/`
-    and the member lists and feature slots of the `_read_clustering` doc."""
-    serving: dict[str, UserServing] = {}
-    for cluster_id, members in doc["clusters"].items():
-        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
-        A, Q, psi, Lam, f_post, P_post = _load_npz(path, "kalman", _serving_rows(doc, members)).values()
-        row = 0
-        for idx, uid in enumerate(members):
-            layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
-            lam = Lam[row : row + layout.width]
-            row += layout.width
-            state = kalman.KalmanState(
-                A=A, Q=Q, Psi=psi[idx] * np.eye(layout.width), Lam=lam,
-                f_post=f_post[idx], P_post=P_post[idx],
-            )
-            serving[uid] = UserServing(layout, Lam_pinv=np.linalg.pinv(lam), final_state=state)
-    return serving
-
-
 def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.npz")
@@ -495,16 +466,26 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
 
 
 def load_model(workdir: Path) -> TrainedModel:
-    graphs = load_graphs(workdir)
-    clustering_doc = _read_clustering(workdir)
-    doc = _read_json(workdir / "rankmodel.json", "train-rank")
-    rank_models = {u: ranksvm.RankModel.from_json(m) for u, m in doc.items()}
-    serving = _load_serving(workdir, clustering_doc)
-    _check_ranks(workdir, doc, {u: len(s.final_state.f_post) for u, s in serving.items()})
+    """The model `store.read_model` reads, with each member's filter as
+    `stage_kalman` wrote it and the pseudo-inverse of its loadings."""
+    graphs, doc, rank_docs, filters = read_model(workdir)
+    serving: dict[str, UserServing] = {}
+    for cluster_id, members in doc["clusters"].items():
+        A, Q, psi, Lam, f_post, P_post = map(_array, filters[cluster_id].values())
+        row = 0
+        for idx, uid in enumerate(members):
+            layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
+            lam = Lam[row : row + layout.width]
+            row += layout.width
+            state = kalman.KalmanState(
+                A=A, Q=Q, Psi=psi[idx] * np.eye(layout.width), Lam=lam,
+                f_post=f_post[idx], P_post=P_post[idx],
+            )
+            serving[uid] = UserServing(layout, Lam_pinv=np.linalg.pinv(lam), final_state=state)
     return TrainedModel(
         graphs=graphs,
-        clustering=load_clustering(clustering_doc),
-        rank_models=rank_models,
+        clustering=Clustering(_assignments(doc)),
+        rank_models={u: ranksvm.RankModel.from_json(m) for u, m in rank_docs.items()},
         serving=serving,
     )
 

@@ -325,12 +325,6 @@ def train(ts: RankTrainingSet, lam: float = DEFAULT_LAMBDA) -> IntentWeights:
     return solve([ts], lam)[0]
 
 
-def train_all(training_sets: dict[str, RankTrainingSet], lam: float = DEFAULT_LAMBDA) -> RankModel:
-    intents = sorted(training_sets)
-    weights = solve([training_sets[i] for i in intents], lam)
-    return RankModel(dict(zip(intents, weights)), trade_off=lam)
-
-
 def stacked_scores(W: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Normalized intent scores (4 + <w, f>) / 8, clamped to [0, 1], of every
     factor f (row of F, E x R) under every intent's weights w (row of W,
@@ -340,8 +334,3 @@ def stacked_scores(W: np.ndarray, F: np.ndarray) -> np.ndarray:
     raw = (W[:, None, :] @ F[:, None, :, None])[..., 0, 0]
     return np.minimum(np.maximum((4.0 + raw) / 8.0, 0.0), 1.0)
 
-
-def intent_score(model: RankModel, intent: str, f: np.ndarray) -> float:
-    """Normalized intent score of one factor, a stack of one."""
-    w = model.weights[intent].w
-    return float(stacked_scores(w[None], np.asarray(f, dtype=float)[None])[0, 0])

@@ -5,12 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .navgraph import ALPHA_BETA_FLOOR, NavGraph, intent_distances
-
-if TYPE_CHECKING:  # context imports NumPy, which serving a request does not need
-    from .context import UserClustering
 
 DEFAULT_TOP_K = 10
 DEFAULT_FEEDBACK_RATE = 0.1
@@ -197,9 +194,16 @@ def rank(
     return list(top.values())
 
 
+class Clustering(NamedTuple):
+    """The user clustering of a fitted model, all of it that
+    `group_recommend` reads: each user's cluster."""
+
+    assignments: dict[str, int]
+
+
 def group_recommend(
     user_id: str,
-    clustering: UserClustering,
+    clustering: Clustering,
     graphs: dict[str, NavGraph],
     u: str,
     intent_scores: dict[str, float],

@@ -1,8 +1,9 @@
 """The workdir's artifact files: reading and checking them, the manifest
-that records which files each stage read, and `stage_recommend`, which
-serves one request from them. NumPy-free, so that a cold `intentrec
-recommend` imports neither NumPy nor the fitting layers; `pipeline` reads
-the same files through this module and re-exports it."""
+that records which files each stage read, `read_model`, the one reader of
+the served model, and `stage_recommend`, which serves one request from it.
+NumPy-free, so that a cold `intentrec recommend` imports neither NumPy nor
+the fitting layers; `pipeline` reads the same files through this module
+(`load_model` through `read_model`) and re-exports it."""
 from __future__ import annotations
 
 import ast
@@ -204,12 +205,16 @@ def read_npz(
 
 
 def load_graphs(workdir: Path) -> dict[str, NavGraph]:
-    docs = _read_json(workdir / "graphs.json", "graph")
-    graphs = {}
-    for doc in docs:
-        g = NavGraph.from_json(doc)
-        graphs[g.user_id] = g
-    return graphs
+    """graphs.json as `stage_graph` wrote it, a list of graph objects, each
+    user's graph by its id. Another layout is stale."""
+    path = workdir / "graphs.json"
+    docs = _read_json(path, "graph")
+    if type(docs) is list:
+        try:
+            return {g.user_id: g for g in map(NavGraph.from_json, docs)}
+        except (KeyError, TypeError):
+            pass
+    raise StaleArtifact(f"{path} is not a list of graph objects; re-run `intentrec graph`")
 
 
 _CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
@@ -236,30 +241,79 @@ def _widths(doc: dict, members: list[str]) -> list[int]:
     return [SLOTS_PER_PAIR * len(doc["slots"][u]) for u in members]
 
 
-def _serving_rows(doc: dict, members: list[str]) -> dict[str, int | None]:
-    """The `read_npz` rows of the filters in a cluster's `kalman/` .npz: A and
-    Q, then psi, Lam, f_post and P_post, of which Lam holds each member's
-    N_u rows one after another and the others one row per member."""
-    n = len(members)
-    return {"A": None, "Q": None, "psi": n, "Lam": sum(_widths(doc, members)), "f_post": n, "P_post": n}
+# the fields of each intent in rankmodel.json: `RankModel.to_json` writes
+# those of `ranksvm.IntentWeights`
+_INTENT_KEYS = {"w", "objective", "violation_rate", "degenerate", "pairs", "iterations"}
 
 
-def _check_ranks(workdir: Path, rank_doc: dict, ranks: dict[str, int]):
-    """Refuse rankmodel.json when a user's rank weights are not of the rank
-    R of the user's Kalman factor (`ranks`), as after `factorize` and
-    `kalman` re-ran at another rank: a score would dot vectors of unequal
-    lengths."""
-    for uid, model in rank_doc.items():
+def _check_ranks(path: Path, doc, ranks: dict[str, int]):
+    """Refuse rankmodel.json (at path) unless it is `stage_train_rank`'s
+    layout: each user's `lambda` and `intents`, each intent exactly the
+    fields of `RankModel.to_json`, its weights `w` a list of floats of the
+    rank R of the user's Kalman factor (`ranks`). Weights of another R are
+    left when `factorize` and `kalman` re-ran at another rank: a score would
+    dot vectors of unequal lengths."""
+
+    def stale(what: str) -> StaleArtifact:
+        return StaleArtifact(f"{path} {what}; re-run `intentrec train-rank`")
+
+    if type(doc) is not dict:
+        raise stale("is not an object of users")
+    for uid, model in doc.items():
+        if (
+            type(model) is not dict or model.keys() != {"lambda", "intents"}
+            or type(model["intents"]) is not dict
+        ):
+            raise stale(f"holds {uid} without exactly `lambda` and `intents`")
         rank = ranks.get(uid)
-        if rank is None:
-            continue
         for intent, entry in model["intents"].items():
-            if len(entry["w"]) != rank:
-                raise StaleArtifact(
-                    f"{workdir / 'rankmodel.json'} holds weights of length {len(entry['w'])} for "
-                    f"{uid} {intent}, whose factor in kalman/ has rank {rank}; "
-                    f"re-run `intentrec train-rank`"
+            if type(entry) is not dict or entry.keys() != _INTENT_KEYS:
+                raise stale(f"holds {uid} {intent} without exactly the fields {sorted(_INTENT_KEYS)}")
+            w = entry["w"]
+            if type(w) is not list or not all(type(x) is float for x in w):
+                raise stale(f"holds weights for {uid} {intent} that are not a list of floats")
+            if rank is not None and len(w) != rank:
+                raise stale(
+                    f"holds weights of length {len(w)} for {uid} {intent}, "
+                    f"whose factor in kalman/ has rank {rank}"
                 )
+
+
+class ModelFiles(NamedTuple):
+    """The served model as `read_model` read and checked it."""
+
+    graphs: dict[str, NavGraph]
+    clustering: dict  # the `_read_clustering` doc
+    rank_models: dict  # rankmodel.json, as `_check_ranks` checked it
+    filters: dict[str, dict[str, NpyArray]]  # each cluster's kalman/ filter arrays, by its id
+
+
+def read_model(workdir: Path) -> ModelFiles:
+    """The files of the served model, each read, checked and recorded as an
+    input of the running stage: graphs.json, clustering.json, rankmodel.json
+    and the filter arrays of every `kalman/cluster_<c>.npz` (not `evolved`).
+    The one reader of the model, which both `stage_recommend` and
+    `pipeline.load_model` call."""
+    graphs = load_graphs(workdir)
+    doc = _read_clustering(workdir)
+    rank_path = workdir / "rankmodel.json"
+    rank_models = _read_json(rank_path, "train-rank")
+    filters, ranks = {}, {}
+    for cluster_id, members in doc["clusters"].items():
+        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
+        n, width = len(members), sum(_widths(doc, members))
+        # Lam holds each member's N_u rows one after another, the others one row per member
+        rows = {"A": None, "Q": None, "psi": n, "Lam": width, "f_post": n, "P_post": n}
+        filters[cluster_id] = arrays = read_npz(path, "kalman", rows)
+        r = arrays["f_post"].shape[-1]
+        shapes = [a.shape for a in arrays.values()]
+        if shapes != [(r, r), (r, r), (n,), (width, r), (n, r), (n, r, r)]:
+            raise StaleArtifact(
+                f"{path} holds filters of shapes {shapes}, not of one rank; re-run `intentrec kalman`"
+            )
+        ranks.update(dict.fromkeys(members, r))
+    _check_ranks(rank_path, rank_models, ranks)
+    return ModelFiles(graphs, doc, rank_models, filters)
 
 
 # ---------------------------------------------------------------- scoring
@@ -310,12 +364,6 @@ def intent_scores(targets: tuple[str, ...], rank_model: dict | None, f: list[flo
     }
 
 
-class _Clustering(NamedTuple):
-    """What `recommender.group_recommend` reads of a UserClustering."""
-
-    assignments: dict[str, int]
-
-
 def stage_recommend(
     workdir: Path,
     config: PipelineConfig,
@@ -324,31 +372,27 @@ def stage_recommend(
     collaborative: bool = False,
 ) -> dict:
     """The top-k recommendations for user at report current, appended to
-    recommendations.jsonl. Every file `pipeline.load_model` reads is read,
-    checked and recorded as it checks them, but only the user's factor is
+    recommendations.jsonl. The model is read and checked by `read_model`,
+    as `pipeline.load_model` reads it, but only the user's factor is
     decoded, and scored by `intent_scores`."""
     t0 = _begin_stage(workdir)
-    graphs = load_graphs(workdir)
-    doc = _read_clustering(workdir)
-    rank_doc = _read_json(workdir / "rankmodel.json", "train-rank")
-    f, ranks = None, {}
-    for cluster_id, members in doc["clusters"].items():
-        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
-        f_post = read_npz(path, "kalman", _serving_rows(doc, members))["f_post"]
-        rank = f_post.shape[-1]
-        ranks.update(dict.fromkeys(members, rank))
-        if user in members:
-            f = list(struct.unpack_from(f"={rank}d", f_post.data, 8 * rank * members.index(user)))
-    _check_ranks(workdir, rank_doc, ranks)
+    graphs, doc, rank_models, filters = read_model(workdir)
     if user not in graphs:
         raise KeyError(f"unknown user: {user!r}")
     graph = graphs[user]
-    scores = {} if f is None else intent_scores(graph.targets(), rank_doc.get(user), f)
+    scores = {}
+    for cluster_id, members in doc["clusters"].items():
+        if user in members:
+            f_post = filters[cluster_id]["f_post"]
+            rank = f_post.shape[-1]
+            f = list(struct.unpack_from(f"={rank}d", f_post.data, 8 * rank * members.index(user)))
+            scores = intent_scores(graph.targets(), rank_models.get(user), f)
+            break
     variant = recommender.RelevanceVariant(config.variant)
     recs = recommender.recommend(graph, current, scores, variant)
     if collaborative:
         recs += recommender.group_recommend(
-            user, _Clustering(_assignments(doc)), graphs, current, scores, variant
+            user, recommender.Clustering(_assignments(doc)), graphs, current, scores, variant
         )
     ranked = recommender.rank(recs, k=config.k)
     request = {"user": user, "current": current, "k": config.k, "variant": config.variant}

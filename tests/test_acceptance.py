@@ -15,9 +15,9 @@ from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence, initial_state, step
 from intentrec.models import group_by_user
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
-from intentrec.parafac2 import decompose, reconstruct, stack_panels
+from intentrec.parafac2 import decompose, loading_matrix, stack_panels
 from intentrec.pipeline import PipelineConfig
-from intentrec.ranksvm import RankModel, RankTrainingSet, intent_score, train
+from intentrec.ranksvm import RankTrainingSet, stacked_scores, train
 from intentrec.recommender import RelevanceVariant, recommend
 
 from conftest import per_target_intent_scores, random_sessions
@@ -160,7 +160,7 @@ class TestParafac2Oracle:
                 rel = max(
                     np.linalg.norm(mats[u] - X_hat) / np.linalg.norm(mats[u])
                     for g, members in enumerate(factors.members)
-                    for u, X_hat in zip(members, reconstruct(factors, g))
+                    for u, X_hat in zip(members, loading_matrix(factors, g) @ factors.V.T)
                 )
                 hits += rel <= 1e-6
                 errs = report.errors
@@ -279,11 +279,9 @@ class TestRankSvm:
                 neg.append(f)
         ts = RankTrainingSet(intent="I", R1=np.array(pos), R2=np.array(neg))
         entry = train(ts)
-        model = RankModel()
-        model.weights["I"] = entry
 
         in_bounds = all(
-            0.0 <= intent_score(model, "I", f) <= 1.0 for f in pos + neg
+            0.0 <= stacked_scores(entry.w[None], f[None])[0, 0] <= 1.0 for f in pos + neg
         )
         two = train(
             RankTrainingSet(

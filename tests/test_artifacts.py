@@ -4,10 +4,11 @@ import numpy as np
 
 from intentrec import kalman
 from intentrec.artifacts import TrainedModel, UserServing, serving_factor
-from intentrec.context import FeatureLayout, UserClustering, context_vector
+from intentrec.context import FeatureLayout, context_vector
 from intentrec.models import ReportKind
 from intentrec.navgraph import NavGraph, NodeAttrs, detect_targets
 from intentrec.ranksvm import IntentWeights, RankModel
+from intentrec.recommender import Clustering
 
 from conftest import make_hit, per_target_intent_scores
 
@@ -86,7 +87,7 @@ def _scored_model(rng, rank=4):
     }
     return TrainedModel(
         graphs=graphs,
-        clustering=UserClustering(assignments={}, centroids=np.zeros((1, 3))),
+        clustering=Clustering({}),
         rank_models={"ranked": RankModel(weights)},
         serving={},
     )

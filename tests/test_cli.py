@@ -685,6 +685,107 @@ class TestSessionsFile:
         assert counts["splits"] == 2
 
 
+def _largest_cluster_npz(wd: Path) -> Path:
+    """The kalman/ .npz of the workdir's largest cluster."""
+    clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
+    return wd / "kalman" / f"cluster_{max(clusters, key=lambda c: len(clusters[c]))}.npz"
+
+
+def _edit_npz(path: Path, name: str, edit) -> tuple[Path, str]:
+    """path with its array `name` replaced by edit(array)."""
+    with np.load(path) as z:
+        arrays = dict(z)
+    arrays[name] = edit(arrays[name])
+    np.savez(path, **arrays)
+    return path, "kalman"
+
+
+def _short_stack(name: str):
+    def spoil(wd: Path) -> tuple[Path, str]:
+        return _edit_npz(wd / "kalman" / "cluster_0.npz", name, lambda a: a[:-1])
+    return spoil
+
+
+def _f_post(edit):
+    def spoil(wd: Path) -> tuple[Path, str]:
+        def checked(a):
+            assert a.shape[0] > 1 and a.shape[1] > 1
+            return edit(a)
+        return _edit_npz(_largest_cluster_npz(wd), "f_post", checked)
+    return spoil
+
+
+def _edit_json(name: str, writer: str, edit):
+    """A spoiler that replaces the workdir's JSON file `name` by edit(doc)."""
+    def spoil(wd: Path) -> tuple[Path, str]:
+        path = wd / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return path, writer
+    return spoil
+
+
+def _torn(name: str, writer: str):
+    def spoil(wd: Path) -> tuple[Path, str]:
+        path = wd / name
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        return path, writer
+    return spoil
+
+
+def _another_rank(wd: Path) -> tuple[Path, str]:
+    for argv in (["factorize", "--rank", "2"], ["kalman"]):
+        assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_OK
+    return wd / "rankmodel.json", "train-rank"
+
+
+def _missing_kalman(wd: Path) -> tuple[Path, str]:
+    path = wd / "kalman" / "cluster_0.npz"
+    path.unlink()
+    return path, "kalman"
+
+
+def _first_intent(doc: dict, edit) -> dict:
+    """The rankmodel.json doc with its first user's first intent edited in place."""
+    entry = next(iter(next(iter(doc.values()))["intents"].values()))
+    edit(entry)
+    return doc
+
+
+# Each way a fitted model's files can be spoiled, as a function that spoils a
+# copy of the workdir and returns the path it spoiled and the stage that
+# rewrites it.
+SPOILED_MODELS = {
+    **{f"short-{name}": _short_stack(name) for name in ("f_post", "P_post", "psi", "Lam")},
+    "object-f_post": _f_post(lambda a: a.astype(object)),
+    "fortran-f_post": _f_post(np.asfortranarray),
+    "float32-f_post": _f_post(lambda a: a.astype(np.float32)),
+    "flat-f_post": _f_post(lambda a: a[:, 0].copy()),
+    "narrow-P_post": lambda wd: _edit_npz(_largest_cluster_npz(wd), "P_post", lambda a: a[:, :, :-1]),
+    "another-rank": _another_rank,
+    "torn-graphs": _torn("graphs.json", "graph"),
+    "torn-rankmodel": _torn("rankmodel.json", "train-rank"),
+    "torn-kalman": _torn("kalman/cluster_0.npz", "kalman"),
+    "missing-kalman": _missing_kalman,
+    "assignments-clustering": _edit_json("clustering.json", "tensor", lambda doc: {
+        "assignments": {u: int(c) for c, members in doc["clusters"].items() for u in members},
+        **{k: doc[k] for k in ("centroids", "insufficient", "empty_clusters")},
+    }),
+    "graphs-of-numbers": _edit_json("graphs.json", "graph", lambda doc: [1, 2]),
+    "graphs-object": _edit_json("graphs.json", "graph", lambda doc: {}),
+    "rankmodel-list": _edit_json("rankmodel.json", "train-rank", lambda doc: []),
+    "user-without-intents": _edit_json(
+        "rankmodel.json", "train-rank", lambda doc: {**doc, next(iter(doc)): {"lambda": 1.0}}
+    ),
+    "intent-extra-field": _edit_json(
+        "rankmodel.json", "train-rank", lambda doc: _first_intent(doc, lambda e: e.update(extra=0))
+    ),
+    "string-weight": _edit_json(
+        "rankmodel.json", "train-rank",
+        lambda doc: _first_intent(doc, lambda e: e.update(w=[str(x) for x in e["w"]])),
+    ),
+}
+
+
 class TestCliExitCodes:
     def test_every_config_field_has_a_flag(self):
         parser = argparse.ArgumentParser()
@@ -827,12 +928,7 @@ class TestCliExitCodes:
         model = pipeline.load_model(wd)
         uid = sorted(model.serving)[0]
         node = sorted(model.graphs[uid].nodes)[0]
-        path = wd / "clustering.json"
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps({
-            "assignments": model.clustering.assignments,
-            **{k: doc[k] for k in ("centroids", "insufficient", "empty_clusters")},
-        }))
+        path, _ = SPOILED_MODELS["assignments-clustering"](wd)
         before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
         capsys.readouterr()
         for argv in (
@@ -929,10 +1025,10 @@ class TestCliExitCodes:
         uid = sorted(model.serving)[0]
         return ["--user", uid, "--current", min(model.graphs[uid].edges)[0]]
 
-    def _assert_refused(self, wd, capsys, path, writer, request):
-        """recommend and evaluate both refuse wd, naming path and the stage
-        that rewrites it, and leave the workdir as it was."""
-        argvs = (["recommend", *request], ["evaluate"])
+    def _assert_refused(self, wd, capsys, path, writer, request, *also):
+        """recommend, evaluate and each command in `also` refuse wd, naming
+        path and the stage that rewrites it, and leave the workdir as it was."""
+        argvs = (["recommend", *request], ["evaluate"], *also)
         for name in ("results.csv", "recommendations.jsonl"):
             (wd / name).write_text(f"sentinel {name}\n")
         before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
@@ -950,32 +1046,18 @@ class TestCliExitCodes:
         # lists more members than it holds, is stale: not an IndexError
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
-        path = wd / "kalman" / "cluster_0.npz"
-        with np.load(path) as z:
-            arrays = dict(z)
-        arrays[name] = arrays[name][:-1]
-        np.savez(path, **arrays)
-        self._assert_refused(wd, capsys, path, "kalman", self._request(workdir))
+        path, writer = SPOILED_MODELS[f"short-{name}"](wd)
+        self._assert_refused(wd, capsys, path, writer, self._request(workdir))
 
-    @pytest.mark.parametrize("edit", [
-        lambda a: a.astype(object),
-        lambda a: np.asfortranarray(a),
-        lambda a: a.astype(np.float32),
-    ], ids=["object", "fortran", "float32"])
-    def test_member_numpy_would_load_is_stale(self, workdir, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("how", ["object", "fortran", "float32"])
+    def test_member_numpy_would_load_is_stale(self, workdir, tmp_path, capsys, how):
         # an f_post pickled, in Fortran order or of another dtype is no array
         # this version writes: both the pure-Python and the NumPy reader
         # refuse it, as one reader
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
-        clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
-        path = wd / "kalman" / f"cluster_{max(clusters, key=lambda c: len(clusters[c]))}.npz"
-        with np.load(path) as z:
-            arrays = dict(z)
-        assert arrays["f_post"].shape[0] > 1 and arrays["f_post"].shape[1] > 1
-        arrays["f_post"] = edit(arrays["f_post"])
-        np.savez(path, **arrays)
-        self._assert_refused(wd, capsys, path, "kalman", self._request(workdir))
+        path, writer = SPOILED_MODELS[f"{how}-f_post"](wd)
+        self._assert_refused(wd, capsys, path, writer, self._request(workdir))
 
     def test_rank_weights_of_another_rank_are_stale(self, workdir, tmp_path, capsys):
         # factorize and kalman re-run at another rank leave rankmodel.json
@@ -983,11 +1065,44 @@ class TestCliExitCodes:
         # dot truncated to the shorter vector
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
-        for argv in (["factorize", "--rank", "2"], ["kalman"]):
-            assert cli.main([*argv, "--workdir", str(wd)]) == cli.EXIT_OK
-        self._assert_refused(
-            wd, capsys, wd / "rankmodel.json", "train-rank", self._request(workdir)
-        )
+        path, writer = SPOILED_MODELS["another-rank"](wd)
+        self._assert_refused(wd, capsys, path, writer, self._request(workdir))
+
+    @pytest.mark.parametrize("case", [
+        "graphs-of-numbers", "graphs-object", "rankmodel-list", "user-without-intents",
+        "intent-extra-field", "string-weight",
+    ])
+    def test_model_file_of_another_layout_is_stale(self, workdir, tmp_path, capsys, case):
+        # graphs.json and rankmodel.json of another layout than the stages
+        # write are stale on every path that reads them, train-rank included
+        # for graphs.json: not a traceback, an unknown user or an empty run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        path, writer = SPOILED_MODELS[case](wd)
+        also = [["train-rank"]] if path.name == "graphs.json" else []
+        self._assert_refused(wd, capsys, path, writer, self._request(workdir), *also)
+
+    @pytest.mark.parametrize("case", sorted(SPOILED_MODELS))
+    def test_both_readers_refuse_alike(self, workdir, tmp_path, case):
+        # `recommend` and `evaluate` read the model through one reader, so
+        # each spoiled model file stops both with the same error
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        _, user, _, current = self._request(workdir)
+        path, writer = SPOILED_MODELS[case](wd)
+        cfg = PipelineConfig(seed=3)
+        errors = []
+        for stage in (
+            lambda: pipeline.stage_recommend(wd, cfg, user, current),
+            lambda: pipeline.stage_evaluate(wd, cfg),
+        ):
+            with pytest.raises((store.MissingArtifact, store.StaleArtifact)) as info:
+                stage()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        kind, message = errors[0]
+        assert str(path) in message, message
+        assert kind is store.MissingArtifact or f"intentrec {writer}`" in message, message
 
     @pytest.mark.parametrize("collaborative", [False, True], ids=["own", "collaborative"])
     def test_recommend_is_the_numpy_path_bitwise(self, workdir, tmp_path, collaborative):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from intentrec.artifacts import TrainedModel
-from intentrec.context import UserClustering
 from intentrec.evaluation import (
     ALL_METHODS,
     event_auc,
@@ -15,6 +14,7 @@ from intentrec.evaluation import (
     run_benchmark,
 )
 from intentrec.models import Dataset
+from intentrec.recommender import Clustering
 
 
 class TestNdcg:
@@ -97,7 +97,7 @@ class TestWeightedAuc:
     def test_empty(self):
         # a run without test sessions gives every method a zero row
         model = TrainedModel(
-            graphs={}, clustering=UserClustering({}, np.zeros((0, 2))), rank_models={}, serving={}
+            graphs={}, clustering=Clustering({}), rank_models={}, serving={}
         )
         result = run_benchmark(Dataset(train=[], test=[], split_instant=0), model)
         assert [r.method for r in result.reports] == list(ALL_METHODS)

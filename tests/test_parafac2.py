@@ -7,7 +7,6 @@ from intentrec.parafac2 import (
     decompose,
     initial_latent_factors,
     loading_matrix,
-    reconstruct,
     stack_panels,
 )
 
@@ -157,7 +156,7 @@ def _reconstructions(factors) -> list[np.ndarray]:
     """Each member's reconstruction, in member order."""
     out = [None] * factors.n_users
     for g, members in enumerate(factors.members):
-        for u, X_hat in zip(members, reconstruct(factors, g)):
+        for u, X_hat in zip(members, loading_matrix(factors, g) @ factors.V.T):
             out[u] = X_hat
     return out
 
@@ -318,15 +317,15 @@ class TestDerivedMatrices:
             for u, lam_u in zip(members, lam, strict=True):
                 want = G[u] @ factors.H @ np.diag(factors.S[u])
                 assert np.array_equal(lam_u, want), u
-            np.testing.assert_allclose(
-                lam @ factors.V.T, reconstruct(factors, g), atol=1e-10
-            )
+            # X_hat_u = G_u H diag(s_u) V' of each member
+            X_hat = [G[u] @ factors.H @ np.diag(factors.S[u]) @ factors.V.T for u in members]
+            np.testing.assert_allclose(lam @ factors.V.T, np.stack(X_hat), atol=1e-10)
 
     def test_index_bounds(self):
         rng = np.random.default_rng(9)
         tensor = _planted_tensor(rng, 2)
         factors, _ = _fit(tensor, rank=2, max_iters=10, seed=0)
         with pytest.raises(IndexError):
-            reconstruct(factors, 99)
+            loading_matrix(factors, 99)
         with pytest.raises(IndexError):
             loading_matrix(factors, -1)

@@ -16,11 +16,10 @@ from intentrec.ranksvm import (
     _pair_terms,
     _unit_rows,
     build_training_sets,
-    intent_score,
     session_final_target,
     solve,
+    stacked_scores,
     train,
-    train_all,
     training_sets_from_endings,
 )
 
@@ -168,39 +167,29 @@ class TestTrain:
 
 
 class TestIntentScore:
-    def _model(self, w):
-        ts = RankTrainingSet(
-            intent="I", R1=np.array([w]), R2=np.empty((0, 0))
-        )
-        model = RankModel()
-        model.weights["I"] = train(ts)
-        model.weights["I"].w = np.asarray(w, dtype=float)
-        return model
+    @staticmethod
+    def _score(w, f) -> float:
+        """The normalized score of one factor under the weights w."""
+        return float(stacked_scores(np.asarray(w, dtype=float)[None], np.asarray(f)[None])[0, 0])
 
     def test_affine_map_values(self):
-        model = self._model([4.0, 0.0])
-        assert intent_score(model, "I", np.array([0.0, 1.0])) == pytest.approx(0.5)
-        assert intent_score(model, "I", np.array([1.0, 0.0])) == pytest.approx(1.0)
-        assert intent_score(model, "I", np.array([-0.5, 0.0])) == pytest.approx(0.25)
+        w = [4.0, 0.0]
+        assert self._score(w, np.array([0.0, 1.0])) == pytest.approx(0.5)
+        assert self._score(w, np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert self._score(w, np.array([-0.5, 0.0])) == pytest.approx(0.25)
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             w = rng.normal(size=4) * rng.uniform(0, 4)
-            model = self._model(w)
             f = _unit(rng.normal(size=4))
-            assert 0.0 <= intent_score(model, "I", f) <= 1.0
+            assert 0.0 <= self._score(w, f) <= 1.0
 
     def test_order_preserved(self):
-        model = self._model([2.0, 1.0, 0.0])
+        w = [2.0, 1.0, 0.0]
         fa = _unit([1.0, 0.0, 0.0])
         fb = _unit([0.0, 1.0, 0.0])
-        assert intent_score(model, "I", fa) > intent_score(model, "I", fb)
-
-    def test_unknown_intent(self):
-        model = self._model([1.0])
-        with pytest.raises(KeyError):
-            intent_score(model, "missing", np.ones(1))
+        assert self._score(w, fa) > self._score(w, fb)
 
 
 def _brute_force_terms(w, R1, R2, lam):
@@ -435,7 +424,7 @@ class TestPersistence:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(4)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(4)]),
         )
-        model = train_all({"I": ts})
+        model = RankModel({"I": solve([ts])[0]})
         again = RankModel.from_json(json.loads(json.dumps(model.to_json())))
         np.testing.assert_allclose(again.weights["I"].w, model.weights["I"].w)
         assert again.trade_off == model.trade_off

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from intentrec.context import UserClustering
 from intentrec.navgraph import NavGraph, NodeAttrs, build_graph, detect_targets
 from intentrec.recommender import (
+    Clustering,
     FeedbackKind,
     RelevanceVariant,
     apply_feedback,
@@ -137,9 +137,7 @@ class TestCandidateMemo:
         for g in (novice, expert):
             detect_targets(g)
         graphs = {"novice": novice, "expert": expert}
-        clustering = UserClustering(
-            assignments={"novice": 0, "expert": 3}, centroids=np.zeros((4, 3))
-        )
+        clustering = Clustering({"novice": 0, "expert": 3})
         memo = enumerate_candidates(expert, "hub")
         before = list(memo)
         recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
@@ -251,9 +249,7 @@ class TestGroupRecommend:
         detect_targets(novice)
         detect_targets(expert)
         graphs = {"novice": novice, "expert": expert}
-        clustering = UserClustering(
-            assignments={"novice": 0, "expert": 3}, centroids=np.zeros((4, 3))
-        )
+        clustering = Clustering({"novice": 0, "expert": 3})
         return graphs, clustering
 
     def test_sources_novel_nodes_from_experienced_users(self):
@@ -359,9 +355,7 @@ class TestWarmGraphs:
         for uid in users:
             warm[uid] = build_graph(random_sessions(rng, user=uid, n_sessions=6, n_reports=8))
             detect_targets(warm[uid])
-        clustering = UserClustering(
-            assignments={uid: i % 3 for i, uid in enumerate(users)}, centroids=np.zeros((3, 2))
-        )
+        clustering = Clustering({uid: i % 3 for i, uid in enumerate(users)})
         cold = {uid: NavGraph.from_json(g.to_json()) for uid, g in warm.items()}
 
         def serve(graphs, uid, current, scores):

@@ -7,9 +7,9 @@ import pytest
 
 from intentrec import store
 from intentrec.artifacts import TrainedModel
-from intentrec.context import UserClustering
 from intentrec.navgraph import NavGraph, NodeAttrs, detect_targets
 from intentrec.ranksvm import IntentWeights, RankModel
+from intentrec.recommender import Clustering
 
 
 def _fraction_fma_dot(x, y) -> float:
@@ -67,11 +67,18 @@ def _model(rng, rank):
     }
     model = TrainedModel(
         graphs={"u": g},
-        clustering=UserClustering(assignments={}, centroids=np.zeros((1, 3))),
+        clustering=Clustering({}),
         rank_models={"u": RankModel(weights)},
         serving={},
     )
     return model, model.rank_models["u"].to_json()
+
+
+def test_intent_fields_are_those_rank_model_writes():
+    # the fields `read_model` requires of each rankmodel.json intent
+    doc = RankModel({"I": IntentWeights(w=np.zeros(2))}).to_json()
+    assert doc.keys() == {"lambda", "intents"}
+    assert doc["intents"]["I"].keys() == store._INTENT_KEYS
 
 
 class TestIntentScores:
