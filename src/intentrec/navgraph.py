@@ -81,14 +81,23 @@ class NavGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "NavGraph":
+        """The graph `to_json` wrote; TypeError for a field of another type
+        than it writes: ids str, target and count int, the others float."""
         g = cls(user_id=doc["user_id"])
+        if type(g.user_id) is not str:
+            raise TypeError(f"user id {g.user_id!r} is not a string")
         for n in doc["nodes"]:
-            g.nodes[n["id"]] = NodeAttrs(
-                target=n["target"], mass=n["mass"], alpha=n["alpha"], beta=n["beta"]
-            )
+            node, target, mass, alpha, beta = n["id"], n["target"], n["mass"], n["alpha"], n["beta"]
+            if not (type(node) is str and type(target) is int
+                    and type(mass) is type(alpha) is type(beta) is float):
+                raise TypeError(f"node {node!r} of {g.user_id} holds a field of another type")
+            g.nodes[node] = NodeAttrs(target=target, mass=mass, alpha=alpha, beta=beta)
         for e in doc["edges"]:
-            g.edges[(e["from"], e["to"])] = e["w"]
-            g.transition_counts[(e["from"], e["to"])] = e["count"]
+            u, v, w, count = e["from"], e["to"], e["w"], e["count"]
+            if not (type(u) is type(v) is str and type(w) is float and type(count) is int):
+                raise TypeError(f"edge {u!r} -> {v!r} of {g.user_id} holds a field of another type")
+            g.edges[(u, v)] = w
+            g.transition_counts[(u, v)] = count
         return g
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import shutil
-from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -18,18 +16,20 @@ from .config import PipelineConfig
 from .models import Dataset, HitRecord, ReportKind, Session, group_by_user
 from .recommender import Clustering
 from .store import (  # noqa: F401  (MissingArtifact, stage_recommend: re-exported)
-    F8,
     MissingArtifact,
     NpyArray,
     StaleArtifact,
     _assignments,
     _begin_stage,
+    _clustered,
     _note_manifest,
     _read_bytes,
     _read_clustering,
+    _replacing,
     _require,
     _widths,
     load_graphs,
+    read_clusters,
     read_model,
     read_npz,
     stage_recommend,
@@ -90,8 +90,8 @@ def _split_arrays(sessions: list[Session], vocab: _Vocab) -> dict[str, np.ndarra
     }
 
 
-def save_dataset(dataset: Dataset, path: Path):
-    """Write dataset to path as the columns of sessions.npz."""
+def save_dataset(dataset: Dataset, fh):
+    """Write dataset to the binary file fh as the columns of sessions.npz."""
     vocab = _Vocab()
     arrays = {
         f"{split}_{name}": column
@@ -99,11 +99,10 @@ def save_dataset(dataset: Dataset, path: Path):
         for name, column in _split_arrays(sessions, vocab).items()
     }
     words = json.dumps([value for _, value in vocab]).encode()
-    with path.open("wb") as fh:
-        np.savez(
-            fh, split_instant=np.int64(dataset.split_instant),
-            vocab=np.frombuffer(words, dtype=np.uint8), **arrays,
-        )
+    np.savez(
+        fh, split_instant=np.int64(dataset.split_instant),
+        vocab=np.frombuffer(words, dtype=np.uint8), **arrays,
+    )
 
 
 def _split_sessions(columns: dict[str, np.ndarray], vocab: list) -> list[Session]:
@@ -158,7 +157,8 @@ def load_dataset(path: Path) -> Dataset:
     call returns its own Sessions and hit lists, so a caller may edit them."""
     data, key = _read_bytes(path)
     if key not in _parsed:
-        arrays = _load_npz(path, "ingest", dict.fromkeys(_SESSION_DTYPES), data, _SESSION_DTYPES)
+        arrays = read_npz(path, "ingest", dict.fromkeys(_SESSION_DTYPES), data, _SESSION_DTYPES)
+        arrays = {name: _array(array) for name, array in arrays.items()}
         try:
             vocab = json.loads(arrays["vocab"].tobytes())
             split_instant = arrays["split_instant"]
@@ -191,39 +191,6 @@ def _array(array: NpyArray) -> np.ndarray:
     return np.frombuffer(array.data, dtype=array.descr).reshape(array.shape)
 
 
-def _load_npz(
-    path: Path,
-    stage: str,
-    rows: dict[str, int | None],
-    data: bytes | None = None,
-    dtype: str | dict[str, str] = F8,
-) -> dict[str, np.ndarray]:
-    """The arrays `read_npz` reads and checks, as `_array`s."""
-    return {name: _array(a) for name, a in read_npz(path, stage, rows, data, dtype).items()}
-
-
-def _fresh_dir(path: Path) -> Path:
-    """An empty directory, so a stage's output replaces the previous run's."""
-    shutil.rmtree(path, ignore_errors=True)
-    path.mkdir(parents=True)
-    return path
-
-
-@contextmanager
-def _replacing_dir(path: Path):
-    """An empty sibling of path for a stage to write its output in, which
-    replaces path only when the block completes: a stage that fails or is
-    refused partway through leaves the previous output whole."""
-    tmp = _fresh_dir(path.with_name(path.name + ".tmp"))
-    try:
-        yield tmp
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    shutil.rmtree(path, ignore_errors=True)
-    tmp.rename(path)
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -232,7 +199,8 @@ def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
     workdir.mkdir(parents=True, exist_ok=True)
     hits = synth.generate(config)
     out = workdir / "hits.jsonl"
-    out.write_text(synth.to_jsonl(hits))
+    with _replacing(out) as fh:
+        fh.write(synth.to_jsonl(hits).encode())
     _note_manifest(workdir, "synth", asdict(config), t0)
     return out
 
@@ -248,7 +216,8 @@ def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = No
     sessions = ingest.sessionize(parsed.records, timeout=config.timeout)
     dataset = ingest.temporal_split(sessions, train_fraction=config.train_fraction)
     out = workdir / "sessions.npz"
-    save_dataset(dataset, out)
+    with _replacing(out) as fh:
+        save_dataset(dataset, fh)
     _note_manifest(
         workdir, "ingest",
         {"timeout": config.timeout, "train_fraction": config.train_fraction}, t0,
@@ -271,7 +240,8 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
         navgraph.detect_targets(g)
         docs.append(g.to_json())
     out = workdir / "graphs.json"
-    out.write_text(json.dumps(docs, sort_keys=True))
+    with _replacing(out) as fh:
+        fh.write(json.dumps(docs, sort_keys=True).encode())
     _note_manifest(workdir, "graph", {}, t0)
     return out
 
@@ -294,123 +264,128 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
         "insufficient": clustering.insufficient,
         "empty_clusters": clustering.empty_clusters,
     }
-    (workdir / "clustering.json").write_text(json.dumps(doc, sort_keys=True))
-    with _replacing_dir(workdir / "tensors") as tensor_root:
-        for cluster_id, members in clusters.items():
-            panels = context.assemble_tensor([matrices[u] for u in members])
-            stacks, _ = parafac2.stack_panels(panels)
-            np.savez(
-                tensor_root / f"cluster_{cluster_id}.npz", **{f"X_{X.shape[1]}": X for X in stacks}
-            )
+    tensors = {}
+    for cluster_id, members in clusters.items():
+        stacks, _ = parafac2.stack_panels(context.assemble_tensor([matrices[u] for u in members]))
+        tensors[cluster_id] = {f"X_{X.shape[1]}": X for X in stacks}
+    with _replacing(workdir / "clustering.json") as fh:
+        fh.write(json.dumps(doc, sort_keys=True).encode())
+    out = workdir / "tensors.npz"
+    with _replacing(out) as fh:
+        np.savez(fh, **_clustered(tensors))
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
-    return workdir / "tensors"
+    return out
 
 
 def _stacks(groups: dict[int, list[int]], prefix: str) -> dict[str, int]:
-    """The `_load_npz` rows of a cluster's width-group stacks `<prefix>_<N_u>`."""
+    """The `read_npz` rows of a cluster's width-group stacks `<prefix>_<N_u>`."""
     return {f"{prefix}_{width}": len(idx) for width, idx in groups.items()}
 
 
 def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     """PARAFAC2 per cluster, each width group of its members one stack. A
     cluster's rank is clamped to min(rank, T, smallest N_u), so every member
-    keeps a context model. `factors/cluster_<c>.npz` holds each width
-    group's G stack `G_<N_u>`, S in member order, H and V."""
+    keeps a context model. factors.npz holds each cluster's width groups'
+    G stacks `G_<N_u>`, S in member order, H and V."""
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
+    groups = {c: parafac2.width_groups(_widths(doc, m)) for c, m in doc["clusters"].items()}
+    rows = {c: _stacks(g, "X") for c, g in groups.items()}
     clusters: dict[str, dict] = {}
-    with _replacing_dir(workdir / "factors") as factor_root:
-        for cluster_id, members in doc["clusters"].items():
-            groups = parafac2.width_groups(_widths(doc, members))
-            path = workdir / "tensors" / f"cluster_{cluster_id}.npz"
-            stacks = list(_load_npz(path, "tensor", _stacks(groups, "X")).values())
-            rank = min(config.rank, stacks[0].shape[2], min(groups))
-            if rank < config.rank:
-                log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
-            factors, report = parafac2.decompose(
-                stacks, list(groups.values()), rank=rank, tol=PARAFAC2_TOL,
-                max_iters=config.max_iters, seed=config.seed + int(cluster_id),
+    fitted = {}
+    for cluster_id, panels in read_clusters(workdir / "tensors.npz", "tensor", rows).items():
+        stacks = list(map(_array, panels.values()))
+        rank = min(config.rank, stacks[0].shape[2], min(groups[cluster_id]))
+        if rank < config.rank:
+            log.warning("cluster %s: rank %d clamped to %d", cluster_id, config.rank, rank)
+        factors, report = parafac2.decompose(
+            stacks, list(groups[cluster_id].values()), rank=rank, tol=PARAFAC2_TOL,
+            max_iters=config.max_iters, seed=config.seed + int(cluster_id),
+        )
+        if not report.converged:
+            log.warning(
+                "cluster %s: PARAFAC2 did not converge in %d iterations",
+                cluster_id, report.iterations,
             )
-            if not report.converged:
-                log.warning(
-                    "cluster %s: PARAFAC2 did not converge in %d iterations",
-                    cluster_id, report.iterations,
-                )
-            np.savez(
-                factor_root / f"cluster_{cluster_id}.npz",
-                **{f"G_{G.shape[1]}": G for G in factors.G}, H=factors.H, S=factors.S, V=factors.V,
-            )
-            norm_sq = report.norm_sq
-            clusters[cluster_id] = {
-                "requested_rank": config.rank,
-                "rank": rank,
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
-            }
+        fitted[cluster_id] = {f"G_{G.shape[1]}": G for G in factors.G}
+        fitted[cluster_id].update(H=factors.H, S=factors.S, V=factors.V)
+        norm_sq = report.norm_sq
+        clusters[cluster_id] = {
+            "requested_rank": config.rank,
+            "rank": rank,
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "relative_error": report.errors[-1] / norm_sq if norm_sq else 0.0,
+        }
+    out = workdir / "factors.npz"
+    with _replacing(out) as fh:
+        np.savez(fh, **_clustered(fitted))
     _note_manifest(
         workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
     )
-    return workdir / "factors"
+    return out
 
 
 def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     """Build each member's filter (the only code that does) and evolve its
     latent factor over its training views, the members of a cluster that
-    share a width N_u as one stack in lockstep. `kalman/cluster_<c>.npz`
-    holds the cluster's A (fitted once, from the shared V) and Q; `psi`,
-    `f_post` and `P_post` stacked in member order, and the members' `Lam`
-    rows one after another; and `evolved`, each member's evolved factor per
-    training view (B x T x R, zero past the member's views)."""
+    share a width N_u as one stack in lockstep. kalman.npz holds each
+    cluster's A (fitted once, from the shared V) and Q; `psi`, `f_post` and
+    `P_post` stacked in member order, and the members' `Lam` rows one after
+    another; and `evolved`, each member's evolved factor per training view
+    (B x T x R, zero past the member's views)."""
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
+    groups = {c: parafac2.width_groups(_widths(doc, m)) for c, m in doc["clusters"].items()}
+    tensors = read_clusters(
+        workdir / "tensors.npz", "tensor", {c: _stacks(g, "X") for c, g in groups.items()}
+    )
+    fits = read_clusters(workdir / "factors.npz", "factorize", {
+        c: {**_stacks(g, "G"), "H": None, "S": len(doc["clusters"][c]), "V": None}
+        for c, g in groups.items()
+    })
     views = steady = missing = 0
-    with _replacing_dir(workdir / "kalman") as kdir:
-        for cluster_id, members in doc["clusters"].items():
-            widths = np.array(_widths(doc, members))
-            groups = parafac2.width_groups(widths)
-            panels = _load_npz(
-                workdir / "tensors" / f"cluster_{cluster_id}.npz", "tensor", _stacks(groups, "X")
+    filters = {}
+    for cluster_id, members in doc["clusters"].items():
+        widths = np.array(_widths(doc, members))
+        fit = {name: _array(array) for name, array in fits[cluster_id].items()}
+        factors = parafac2.Parafac2Factors(
+            fit["S"].shape[1], G=[fit[f"G_{width}"] for width in groups[cluster_id]], H=fit["H"],
+            S=fit["S"], V=fit["V"], members=list(groups[cluster_id].values()),
+        )
+        f_initial = parafac2.initial_latent_factors(factors)
+        A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
+        Q = config.process_noise * np.eye(factors.rank)
+        n, r = len(members), factors.rank
+        counts = np.array([doc["views"][uid] for uid in members])
+        first_row = np.cumsum(widths) - widths  # of each member's Lam rows
+        T = f_initial.shape[1]
+        psi, f_post, P_post = np.empty(n), np.empty((n, r)), np.empty((n, r, r))
+        Lam, evolved = np.empty((widths.sum(), r)), np.empty((n, T, r))
+        for g, (width, idx) in enumerate(groups[cluster_id].items()):
+            X = _array(tensors[cluster_id][f"X_{width}"])
+            lam = parafac2.loading_matrix(factors, g)
+            psi[idx] = kalman.estimate_measurement_noise(X, lam, f_initial)
+            f_seq, final, steady_obs, missing_obs = kalman.evolve_sequence(
+                lam, A, Q, psi[idx, None, None] * np.eye(width), X, counts[idx], f_initial[:, 0]
             )
-            fit = _load_npz(
-                workdir / "factors" / f"cluster_{cluster_id}.npz", "factorize",
-                {**_stacks(groups, "G"), "H": None, "S": len(members), "V": None},
-            )
-            factors = parafac2.Parafac2Factors(
-                fit["S"].shape[1], G=[fit[f"G_{width}"] for width in groups], H=fit["H"],
-                S=fit["S"], V=fit["V"], members=list(groups.values()),
-            )
-            f_initial = parafac2.initial_latent_factors(factors)
-            A = kalman.estimate_transition(f_initial, ridge=TRANSITION_RIDGE)
-            Q = config.process_noise * np.eye(factors.rank)
-            n, r = len(members), factors.rank
-            counts = np.array([doc["views"][uid] for uid in members])
-            first_row = np.cumsum(widths) - widths  # of each member's Lam rows
-            T = f_initial.shape[1]
-            psi, f_post, P_post = np.empty(n), np.empty((n, r)), np.empty((n, r, r))
-            Lam, evolved = np.empty((widths.sum(), r)), np.empty((n, T, r))
-            for g, (width, idx) in enumerate(groups.items()):
-                X = panels[f"X_{width}"]
-                lam = parafac2.loading_matrix(factors, g)
-                psi[idx] = kalman.estimate_measurement_noise(X, lam, f_initial)
-                f_seq, final, steady_obs, missing_obs = kalman.evolve_sequence(
-                    lam, A, Q, psi[idx, None, None] * np.eye(width), X, counts[idx], f_initial[:, 0]
-                )
-                evolved[idx] = np.where(np.arange(T)[:, None] < counts[idx, None, None], f_seq, 0.0)
-                f_post[idx], P_post[idx] = final.f_post[:, :, 0], final.P_post
-                Lam[(first_row[idx, None] + np.arange(width)).ravel()] = lam.reshape(-1, r)
-                steady += steady_obs
-                missing += missing_obs
-            views += int(counts.sum())
-            np.savez(
-                kdir / f"cluster_{cluster_id}.npz", A=A, Q=Q, psi=psi, Lam=Lam,
-                f_post=f_post, P_post=P_post, evolved=evolved,
-            )
+            evolved[idx] = np.where(np.arange(T)[:, None] < counts[idx, None, None], f_seq, 0.0)
+            f_post[idx], P_post[idx] = final.f_post[:, :, 0], final.P_post
+            Lam[(first_row[idx, None] + np.arange(width)).ravel()] = lam.reshape(-1, r)
+            steady += steady_obs
+            missing += missing_obs
+        views += int(counts.sum())
+        filters[cluster_id] = dict(
+            A=A, Q=Q, psi=psi, Lam=Lam, f_post=f_post, P_post=P_post, evolved=evolved
+        )
+    out = workdir / "kalman.npz"
+    with _replacing(out) as fh:
+        np.savez(fh, **_clustered(filters))
     _note_manifest(
         workdir, "kalman", {"process_noise": config.process_noise}, t0,
         views=views, steady_views=steady, missing_views=missing,
     )
-    return workdir / "kalman"
+    return out
 
 
 def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
@@ -418,13 +393,12 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     dataset = load_dataset(workdir / "sessions.npz")
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
-    evolved_per_user: dict[str, np.ndarray] = {}
-    for cluster_id, members in doc["clusters"].items():
-        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
-        evolved = _load_npz(path, "kalman", {"evolved": len(members)})["evolved"]
-        evolved_per_user.update(
-            (uid, evolved[idx, : doc["views"][uid]]) for idx, uid in enumerate(members)
-        )
+    rows = {c: {"evolved": len(members)} for c, members in doc["clusters"].items()}
+    filters = read_clusters(workdir / "kalman.npz", "kalman", rows)
+    evolved_per_user = {
+        uid: _array(filters[cluster_id]["evolved"])[idx, : doc["views"][uid]]
+        for cluster_id, members in doc["clusters"].items() for idx, uid in enumerate(members)
+    }
 
     keys: list[tuple[str, str]] = []  # (user, intent) of each set, in the order made
 
@@ -447,9 +421,8 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     for (uid, intent), iw in zip(keys, weights, strict=True):
         models.setdefault(uid, ranksvm.RankModel(trade_off=config.rank_lambda)).weights[intent] = iw
     out = workdir / "rankmodel.json"
-    out.write_text(
-        json.dumps({u: m.to_json() for u, m in models.items()}, sort_keys=True)
-    )
+    with _replacing(out) as fh:
+        fh.write(json.dumps({u: m.to_json() for u, m in models.items()}, sort_keys=True).encode())
     trained = [iw for iw in weights if not iw.degenerate]
     rates = [iw.violation_rate for iw in trained]
     _note_manifest(
@@ -497,8 +470,10 @@ def stage_evaluate(workdir: Path, config: PipelineConfig) -> evaluation.Benchmar
     result = evaluation.run_benchmark(
         dataset, model, k=config.k, min_unique_reports=config.min_unique_reports
     )
-    (workdir / "results.csv").write_text(evaluation.results_csv(result.reports))
-    (workdir / "results.txt").write_text(evaluation.results_table(result.reports) + "\n")
+    with _replacing(workdir / "results.csv") as fh:
+        fh.write(evaluation.results_csv(result.reports).encode())
+    with _replacing(workdir / "results.txt") as fh:
+        fh.write((evaluation.results_table(result.reports) + "\n").encode())
     _note_manifest(
         workdir, "evaluate", {"k": config.k, "min_unique_reports": config.min_unique_reports}, t0,
         events=result.events,
@@ -527,9 +502,9 @@ def stage_sweep(workdir: Path, configs: list[PipelineConfig]):
     for cfg in configs:
         sub = workdir / f"sweep_R{cfg.rank}"
         sub.mkdir(parents=True, exist_ok=True)
-        for name in ("sessions.npz", "graphs.json", "clustering.json"):
-            shutil.copyfile(_require(workdir / name), sub / name)
-        shutil.copytree(workdir / "tensors", _fresh_dir(sub / "tensors"), dirs_exist_ok=True)
+        for name in ("sessions.npz", "graphs.json", "clustering.json", "tensors.npz"):
+            with _replacing(sub / name) as fh:
+                fh.write(_require(workdir / name).read_bytes())
         stage_factorize(sub, cfg)
         stage_kalman(sub, cfg)
         stage_train_rank(sub, cfg)

@@ -320,11 +320,6 @@ def solve(
     return out
 
 
-def train(ts: RankTrainingSet, lam: float = DEFAULT_LAMBDA) -> IntentWeights:
-    """One set's weights, from `solve`."""
-    return solve([ts], lam)[0]
-
-
 def stacked_scores(W: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Normalized intent scores (4 + <w, f>) / 8, clamped to [0, 1], of every
     factor f (row of F, E x R) under every intent's weights w (row of W,

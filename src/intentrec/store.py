@@ -1,9 +1,9 @@
-"""The workdir's artifact files: reading and checking them, the manifest
+"""The workdir's artifact files: reading, checking and writing them, the manifest
 that records which files each stage read, `read_model`, the one reader of
 the served model, and `stage_recommend`, which serves one request from it.
 NumPy-free, so that a cold `intentrec recommend` imports neither NumPy nor
-the fitting layers; `pipeline` reads the same files through this module
-(`load_model` through `read_model`) and re-exports it."""
+the fitting layers; `pipeline` reads and writes the same files through
+this module (`load_model` through `read_model`) and re-exports it."""
 from __future__ import annotations
 
 import ast
@@ -16,6 +16,7 @@ import struct
 import sys
 import time
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,9 +89,23 @@ def _read_manifest(workdir: Path) -> dict:
         ) from exc
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A binary temporary file beside path, which replaces path when the
+    block completes and is removed if anything raises: the one writer of
+    every artifact but the append-only recommendations.jsonl."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details):
-    """Record the stage in manifest.json, its inputs being the files it read.
-    The manifest is replaced whole, so an interrupted stage cannot tear it."""
+    """Record the stage in manifest.json, its inputs being the files it read."""
     manifest = _read_manifest(workdir)
     manifest[stage] = {
         "inputs": {
@@ -102,9 +117,8 @@ def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details
         "elapsed_s": round(time.time() - t0, 3),
         **details,
     }
-    tmp = workdir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, workdir / "manifest.json")
+    with _replacing(workdir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 # ---------------------------------------------------------------- .npz
@@ -201,6 +215,20 @@ def read_npz(
     return arrays
 
 
+def _clustered(per_cluster: dict[str, dict]) -> dict:
+    """{c: {name: x}} keyed as tensors.npz, factors.npz and kalman.npz hold
+    cluster c's array `name`: {"<c>/<name>": x}."""
+    return {f"{c}/{name}": x for c, named in per_cluster.items() for name, x in named.items()}
+
+
+def read_clusters(path: Path, stage: str, rows: dict[str, dict]) -> dict[str, dict[str, NpyArray]]:
+    """Each cluster c's arrays of the stage file at path, rows[c] being its
+    `read_npz` rows, by cluster: one `read_npz`, so the file is read and
+    hashed once."""
+    arrays = read_npz(path, stage, _clustered(rows))
+    return {c: {name: arrays[f"{c}/{name}"] for name in named} for c, named in rows.items()}
+
+
 # ---------------------------------------------------------------- model files
 
 
@@ -275,7 +303,7 @@ def _check_ranks(path: Path, doc, ranks: dict[str, int]):
             if rank is not None and len(w) != rank:
                 raise stale(
                     f"holds weights of length {len(w)} for {uid} {intent}, "
-                    f"whose factor in kalman/ has rank {rank}"
+                    f"whose factor in kalman.npz has rank {rank}"
                 )
 
 
@@ -285,33 +313,35 @@ class ModelFiles(NamedTuple):
     graphs: dict[str, NavGraph]
     clustering: dict  # the `_read_clustering` doc
     rank_models: dict  # rankmodel.json, as `_check_ranks` checked it
-    filters: dict[str, dict[str, NpyArray]]  # each cluster's kalman/ filter arrays, by its id
+    filters: dict[str, dict[str, NpyArray]]  # each cluster's kalman.npz filter arrays, by its id
 
 
 def read_model(workdir: Path) -> ModelFiles:
     """The files of the served model, each read, checked and recorded as an
     input of the running stage: graphs.json, clustering.json, rankmodel.json
-    and the filter arrays of every `kalman/cluster_<c>.npz` (not `evolved`).
-    The one reader of the model, which both `stage_recommend` and
+    and every cluster's filter arrays of kalman.npz (not `evolved`). The
+    one reader of the model, which both `stage_recommend` and
     `pipeline.load_model` call."""
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
     rank_path = workdir / "rankmodel.json"
     rank_models = _read_json(rank_path, "train-rank")
-    filters, ranks = {}, {}
+    rows = {}
     for cluster_id, members in doc["clusters"].items():
-        path = workdir / "kalman" / f"cluster_{cluster_id}.npz"
         n, width = len(members), sum(_widths(doc, members))
         # Lam holds each member's N_u rows one after another, the others one row per member
-        rows = {"A": None, "Q": None, "psi": n, "Lam": width, "f_post": n, "P_post": n}
-        filters[cluster_id] = arrays = read_npz(path, "kalman", rows)
-        r = arrays["f_post"].shape[-1]
+        rows[cluster_id] = {"A": None, "Q": None, "psi": n, "Lam": width, "f_post": n, "P_post": n}
+    path = workdir / "kalman.npz"
+    filters, ranks = read_clusters(path, "kalman", rows), {}
+    for cluster_id, arrays in filters.items():
+        n, width, r = rows[cluster_id]["psi"], rows[cluster_id]["Lam"], arrays["f_post"].shape[-1]
         shapes = [a.shape for a in arrays.values()]
         if shapes != [(r, r), (r, r), (n,), (width, r), (n, r), (n, r, r)]:
             raise StaleArtifact(
-                f"{path} holds filters of shapes {shapes}, not of one rank; re-run `intentrec kalman`"
+                f"{path} holds cluster {cluster_id}'s filters of shapes {shapes}, "
+                "not of one rank; re-run `intentrec kalman`"
             )
-        ranks.update(dict.fromkeys(members, r))
+        ranks.update(dict.fromkeys(doc["clusters"][cluster_id], r))
     _check_ranks(rank_path, rank_models, ranks)
     return ModelFiles(graphs, doc, rank_models, filters)
 

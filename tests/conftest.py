@@ -10,6 +10,14 @@ from intentrec import pipeline, recommender, synth
 from intentrec.models import HitRecord, ReportKind, Session
 
 
+def cluster_arrays(z, cluster: str) -> dict[str, np.ndarray]:
+    """Cluster c's arrays of an opened tensors.npz, factors.npz or
+    kalman.npz, which keys them `<c>/<name>`, by name in the file's order."""
+    return {
+        key.removeprefix(f"{cluster}/"): z[key] for key in z.files if key.startswith(f"{cluster}/")
+    }
+
+
 def make_hit(
     user="u1",
     ts=0,

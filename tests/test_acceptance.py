@@ -17,7 +17,7 @@ from intentrec.models import group_by_user
 from intentrec.navgraph import build_graph, detect_targets, intent_distances
 from intentrec.parafac2 import decompose, loading_matrix, stack_panels
 from intentrec.pipeline import PipelineConfig
-from intentrec.ranksvm import RankTrainingSet, stacked_scores, train
+from intentrec.ranksvm import RankTrainingSet, solve, stacked_scores
 from intentrec.recommender import RelevanceVariant, recommend
 
 from conftest import per_target_intent_scores, random_sessions
@@ -278,17 +278,15 @@ class TestRankSvm:
             elif m < -0.3 and len(neg) < 50:
                 neg.append(f)
         ts = RankTrainingSet(intent="I", R1=np.array(pos), R2=np.array(neg))
-        entry = train(ts)
+        entry = solve([ts])[0]
 
         in_bounds = all(
             0.0 <= stacked_scores(entry.w[None], f[None])[0, 0] <= 1.0 for f in pos + neg
         )
-        two = train(
-            RankTrainingSet(
-                intent="I", R1=np.array([[1.0, 0.0]]), R2=np.array([[0.0, 1.0]])
-            ),
+        two = solve(
+            [RankTrainingSet(intent="I", R1=np.array([[1.0, 0.0]]), R2=np.array([[0.0, 1.0]]))],
             lam=10.0,
-        )
+        )[0]
         analytic_ok = two.w @ np.array([1.0, 0.0]) > two.w @ np.array([0.0, 1.0])
         _report(
             "ranksvm: <=5% violations, scores in [0,1], 2-point ordering",

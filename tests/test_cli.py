@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_recommend_doc
+from conftest import cluster_arrays, numpy_recommend_doc
 
 import intentrec
 from intentrec import cli, kalman, pipeline, store, synth
@@ -55,7 +55,7 @@ def workdir(tmp_path_factory):
 
 def _assert_serving_shapes(workdir: Path):
     """Every training user is served with an R x N_u Lam_pinv, R being its
-    cluster's fitted rank, and kalman/ holds one R-vector per training view,
+    cluster's fitted rank, and kalman.npz holds one R-vector per training view,
     each cluster's in one array padded with zeros to its longest member's."""
     model = pipeline.load_model(workdir)
     dataset = pipeline.load_dataset(workdir / "sessions.npz")
@@ -68,8 +68,8 @@ def _assert_serving_shapes(workdir: Path):
         cluster = str(model.clustering.assignments[uid])
         rank = fits[cluster]["rank"]
         assert serving.Lam_pinv.shape == (rank, serving.layout.width)
-        with np.load(workdir / "kalman" / f"cluster_{cluster}.npz") as z:
-            evolved = z["evolved"]
+        with np.load(workdir / "kalman.npz") as z:
+            evolved = z[f"{cluster}/evolved"]
         T = max(views[u] for u in clusters[cluster])
         assert evolved.shape == (len(clusters[cluster]), T, rank)
         row = evolved[clusters[cluster].index(uid)]
@@ -154,29 +154,29 @@ class TestStages:
             "rankmodel.json", "manifest.json",
         ):
             assert (workdir / name).exists(), name
-        assert (workdir / "tensors").is_dir()
-        assert (workdir / "factors").is_dir()
-        assert (workdir / "kalman").is_dir()
+        for name in ("tensors.npz", "factors.npz", "kalman.npz"):
+            assert (workdir / name).is_file(), name
 
     def test_tensor_members_follow_the_clustering(self, workdir):
         # stage_tensor alone picks and orders a cluster's members, sorted,
         # every trained user in one cluster; their panels follow in that
-        # order, one stack per width (6 rows per feature slot), and the
-        # cluster directories hold nothing but each cluster's .npz
+        # order, one stack per width (6 rows per feature slot), and each
+        # stage file holds every cluster's arrays under `<c>/<name>`
         doc = json.loads((workdir / "clustering.json").read_text())
         clusters = doc["clusters"]
         assert clusters
         dataset = pipeline.load_dataset(workdir / "sessions.npz")
         members = [u for users in clusters.values() for u in users]
         assert sorted(members) == sorted({s.user_id for s in dataset.train})
-        for sub in ("tensors", "factors", "kalman"):
-            listing = sorted(p.name for p in (workdir / sub).iterdir())
-            assert listing == sorted(f"cluster_{c}.npz" for c in clusters), sub
+        for name in ("tensors.npz", "factors.npz", "kalman.npz"):
+            with np.load(workdir / name) as z:
+                assert sorted({key.split("/")[0] for key in z.files}) == sorted(clusters), name
         for c, users in clusters.items():
             assert users == sorted(users), c
             widths = [6 * len(doc["slots"][uid]) for uid in users]
-            with np.load(workdir / "tensors" / f"cluster_{c}.npz") as z:
-                assert z.files == [f"X_{w}" for w in sorted(set(widths), key=widths.index)]
+            with np.load(workdir / "tensors.npz") as z:
+                z = cluster_arrays(z, c)
+                assert list(z) == [f"X_{w}" for w in sorted(set(widths), key=widths.index)]
                 for w in set(widths):
                     assert z[f"X_{w}"].shape[:2] == (widths.count(w), w), (c, w)
 
@@ -236,7 +236,8 @@ class TestStages:
         dataset = pipeline.load_dataset(wd / "sessions.npz")
         sess = next(s for s in dataset.test if s.user_id in evaluated)
         sess.hits[0] = sess.hits[0]._replace(metric="never-viewed")
-        pipeline.save_dataset(dataset, wd / "sessions.npz")
+        with (wd / "sessions.npz").open("wb") as fh:
+            pipeline.save_dataset(dataset, fh)
         result = pipeline.stage_evaluate(wd, cfg)
         entry = json.loads((wd / "manifest.json").read_text())["evaluate"]
         assert entry["missing_views"] == result.missing_views == 1
@@ -340,7 +341,7 @@ class TestStages:
         _assert_serving_shapes(workdir)
 
     def test_serving_reads_no_factors(self, workdir, tmp_path):
-        # kalman/ holds every filter and evolved factor that serving,
+        # kalman.npz holds every filter and evolved factor that serving,
         # train-rank and evaluate read
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
@@ -348,7 +349,7 @@ class TestStages:
         pipeline.stage_evaluate(wd, cfg)
         expected = {n: (wd / n).read_bytes() for n in ("rankmodel.json", "results.csv")}
         served = set(pipeline.load_model(wd).serving)
-        shutil.rmtree(wd / "factors")
+        (wd / "factors.npz").unlink()
         assert set(pipeline.load_model(wd).serving) == served
         pipeline.stage_train_rank(wd, cfg)
         pipeline.stage_evaluate(wd, cfg)
@@ -367,9 +368,14 @@ class TestStages:
         fit(reused, 40)
         fit(reused, 3)
         fit(fresh, 3)
-        for sub in ("tensors", "factors", "kalman"):
-            listing = [sorted(p.name for p in (wd / sub).iterdir()) for wd in (reused, fresh)]
-            assert listing[0] == listing[1], sub
+        listing = [sorted(p.name for p in wd.iterdir()) for wd in (reused, fresh)]
+        assert listing[0] == listing[1]
+        for name in ("tensors.npz", "factors.npz", "kalman.npz"):
+            files = []
+            for wd in (reused, fresh):
+                with np.load(wd / name) as z:
+                    files.append(z.files)
+            assert files[0] == files[1], name
         for name in ("rankmodel.json", "results.csv"):
             assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
         model = pipeline.load_model(reused)
@@ -380,25 +386,15 @@ class TestStages:
         cfg = PipelineConfig(seed=3, rank=3, min_unique_reports=3)
         pipeline.stage_evaluate(workdir, cfg)
         doc = json.loads((workdir / "clustering.json").read_text())
-        clusters = [f"cluster_{c}" for c in doc["clusters"]]
-        assert clusters
+        assert doc["clusters"]
         # every file load_model reads
-        model_files = {
-            "graphs.json", "clustering.json", "rankmodel.json",
-            *(f"kalman/{c}.npz" for c in clusters),
-        }
+        model_files = {"graphs.json", "clustering.json", "rankmodel.json", "kalman.npz"}
         expected = {
             "ingest": {"hits.jsonl"},
             "tensor": {"sessions.npz"},
-            "factorize": {"clustering.json", *(f"tensors/{c}.npz" for c in clusters)},
-            "kalman": {
-                "clustering.json",
-                *(f"{sub}/{c}.npz" for c in clusters for sub in ("tensors", "factors")),
-            },
-            "train-rank": {
-                "sessions.npz", "graphs.json", "clustering.json",
-                *(f"kalman/{c}.npz" for c in clusters),
-            },
+            "factorize": {"clustering.json", "tensors.npz"},
+            "kalman": {"clustering.json", "tensors.npz", "factors.npz"},
+            "train-rank": {"sessions.npz", "graphs.json", "clustering.json", "kalman.npz"},
             "graph": {"sessions.npz"},
             "evaluate": {"sessions.npz", *model_files},
             "recommend": model_files,
@@ -446,15 +442,55 @@ class TestStages:
                 pipeline.stage_graph(wd, PipelineConfig(seed=3))
         assert (wd / "manifest.json").read_bytes() == before
 
+    @pytest.mark.parametrize("stage,output", [
+        ("synth", "hits.jsonl"),
+        ("ingest", "sessions.npz"),
+        ("graph", "graphs.json"),
+        ("tensor", "clustering.json"),
+        ("tensor", "tensors.npz"),
+        ("factorize", "factors.npz"),
+        ("kalman", "kalman.npz"),
+        ("train-rank", "rankmodel.json"),
+        ("evaluate", "results.csv"),
+        ("evaluate", "results.txt"),
+    ])
+    def test_interrupted_write_keeps_the_previous_artifact(self, workdir, tmp_path, stage, output):
+        # every output is written to a temporary file that replaces it last:
+        # a stage interrupted at that step leaves the previous file, the
+        # workdir is as it was, and no temporary file is left
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        flags = {
+            "synth": ["--users", "8", "--reports", "40", "--sessions-per-user", "8",
+                      "--intents", "2", "--rho", "0.8", "--seed", "3"],
+        }.get(stage, ["--seed", "3", "--rank", "3", "--max-iters", "20"])
+        argv = [stage, "--workdir", str(wd), *flags]
+        assert cli.main(argv) == cli.EXIT_OK
+        (wd / output).write_bytes(f"previous {output}\n".encode())
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        replace = os.replace
+
+        def interrupted(src, dst):
+            if Path(dst).name == output:
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store.os, "replace", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+        assert list(wd.rglob("*.tmp")) == []
+
     def test_manifest_fit_counters(self, workdir, tmp_path):
         manifest = json.loads((workdir / "manifest.json").read_text())
         for cluster, entry in manifest["factorize"]["clusters"].items():
             # ||X - G H diag(s) V'||^2 / ||X||^2 over the cluster's panels
             # every synthetic user has N_u = 6: one stack per cluster
-            with np.load(workdir / "tensors" / f"cluster_{cluster}.npz") as z:
-                panels = z["X_6"]
-            with np.load(workdir / "factors" / f"cluster_{cluster}.npz") as z:
-                H, S, V, G = z["H"], z["S"], z["V"], z["G_6"]
+            with np.load(workdir / "tensors.npz") as z:
+                panels = z[f"{cluster}/X_6"]
+            with np.load(workdir / "factors.npz") as z:
+                H, S, V, G = (z[f"{cluster}/{name}"] for name in ("H", "S", "V", "G_6"))
             err = sum(
                 float(((X - g @ H @ np.diag(s) @ V.T) ** 2).sum()) for X, g, s in zip(panels, G, S)
             )
@@ -466,8 +502,8 @@ class TestStages:
             views = missing = 0
             doc = json.loads((wd / "clustering.json").read_text())
             for cluster, users in doc["clusters"].items():
-                with np.load(wd / "tensors" / f"cluster_{cluster}.npz") as z:
-                    for uid, panel in zip(users, z["X_6"], strict=True):
+                with np.load(wd / "tensors.npz") as z:
+                    for uid, panel in zip(users, z[f"{cluster}/X_6"], strict=True):
                         X = panel[:, : doc["views"][uid]]
                         views += X.shape[1]
                         missing += int((~X.any(axis=0)).sum())
@@ -481,11 +517,11 @@ class TestStages:
         # a view whose context vector is all zero is a missing observation
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
-        panel = wd / "tensors" / "cluster_0.npz"
-        with np.load(panel) as z:
-            stack = z["X_6"]
-        stack[0, :, 0] = 0.0
-        np.savez(panel, X_6=stack)
+        def zero_first_view(stack):
+            stack[0, :, 0] = 0.0
+            return stack
+
+        _edit_npz(wd / "tensors.npz", "0/X_6", zero_first_view)
         with _counting_exact_steps() as counts:
             pipeline.stage_kalman(wd, PipelineConfig(seed=3, rank=3))
         entry = json.loads((wd / "manifest.json").read_text())["kalman"]
@@ -511,8 +547,8 @@ class TestStages:
             assert entry["rank"] == 6
             assert entry["iterations"] >= 1
             assert isinstance(entry["converged"], bool)
-            with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
-                assert z["H"].shape == (6, 6)
+            with np.load(tmp_path / "factors.npz") as z:
+                assert z[f"{cluster}/H"].shape == (6, 6)
 
     def test_default_config_converges(self, tmp_path, caplog):
         # at 50 iterations cluster 1 of this log stopped unconverged
@@ -603,9 +639,11 @@ class TestSessionsFile:
         ]
         dataset = Dataset(train=train, test=test, split_instant=900)
         first, second = tmp_path / "first.npz", tmp_path / "second.npz"
-        pipeline.save_dataset(dataset, first)
+        with first.open("wb") as fh:
+            pipeline.save_dataset(dataset, fh)
         loaded = pipeline.load_dataset(first)
-        pipeline.save_dataset(loaded, second)
+        with second.open("wb") as fh:
+            pipeline.save_dataset(loaded, fh)
         assert loaded == dataset
         assert second.read_bytes() == first.read_bytes()
 
@@ -679,20 +717,22 @@ class TestSessionsFile:
         path.write_bytes((fitted[0] / "sessions.npz").read_bytes())
         dataset = pipeline.load_dataset(path)
         dataset.test[0].hits[0] = dataset.test[0].hits[0]._replace(metric="edited")
-        pipeline.save_dataset(dataset, path)
+        with path.open("wb") as fh:
+            pipeline.save_dataset(dataset, fh)
         with _counting_parses() as counts:
             assert pipeline.load_dataset(path) == dataset
         assert counts["splits"] == 2
 
 
-def _largest_cluster_npz(wd: Path) -> Path:
-    """The kalman/ .npz of the workdir's largest cluster."""
+def _largest_cluster(wd: Path, name: str) -> str:
+    """The key `<c>/<name>` of the workdir's largest cluster c's array `name`."""
     clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
-    return wd / "kalman" / f"cluster_{max(clusters, key=lambda c: len(clusters[c]))}.npz"
+    return f"{max(clusters, key=lambda c: len(clusters[c]))}/{name}"
 
 
 def _edit_npz(path: Path, name: str, edit) -> tuple[Path, str]:
-    """path with its array `name` replaced by edit(array)."""
+    """path with its array `name` replaced by edit(array), and the stage
+    that rewrites a spoiled kalman.npz."""
     with np.load(path) as z:
         arrays = dict(z)
     arrays[name] = edit(arrays[name])
@@ -702,7 +742,7 @@ def _edit_npz(path: Path, name: str, edit) -> tuple[Path, str]:
 
 def _short_stack(name: str):
     def spoil(wd: Path) -> tuple[Path, str]:
-        return _edit_npz(wd / "kalman" / "cluster_0.npz", name, lambda a: a[:-1])
+        return _edit_npz(wd / "kalman.npz", f"0/{name}", lambda a: a[:-1])
     return spoil
 
 
@@ -711,7 +751,7 @@ def _f_post(edit):
         def checked(a):
             assert a.shape[0] > 1 and a.shape[1] > 1
             return edit(a)
-        return _edit_npz(_largest_cluster_npz(wd), "f_post", checked)
+        return _edit_npz(wd / "kalman.npz", _largest_cluster(wd, "f_post"), checked)
     return spoil
 
 
@@ -739,7 +779,7 @@ def _another_rank(wd: Path) -> tuple[Path, str]:
 
 
 def _missing_kalman(wd: Path) -> tuple[Path, str]:
-    path = wd / "kalman" / "cluster_0.npz"
+    path = wd / "kalman.npz"
     path.unlink()
     return path, "kalman"
 
@@ -751,6 +791,12 @@ def _first_intent(doc: dict, edit) -> dict:
     return doc
 
 
+def _first_graph(docs: list, edit) -> list:
+    """The graphs.json docs with the first user's graph edited by edit(graph)."""
+    edit(docs[0])
+    return docs
+
+
 # Each way a fitted model's files can be spoiled, as a function that spoils a
 # copy of the workdir and returns the path it spoiled and the stage that
 # rewrites it.
@@ -760,11 +806,13 @@ SPOILED_MODELS = {
     "fortran-f_post": _f_post(np.asfortranarray),
     "float32-f_post": _f_post(lambda a: a.astype(np.float32)),
     "flat-f_post": _f_post(lambda a: a[:, 0].copy()),
-    "narrow-P_post": lambda wd: _edit_npz(_largest_cluster_npz(wd), "P_post", lambda a: a[:, :, :-1]),
+    "narrow-P_post": lambda wd: _edit_npz(
+        wd / "kalman.npz", _largest_cluster(wd, "P_post"), lambda a: a[:, :, :-1]
+    ),
     "another-rank": _another_rank,
     "torn-graphs": _torn("graphs.json", "graph"),
     "torn-rankmodel": _torn("rankmodel.json", "train-rank"),
-    "torn-kalman": _torn("kalman/cluster_0.npz", "kalman"),
+    "torn-kalman": _torn("kalman.npz", "kalman"),
     "missing-kalman": _missing_kalman,
     "assignments-clustering": _edit_json("clustering.json", "tensor", lambda doc: {
         "assignments": {u: int(c) for c, members in doc["clusters"].items() for u in members},
@@ -772,6 +820,12 @@ SPOILED_MODELS = {
     }),
     "graphs-of-numbers": _edit_json("graphs.json", "graph", lambda doc: [1, 2]),
     "graphs-object": _edit_json("graphs.json", "graph", lambda doc: {}),
+    "string-mass": _edit_json("graphs.json", "graph", lambda docs: _first_graph(
+        docs, lambda g: [node.update(mass=str(node["mass"])) for node in g["nodes"]]
+    )),
+    "float-count": _edit_json("graphs.json", "graph", lambda docs: _first_graph(
+        docs, lambda g: [edge.update(count=float(edge["count"])) for edge in g["edges"]]
+    )),
     "rankmodel-list": _edit_json("rankmodel.json", "train-rank", lambda doc: []),
     "user-without-intents": _edit_json(
         "rankmodel.json", "train-rank", lambda doc: {**doc, next(iter(doc)): {"lambda": 1.0}}
@@ -945,9 +999,9 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("size", ["half", "empty"])
     @pytest.mark.parametrize("name,writer,command", [
-        ("tensors/cluster_0.npz", "tensor", ["factorize", "--rank", "3"]),
-        ("factors/cluster_0.npz", "factorize", ["kalman"]),
-        ("kalman/cluster_0.npz", "kalman", ["recommend"]),
+        ("tensors.npz", "tensor", ["factorize", "--rank", "3"]),
+        ("factors.npz", "factorize", ["kalman"]),
+        ("kalman.npz", "kalman", ["recommend"]),
     ], ids=["tensors", "factors", "kalman"])
     def test_truncated_npz_is_stale(self, workdir, tmp_path, capsys, name, writer, command, size):
         # a half-written or empty .npz names itself and the stage to re-run,
@@ -973,23 +1027,23 @@ class TestCliExitCodes:
         assert f"intentrec {writer}`" in err, err
 
     @pytest.mark.parametrize("name,writer,command", [
-        ("tensors/cluster_0.npz", "tensor", ["factorize", "--rank", "3"]),
-        ("factors/cluster_0.npz", "factorize", ["kalman"]),
-        ("kalman/cluster_0.npz", "kalman", ["train-rank"]),
+        ("tensors.npz", "tensor", ["factorize", "--rank", "3"]),
+        ("factors.npz", "factorize", ["kalman"]),
+        ("kalman.npz", "kalman", ["train-rank"]),
     ], ids=["tensors", "factors", "kalman"])
     def test_positional_npz_is_stale(self, workdir, tmp_path, capsys, name, writer, command):
         # an .npz of the positional layout of earlier versions (one array
-        # per member, arr_0, arr_1, ... in member order, beside the named
-        # ones) names itself and the stage that rewrites it, and the refused
-        # stage leaves the workdir as it was
+        # per member of cluster 0, arr_0, arr_1, ... in member order, beside
+        # the named ones) names itself and the stage that rewrites it, and
+        # the refused stage leaves the workdir as it was
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
         doc = json.loads((wd / "clustering.json").read_text())
         path = wd / name
         with np.load(path) as z:
             arrays = dict(z)
-        stack = arrays.pop({"tensors": "X_6", "factors": "G_6", "kalman": "evolved"}[path.parent.name])
-        if path.parent.name == "kalman":
+        stack = arrays.pop("0/" + {"tensors": "X_6", "factors": "G_6", "kalman": "evolved"}[path.stem])
+        if path.stem == "kalman":
             stack = [row[: doc["views"][uid]] for uid, row in zip(doc["clusters"]["0"], stack)]
         np.savez(path, *stack, **arrays)
         before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
@@ -1007,9 +1061,7 @@ class TestCliExitCodes:
         shutil.copytree(workdir, wd)
         clusters = json.loads((wd / "clustering.json").read_text())["clusters"]
         cluster = max(clusters, key=lambda c: len(clusters[c]))
-        path = wd / "tensors" / f"cluster_{cluster}.npz"
-        with np.load(path) as z:
-            np.savez(path, X_6=z["X_6"][1:])
+        path, _ = _edit_npz(wd / "tensors.npz", f"{cluster}/X_6", lambda a: a[1:])
         before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
         capsys.readouterr()
         assert cli.main(["factorize", "--rank", "3", "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT
@@ -1042,7 +1094,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("name", ["f_post", "P_post", "psi", "Lam"])
     def test_stack_short_of_the_members_is_stale(self, workdir, tmp_path, capsys, name):
-        # a kalman/ stack without the last member's rows, as clustering.json
+        # a kalman.npz stack without the last member's rows, as clustering.json
         # lists more members than it holds, is stale: not an IndexError
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
@@ -1069,8 +1121,8 @@ class TestCliExitCodes:
         self._assert_refused(wd, capsys, path, writer, self._request(workdir))
 
     @pytest.mark.parametrize("case", [
-        "graphs-of-numbers", "graphs-object", "rankmodel-list", "user-without-intents",
-        "intent-extra-field", "string-weight",
+        "graphs-of-numbers", "graphs-object", "string-mass", "float-count", "rankmodel-list",
+        "user-without-intents", "intent-extra-field", "string-weight",
     ])
     def test_model_file_of_another_layout_is_stale(self, workdir, tmp_path, capsys, case):
         # graphs.json and rankmodel.json of another layout than the stages
@@ -1085,24 +1137,57 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("case", sorted(SPOILED_MODELS))
     def test_both_readers_refuse_alike(self, workdir, tmp_path, case):
         # `recommend` and `evaluate` read the model through one reader, so
-        # each spoiled model file stops both with the same error
+        # each spoiled model file stops both with the same error, and a
+        # spoiled graphs.json stops train-rank with it too
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
         _, user, _, current = self._request(workdir)
         path, writer = SPOILED_MODELS[case](wd)
         cfg = PipelineConfig(seed=3)
-        errors = []
-        for stage in (
+        stages = [
             lambda: pipeline.stage_recommend(wd, cfg, user, current),
             lambda: pipeline.stage_evaluate(wd, cfg),
-        ):
+        ]
+        if path.name == "graphs.json":
+            stages.append(lambda: pipeline.stage_train_rank(wd, cfg))
+        errors = []
+        for stage in stages:
             with pytest.raises((store.MissingArtifact, store.StaleArtifact)) as info:
                 stage()
             errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1]
+        assert errors == [errors[0]] * len(stages)
         kind, message = errors[0]
         assert str(path) in message, message
         assert kind is store.MissingArtifact or f"intentrec {writer}`" in message, message
+
+    @pytest.mark.parametrize("name,command", [
+        ("tensors", ["factorize", "--rank", "3"]),
+        ("factors", ["kalman"]),
+        ("kalman", ["train-rank"]),
+        ("kalman", ["recommend"]),
+    ], ids=["factorize", "kalman", "train-rank", "recommend"])
+    def test_workdir_of_cluster_directories_is_refused(
+        self, workdir, tmp_path, capsys, name, command
+    ):
+        # a workdir fitted by an earlier version holds each cluster's arrays
+        # in <name>/cluster_<c>.npz, which no stage reads: a stage that
+        # reads <name>.npz exits 3 naming it and leaves the workdir as it was
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        (wd / name).mkdir()
+        with np.load(wd / f"{name}.npz") as z:
+            for c in {key.split("/")[0] for key in z.files}:
+                np.savez(wd / name / f"cluster_{c}.npz", **cluster_arrays(z, c))
+        (wd / f"{name}.npz").unlink()
+        argv = [*command, "--workdir", str(wd)]
+        if command == ["recommend"]:
+            argv += self._request(workdir)
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "missing artifact" in err and str(wd / f"{name}.npz") in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
 
     @pytest.mark.parametrize("collaborative", [False, True], ids=["own", "collaborative"])
     def test_recommend_is_the_numpy_path_bitwise(self, workdir, tmp_path, collaborative):
@@ -1144,20 +1229,20 @@ class TestCliExitCodes:
         assert [m for m in modules if m.removeprefix("intentrec.") in fitting] == []
 
     @pytest.mark.parametrize("name,command,output", [
-        ("tensors/cluster_1.npz", ["factorize", "--rank", "3"], "factors"),
-        ("factors/cluster_1.npz", ["kalman"], "kalman"),
+        ("tensors.npz", ["factorize", "--rank", "3"], "factors.npz"),
+        ("factors.npz", ["kalman"], "kalman.npz"),
     ], ids=["factorize", "kalman"])
     def test_refused_stage_keeps_its_previous_output(
         self, workdir, tmp_path, capsys, name, command, output
     ):
-        # the stage finds the stale input after it has written the first
-        # cluster's output, which must not replace the previous run's
+        # a stage refused for a half-written input must not replace the
+        # previous run's output
         wd = tmp_path / "wd"
         shutil.copytree(workdir, wd)
         path = wd / name
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
-        assert len([p for p in before if p.parent == wd / output]) > 2
+        assert before[wd / output]
         capsys.readouterr()
         assert cli.main([*command, "--workdir", str(wd)]) == cli.EXIT_MISSING_ARTIFACT
         err = capsys.readouterr().err

@@ -17,7 +17,7 @@ from intentrec.kalman import (
     step,
 )
 
-from conftest import two_width_workdir
+from conftest import cluster_arrays, two_width_workdir
 
 log = logging.getLogger(__name__)
 
@@ -411,7 +411,7 @@ def test_stage_kalman_writes_the_oracle_filters(tmp_path):
     # two users also view a second (metric, dimension) pair, so their
     # cluster holds members of two widths; every array stage_kalman writes
     # equals the per-filter oracle's, built per member from the G, H, S and
-    # V in factors/, and so do the manifest counts
+    # V in factors.npz, and so do the manifest counts
     cfg, wide = two_width_workdir(tmp_path)
     pipeline.stage_kalman(tmp_path, cfg)
 
@@ -421,12 +421,12 @@ def test_stage_kalman_writes_the_oracle_filters(tmp_path):
     views = steady = missing = 0
     for cluster, members in doc["clusters"].items():
         widths = [6 * len(doc["slots"][u]) for u in members]
-        with np.load(tmp_path / "tensors" / f"cluster_{cluster}.npz") as z:
-            stacks = {w: iter(z[f"X_{w}"]) for w in set(widths)}
-        with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
-            fit = dict(z)
-        with np.load(tmp_path / "kalman" / f"cluster_{cluster}.npz") as z:
-            got = dict(z)
+        with np.load(tmp_path / "tensors.npz") as z:
+            stacks = {w: iter(z[f"{cluster}/X_{w}"]) for w in set(widths)}
+        with np.load(tmp_path / "factors.npz") as z:
+            fit = cluster_arrays(z, cluster)
+        with np.load(tmp_path / "kalman.npz") as z:
+            got = cluster_arrays(z, cluster)
         G = {w: iter(fit[f"G_{w}"]) for w in set(widths)}
         f_initial = fit["V"].T.copy(order="F")
         A = estimate_transition(f_initial, ridge=pipeline.TRANSITION_RIDGE)

@@ -61,7 +61,8 @@ class TestHitRecord:
         test = [Session("u1", [make_hit("u1", 5000, "r2", values=(4.0, 5.0, 6.0))])]
         dataset = Dataset(train=train, test=test, split_instant=5000)
         path = tmp_path / "sessions.npz"
-        pipeline.save_dataset(dataset, path)
+        with path.open("wb") as fh:
+            pipeline.save_dataset(dataset, fh)
         loaded = pipeline.load_dataset(path)
         for want, got in zip(dataset.train + dataset.test, loaded.train + loaded.test, strict=True):
             assert got.user_id == want.user_id

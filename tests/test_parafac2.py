@@ -10,7 +10,7 @@ from intentrec.parafac2 import (
     stack_panels,
 )
 
-from conftest import two_width_workdir
+from conftest import cluster_arrays, two_width_workdir
 
 
 # The per-member ALS as it was before each width group of a cluster became
@@ -197,7 +197,7 @@ class TestStackedOracle:
 
 def test_stage_factorize_writes_the_oracle_factors(tmp_path):
     # one cluster holds members of widths 12, 6, 12; each cluster's
-    # tensors/ and factors/ .npz hold one stack per width group, and every
+    # arrays in tensors.npz and factors.npz hold one stack per width group, and every
     # array equals the oracle's fit of the cluster's panels in member order
     cfg, wide = two_width_workdir(tmp_path)
     doc = json.loads((tmp_path / "clustering.json").read_text())
@@ -207,16 +207,18 @@ def test_stage_factorize_writes_the_oracle_factors(tmp_path):
     assert widths[home] == [12, 6, 12]
     for cluster, members in doc["clusters"].items():
         groups = sorted(set(widths[cluster]), key=widths[cluster].index)
-        with np.load(tmp_path / "tensors" / f"cluster_{cluster}.npz") as z:
-            assert z.files == [f"X_{w}" for w in groups]
+        with np.load(tmp_path / "tensors.npz") as z:
+            z = cluster_arrays(z, cluster)
+            assert list(z) == [f"X_{w}" for w in groups]
             stacks = {w: z[f"X_{w}"] for w in groups}
         rows = {w: iter(stacks[w]) for w in groups}
         panels = [next(rows[w]) for w in widths[cluster]]
         (G, H, S, V), (iterations, _, converged) = oracle_decompose(
             panels, fits[cluster]["rank"], 1e-6, cfg.max_iters, cfg.seed + int(cluster)
         )
-        with np.load(tmp_path / "factors" / f"cluster_{cluster}.npz") as z:
-            assert sorted(z.files) == sorted([*(f"G_{w}" for w in groups), "H", "S", "V"])
+        with np.load(tmp_path / "factors.npz") as z:
+            z = cluster_arrays(z, cluster)
+            assert sorted(z) == sorted([*(f"G_{w}" for w in groups), "H", "S", "V"])
             for w in groups:
                 want = [g for g, n in zip(G, widths[cluster]) if n == w]
                 assert np.array_equal(z[f"G_{w}"], np.stack(want)), (cluster, w)

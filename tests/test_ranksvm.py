@@ -19,7 +19,6 @@ from intentrec.ranksvm import (
     session_final_target,
     solve,
     stacked_scores,
-    train,
     training_sets_from_endings,
 )
 
@@ -77,7 +76,7 @@ class TestTrainingSets:
                 assert np.array_equal(got, want)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if len(endings) == 1:
-            assert train(ts["I"]).degenerate
+            assert solve([ts["I"]])[0].degenerate
 
 
     @pytest.mark.parametrize("shape", ["xxoxx" * 40, "oxo", "ooo", "x", ""],
@@ -103,7 +102,7 @@ class TestTrain:
             R1=np.array([[1.0, 0.0]]),
             R2=np.array([[0.0, 1.0]]),
         )
-        model = train(ts, lam=10.0)
+        model = solve([ts], lam=10.0)[0]
         w = model.w
         assert w[0] > 0 > w[1]
         # the solution is proportional to (1, -1)
@@ -122,27 +121,27 @@ class TestTrain:
             elif margin < -0.3 and len(neg) < 40:
                 neg.append(f)
         ts = RankTrainingSet(intent="I", R1=np.array(pos), R2=np.array(neg))
-        model = train(ts)
+        model = solve([ts])[0]
         assert model.violation_rate <= 0.05
 
     def test_identical_sides_near_zero(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0]])
         ts = RankTrainingSet(intent="I", R1=pts, R2=pts.copy())
-        model = train(ts)
+        model = solve([ts])[0]
         assert np.linalg.norm(model.w) < 0.5
 
     def test_degenerate_fallback(self):
         ts = RankTrainingSet(
             intent="I", R1=np.array([[0.6, 0.8]]), R2=np.empty((0, 0))
         )
-        model = train(ts)
+        model = solve([ts])[0]
         assert model.degenerate
         np.testing.assert_allclose(model.w, [0.6, 0.8])
 
     def test_empty_positive_rejected(self):
         ts = RankTrainingSet(intent="I", R1=np.empty((0, 0)), R2=np.empty((0, 0)))
         with pytest.raises(ValueError):
-            train(ts)
+            solve([ts])[0]
 
     def test_weight_norm_capped(self):
         rng = np.random.default_rng(3)
@@ -151,7 +150,7 @@ class TestTrain:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(10)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(10)]),
         )
-        model = train(ts)
+        model = solve([ts])[0]
         assert np.linalg.norm(model.w) <= 4.0 + 1e-12
 
     def test_deterministic(self):
@@ -161,8 +160,8 @@ class TestTrain:
             R1=np.array([_unit(rng.normal(size=3)) for _ in range(5)]),
             R2=np.array([_unit(rng.normal(size=3)) for _ in range(5)]),
         )
-        a = train(ts)
-        b = train(ts)
+        a = solve([ts])[0]
+        b = solve([ts])[0]
         np.testing.assert_array_equal(a.w, b.w)
 
 
@@ -408,7 +407,7 @@ class TestNewtonSolver:
         R1 = np.array([_unit(rng.normal(size=5) + 0.5) for _ in range(30)])
         R2 = np.array([_unit(rng.normal(size=5) - 0.5) for _ in range(40)])
         ts = RankTrainingSet(intent="I", R1=R1, R2=R2)
-        model = train(ts)
+        model = solve([ts])[0]
         assert np.linalg.norm(model.w) < 4.0
         _, grad, _ = _brute_force_terms(model.w, R1, R2, 1.0)
         assert np.linalg.norm(grad) <= 1e-8
