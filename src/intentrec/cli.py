@@ -20,21 +20,16 @@ EXIT_MISSING_ARTIFACT = 3  # also a stale artifact, which its stage must rewrite
 EXIT_DATA = 4
 
 log = logging.getLogger("intentrec")
+# each PipelineConfig field's type, from its annotation: the type of its flag
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--workdir", type=Path, required=True, help="artifact directory")
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--rank-lambda", type=float, dest="rank_lambda")
-    p.add_argument("--process-noise", type=float, dest="process_noise")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-unique-reports", type=int, dest="min_unique_reports")
+    for f in dataclasses.fields(PipelineConfig):
+        choices = VARIANTS if f.name == "variant" else None
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_CONFIG_TYPES[f.name], choices=choices)
 
 
 class ConfigError(Exception):
@@ -178,19 +173,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = _pipeline_config(args)
         workdir: Path = args.workdir
-        if args.command == "ingest":
-            out = pipeline.stage_ingest(workdir, config, args.input)
-        elif args.command == "graph":
-            out = pipeline.stage_graph(workdir, config)
-        elif args.command == "tensor":
-            out = pipeline.stage_tensor(workdir, config)
-        elif args.command == "factorize":
-            out = pipeline.stage_factorize(workdir, config)
-        elif args.command == "kalman":
-            out = pipeline.stage_kalman(workdir, config)
-        elif args.command == "train-rank":
-            out = pipeline.stage_train_rank(workdir, config)
-        elif args.command == "evaluate":
+        if args.command == "evaluate":
             result = pipeline.stage_evaluate(workdir, config)
             print(evaluation.results_table(result.reports))
             print(
@@ -198,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{result.skipped_filtered} below unique-report filter"
             )
             return EXIT_OK
-        elif args.command == "sweep":
+        if args.command == "sweep":
             # every rank is checked before the sweep copies anything
             fields = dataclasses.asdict(config)
             configs = [_config(PipelineConfig, {**fields, "rank": r}) for r in args.ranks]
@@ -210,20 +193,21 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"best R={best[0]} (ndcg={best[1].ndcg:.4f})")
             return EXIT_OK
-        elif args.command == "run":
+        if args.command == "run":
             result = pipeline.run_all(workdir, config, args.input)
             print(evaluation.results_table(result.reports))
             return EXIT_OK
-        else:
-            parser.error(f"unknown command {args.command}")
-            return EXIT_USAGE
+        if args.command == "ingest":
+            out = pipeline.stage_ingest(workdir, config, args.input)
+        else:  # graph ... train-rank, looked up when called, as a tracer may wrap the stages
+            out = getattr(pipeline, "stage_" + args.command.replace("-", "_"))(workdir, config)
         print(f"wrote {out}")
         return EXIT_OK
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MissingArtifact as exc:
-        print(f"missing artifact: {exc} (run the preceding stage first)", file=sys.stderr)
+        print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     except StaleArtifact as exc:
         print(f"stale artifact: {exc}", file=sys.stderr)

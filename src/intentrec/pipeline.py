@@ -2,6 +2,7 @@
 from the workdir, writes its own, and records a manifest entry."""
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import asdict
@@ -26,7 +27,7 @@ from .store import (  # noqa: F401  (MissingArtifact, stage_recommend: re-export
     _read_bytes,
     _read_clustering,
     _replacing,
-    _require,
+    _rerun,
     _widths,
     load_graphs,
     read_clusters,
@@ -157,7 +158,7 @@ def load_dataset(path: Path) -> Dataset:
     call returns its own Sessions and hit lists, so a caller may edit them."""
     data, key = _read_bytes(path)
     if key not in _parsed:
-        arrays = read_npz(path, "ingest", dict.fromkeys(_SESSION_DTYPES), data, _SESSION_DTYPES)
+        arrays = read_npz(path, dict.fromkeys(_SESSION_DTYPES), data, _SESSION_DTYPES)
         arrays = {name: _array(array) for name, array in arrays.items()}
         try:
             vocab = json.loads(arrays["vocab"].tobytes())
@@ -172,10 +173,10 @@ def load_dataset(path: Path) -> Dataset:
             }
             parsed = Dataset(**splits, split_instant=int(split_instant))
         except (KeyError, TypeError, ValueError) as exc:
-            raise StaleArtifact(
-                f"{path} does not hold the session columns this version writes "
-                f"({type(exc).__name__}: {exc}); re-run `intentrec ingest`"
-            ) from exc
+            raise StaleArtifact(_rerun(
+                path, "does not hold the session columns this version writes "
+                f"({type(exc).__name__}: {exc})"
+            )) from exc
         _parsed.clear()
         _parsed[key] = parsed
     parsed = _parsed[key]
@@ -208,13 +209,12 @@ def stage_synth(workdir: Path, config: synth.SynthConfig) -> Path:
 def stage_ingest(workdir: Path, config: PipelineConfig, source: Path | None = None) -> Path:
     t0 = _begin_stage(workdir)
     _parsed.clear()  # so a fit never holds two datasets
-    src = _require(source or workdir / "hits.jsonl")
-    workdir.mkdir(parents=True, exist_ok=True)
+    src = source or workdir / "hits.jsonl"
     fmt = "csv" if src.suffix == ".csv" else "jsonl"
-    with src.open() as fh:
-        parsed = ingest.parse_hits(fh, format=fmt)
+    parsed = ingest.parse_hits(io.BytesIO(_read_bytes(src)[0]), format=fmt)
     sessions = ingest.sessionize(parsed.records, timeout=config.timeout)
     dataset = ingest.temporal_split(sessions, train_fraction=config.train_fraction)
+    workdir.mkdir(parents=True, exist_ok=True)
     out = workdir / "sessions.npz"
     with _replacing(out) as fh:
         save_dataset(dataset, fh)
@@ -293,7 +293,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     rows = {c: _stacks(g, "X") for c, g in groups.items()}
     clusters: dict[str, dict] = {}
     fitted = {}
-    for cluster_id, panels in read_clusters(workdir / "tensors.npz", "tensor", rows).items():
+    for cluster_id, panels in read_clusters(workdir / "tensors.npz", rows).items():
         stacks = list(map(_array, panels.values()))
         rank = min(config.rank, stacks[0].shape[2], min(groups[cluster_id]))
         if rank < config.rank:
@@ -337,10 +337,8 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     doc = _read_clustering(workdir)
     groups = {c: parafac2.width_groups(_widths(doc, m)) for c, m in doc["clusters"].items()}
-    tensors = read_clusters(
-        workdir / "tensors.npz", "tensor", {c: _stacks(g, "X") for c, g in groups.items()}
-    )
-    fits = read_clusters(workdir / "factors.npz", "factorize", {
+    tensors = read_clusters(workdir / "tensors.npz", {c: _stacks(g, "X") for c, g in groups.items()})
+    fits = read_clusters(workdir / "factors.npz", {
         c: {**_stacks(g, "G"), "H": None, "S": len(doc["clusters"][c]), "V": None}
         for c, g in groups.items()
     })
@@ -394,7 +392,7 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
     rows = {c: {"evolved": len(members)} for c, members in doc["clusters"].items()}
-    filters = read_clusters(workdir / "kalman.npz", "kalman", rows)
+    filters = read_clusters(workdir / "kalman.npz", rows)
     evolved_per_user = {
         uid: _array(filters[cluster_id]["evolved"])[idx, : doc["views"][uid]]
         for cluster_id, members in doc["clusters"].items() for idx, uid in enumerate(members)
@@ -504,7 +502,7 @@ def stage_sweep(workdir: Path, configs: list[PipelineConfig]):
         sub.mkdir(parents=True, exist_ok=True)
         for name in ("sessions.npz", "graphs.json", "clustering.json", "tensors.npz"):
             with _replacing(sub / name) as fh:
-                fh.write(_require(workdir / name).read_bytes())
+                fh.write(_read_bytes(workdir / name)[0])
         stage_factorize(sub, cfg)
         stage_kalman(sub, cfg)
         stage_train_rank(sub, cfg)

@@ -35,9 +35,32 @@ class StaleArtifact(Exception):
     which this version cannot read: re-run the stage that writes it."""
 
 
-# Every file `_require` has let the running stage read, its manifest inputs,
-# with the SHA-256 of the bytes the stage read where `_read_bytes` took it.
-_reads: dict[Path, str | None] = {}
+# Each stage's outputs in fit order: the one record of which stage writes each file.
+OUTPUTS = {
+    "synth": ("hits.jsonl",),
+    "ingest": ("sessions.npz",),
+    "graph": ("graphs.json",),
+    "tensor": ("clustering.json", "tensors.npz"),
+    "factorize": ("factors.npz",),
+    "kalman": ("kalman.npz",),
+    "train-rank": ("rankmodel.json",),
+    "evaluate": ("results.csv", "results.txt"),
+}
+_WRITERS = {name: stage for stage, names in OUTPUTS.items() for name in names}
+
+
+def _rerun(path: Path, what: str) -> str:
+    """The message of every missing or stale artifact: `<path> <what>;
+    re-run `intentrec <writer>``, writer being the stage of OUTPUTS that
+    writes path. A file no stage writes, such as an `ingest --input` log, is
+    named on its own."""
+    writer = _WRITERS.get(path.name)
+    return f"{path} {what}" if writer is None else f"{path} {what}; re-run `intentrec {writer}`"
+
+
+# Every file the running stage has read, its manifest inputs, with the
+# SHA-256 of the bytes it read.
+_reads: dict[Path, str] = {}
 
 
 def _begin_stage(workdir: Path) -> float:
@@ -48,38 +71,37 @@ def _begin_stage(workdir: Path) -> float:
     return time.time()
 
 
-def _require(path: Path) -> Path:
-    """path, which the running stage reads; MissingArtifact if it is not there."""
-    if not path.exists():
-        raise MissingArtifact(str(path))
-    _reads.setdefault(path, None)
-    return path
-
-
 def _read_bytes(path: Path) -> tuple[bytes, str]:
-    """The bytes at path, which the running stage reads, and their SHA-256,
-    which its manifest records: the file is read and hashed once."""
-    data = _require(path).read_bytes()
+    """The bytes at path and their SHA-256, which the running stage's
+    manifest records as an input: the one read of every file a stage reads,
+    read and hashed once; MissingArtifact if the file is not there."""
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        # named by the first output missing beside it, of ingest's up to its
+        # writer's (ingest may read another log than hits.jsonl): so a workdir
+        # short of several outputs names the stage to refit from at once
+        names = list(_WRITERS)
+        earlier = names[1 : names.index(path.name)] if path.name in _WRITERS else []
+        first = next((path.parent / n for n in earlier if not (path.parent / n).is_file()), path)
+        also = "" if first == path else f", nor does {path.name}"
+        raise MissingArtifact(_rerun(first, f"does not exist{also}")) from None
     _reads[path] = digest = hashlib.sha256(data).hexdigest()
     return data, digest
 
 
-def _read_json(path: Path, stage: str):
-    """The JSON artifact that `intentrec <stage>` writes to path; a truncated
-    one is stale."""
+def _read_json(path: Path):
+    """The JSON artifact at path; a truncated one is stale."""
+    data, _ = _read_bytes(path)
     try:
-        return json.loads(_require(path).read_text())
+        return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise StaleArtifact(f"{path} is not whole JSON ({exc}); re-run `intentrec {stage}`") from exc
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+        raise StaleArtifact(_rerun(path, f"is not whole JSON ({exc})")) from exc
 
 
 def _read_manifest(workdir: Path) -> dict:
     """The workdir's manifest.json, {} before any stage has run; a torn one
-    is stale. It is no stage's input, so it bypasses `_require`."""
+    is stale. It is no stage's input, so it bypasses `_read_bytes`."""
     path = workdir / "manifest.json"
     try:
         return json.loads(path.read_text()) if path.exists() else {}
@@ -109,9 +131,8 @@ def _note_manifest(workdir: Path, stage: str, config: dict, t0: float, **details
     manifest = _read_manifest(workdir)
     manifest[stage] = {
         "inputs": {
-            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name):
-            digest or _sha256(p)
-            for p, digest in _reads.items() if p.is_file()
+            (p.relative_to(workdir).as_posix() if p.is_relative_to(workdir) else p.name): digest
+            for p, digest in _reads.items()
         },
         "config": config,
         "elapsed_s": round(time.time() - t0, 3),
@@ -173,45 +194,42 @@ def _npy(raw: bytes, dtype: str) -> NpyArray:
 
 def read_npz(
     path: Path,
-    stage: str,
     rows: dict[str, int | None],
     data: bytes | None = None,
     dtype: str | dict[str, str] = F8,
 ) -> dict[str, NpyArray]:
-    """The arrays named in `rows` of the .npz that `intentrec <stage>` wrote
-    to path, or of its bytes if the caller has already read them, each of
-    `dtype` (or of its entry in `dtype`); an array with a row count in
-    `rows` (a stack, one row per member) must hold that many rows. A file
-    that is not so is stale: a truncated one, one without such an array
-    (as in the positional layout, `arr_0`, ..., of earlier versions), one
-    holding it pickled, in Fortran order or of another dtype, and one whose
-    stack holds other members than clustering.json lists. Only the named
-    arrays are read, and nothing is unpickled."""
+    """The arrays named in `rows` of the .npz at path, or of its bytes if
+    the caller has already read them, each of `dtype` (or of its entry in
+    `dtype`); an array with a row count in `rows` (a stack, one row per
+    member) must hold that many rows. A file that is not so is stale: a
+    truncated one, one without such an array (as in the positional layout,
+    `arr_0`, ..., of earlier versions), one holding it pickled, in Fortran
+    order or of another dtype, and one whose stack holds other members than
+    clustering.json lists. Only the named arrays are read, and nothing is
+    unpickled."""
     if data is None:
         data, _ = _read_bytes(path)
-
-    def stale(what: str) -> StaleArtifact:
-        return StaleArtifact(f"{path} {what}; re-run `intentrec {stage}`")
-
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as z:
             files = set(z.namelist())
             missing = [name for name in rows if f"{name}.npy" not in files]
             if missing:
-                raise stale(
-                    f"holds no array {', '.join(missing)}, so it is not in this version's layout"
-                )
+                raise StaleArtifact(_rerun(
+                    path, f"holds no array {', '.join(missing)}, so it is not in this version's layout"
+                ))
             raw = {name: z.read(f"{name}.npy") for name in rows}
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise stale(f"is not a whole .npz ({type(exc).__name__}: {exc})") from exc
+        raise StaleArtifact(_rerun(path, f"is not a whole .npz ({type(exc).__name__}: {exc})")) from exc
     arrays = {}
     for name, n in rows.items():
         try:
             arrays[name] = array = _npy(raw[name], dtype if isinstance(dtype, str) else dtype[name])
         except ValueError as exc:
-            raise stale(f"holds {name} as {exc}") from exc
+            raise StaleArtifact(_rerun(path, f"holds {name} as {exc}")) from exc
         if n is not None and array.shape[:1] != (n,):
-            raise stale(f"holds {name} of shape {array.shape}, not the {n} rows clustering.json lists")
+            raise StaleArtifact(_rerun(
+                path, f"holds {name} of shape {array.shape}, not the {n} rows clustering.json lists"
+            ))
     return arrays
 
 
@@ -221,11 +239,11 @@ def _clustered(per_cluster: dict[str, dict]) -> dict:
     return {f"{c}/{name}": x for c, named in per_cluster.items() for name, x in named.items()}
 
 
-def read_clusters(path: Path, stage: str, rows: dict[str, dict]) -> dict[str, dict[str, NpyArray]]:
+def read_clusters(path: Path, rows: dict[str, dict]) -> dict[str, dict[str, NpyArray]]:
     """Each cluster c's arrays of the stage file at path, rows[c] being its
     `read_npz` rows, by cluster: one `read_npz`, so the file is read and
     hashed once."""
-    arrays = read_npz(path, stage, _clustered(rows))
+    arrays = read_npz(path, _clustered(rows))
     return {c: {name: arrays[f"{c}/{name}"] for name in named} for c, named in rows.items()}
 
 
@@ -236,13 +254,13 @@ def load_graphs(workdir: Path) -> dict[str, NavGraph]:
     """graphs.json as `stage_graph` wrote it, a list of graph objects, each
     user's graph by its id. Another layout is stale."""
     path = workdir / "graphs.json"
-    docs = _read_json(path, "graph")
+    docs = _read_json(path)
     if type(docs) is list:
         try:
             return {g.user_id: g for g in map(NavGraph.from_json, docs)}
         except (KeyError, TypeError):
             pass
-    raise StaleArtifact(f"{path} is not a list of graph objects; re-run `intentrec graph`")
+    raise StaleArtifact(_rerun(path, "is not a list of graph objects"))
 
 
 _CLUSTERING_KEYS = {"clusters", "views", "slots", "centroids", "insufficient", "empty_clusters"}
@@ -253,9 +271,9 @@ def _read_clustering(workdir: Path) -> dict:
     members (the row order of its .npz arrays), each user's view count and
     feature slots, and the k-means diagnostics. Another layout is stale."""
     path = workdir / "clustering.json"
-    doc = _read_json(path, "tensor")
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.keys() != _CLUSTERING_KEYS:
-        raise StaleArtifact(f"{path} is not this version's layout; re-run `intentrec tensor`")
+        raise StaleArtifact(_rerun(path, "is not this version's layout"))
     return doc
 
 
@@ -274,34 +292,30 @@ def _widths(doc: dict, members: list[str]) -> list[int]:
 _INTENT_KEYS = {"w", "objective", "violation_rate", "degenerate", "pairs", "iterations"}
 
 
-def _check_ranks(path: Path, doc, ranks: dict[str, int]):
-    """Refuse rankmodel.json (at path) unless it is `stage_train_rank`'s
-    layout: each user's `lambda` and `intents`, each intent exactly the
-    fields of `RankModel.to_json`, its weights `w` a list of floats of the
-    rank R of the user's Kalman factor (`ranks`). Weights of another R are
-    left when `factorize` and `kalman` re-ran at another rank: a score would
-    dot vectors of unequal lengths."""
-
-    def stale(what: str) -> StaleArtifact:
-        return StaleArtifact(f"{path} {what}; re-run `intentrec train-rank`")
-
+def _rank_fault(doc, ranks: dict[str, int]) -> str | None:
+    """What makes a rankmodel.json doc other than `stage_train_rank`'s
+    layout, None if nothing does: each user's `lambda` and `intents`, each
+    intent exactly the fields of `RankModel.to_json`, its weights `w` a list
+    of floats of the rank R of the user's Kalman factor (`ranks`). Weights of
+    another R are left when `factorize` and `kalman` re-ran at another rank:
+    a score would dot vectors of unequal lengths."""
     if type(doc) is not dict:
-        raise stale("is not an object of users")
+        return "is not an object of users"
     for uid, model in doc.items():
         if (
             type(model) is not dict or model.keys() != {"lambda", "intents"}
             or type(model["intents"]) is not dict
         ):
-            raise stale(f"holds {uid} without exactly `lambda` and `intents`")
+            return f"holds {uid} without exactly `lambda` and `intents`"
         rank = ranks.get(uid)
         for intent, entry in model["intents"].items():
             if type(entry) is not dict or entry.keys() != _INTENT_KEYS:
-                raise stale(f"holds {uid} {intent} without exactly the fields {sorted(_INTENT_KEYS)}")
+                return f"holds {uid} {intent} without exactly the fields {sorted(_INTENT_KEYS)}"
             w = entry["w"]
             if type(w) is not list or not all(type(x) is float for x in w):
-                raise stale(f"holds weights for {uid} {intent} that are not a list of floats")
+                return f"holds weights for {uid} {intent} that are not a list of floats"
             if rank is not None and len(w) != rank:
-                raise stale(
+                return (
                     f"holds weights of length {len(w)} for {uid} {intent}, "
                     f"whose factor in kalman.npz has rank {rank}"
                 )
@@ -312,7 +326,7 @@ class ModelFiles(NamedTuple):
 
     graphs: dict[str, NavGraph]
     clustering: dict  # the `_read_clustering` doc
-    rank_models: dict  # rankmodel.json, as `_check_ranks` checked it
+    rank_models: dict  # rankmodel.json, checked by `_rank_fault`
     filters: dict[str, dict[str, NpyArray]]  # each cluster's kalman.npz filter arrays, by its id
 
 
@@ -325,24 +339,24 @@ def read_model(workdir: Path) -> ModelFiles:
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
     rank_path = workdir / "rankmodel.json"
-    rank_models = _read_json(rank_path, "train-rank")
+    rank_models = _read_json(rank_path)
     rows = {}
     for cluster_id, members in doc["clusters"].items():
         n, width = len(members), sum(_widths(doc, members))
         # Lam holds each member's N_u rows one after another, the others one row per member
         rows[cluster_id] = {"A": None, "Q": None, "psi": n, "Lam": width, "f_post": n, "P_post": n}
     path = workdir / "kalman.npz"
-    filters, ranks = read_clusters(path, "kalman", rows), {}
+    filters, ranks = read_clusters(path, rows), {}
     for cluster_id, arrays in filters.items():
         n, width, r = rows[cluster_id]["psi"], rows[cluster_id]["Lam"], arrays["f_post"].shape[-1]
         shapes = [a.shape for a in arrays.values()]
         if shapes != [(r, r), (r, r), (n,), (width, r), (n, r), (n, r, r)]:
-            raise StaleArtifact(
-                f"{path} holds cluster {cluster_id}'s filters of shapes {shapes}, "
-                "not of one rank; re-run `intentrec kalman`"
-            )
+            raise StaleArtifact(_rerun(
+                path, f"holds cluster {cluster_id}'s filters of shapes {shapes}, not of one rank"
+            ))
         ranks.update(dict.fromkeys(doc["clusters"][cluster_id], r))
-    _check_ranks(rank_path, rank_models, ranks)
+    if fault := _rank_fault(rank_models, ranks):
+        raise StaleArtifact(_rerun(rank_path, fault))
     return ModelFiles(graphs, doc, rank_models, filters)
 
 

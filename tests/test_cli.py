@@ -134,6 +134,35 @@ def _counting_parses():
         yield counts
 
 
+@contextmanager
+def _counting_reads():
+    """A Counter of the reads of each file, by path, made while the context
+    is open through `Path.read_bytes`, `Path.read_text` and `Path.open` in
+    a read mode; a call made inside another (read_bytes opening the file)
+    is not counted again."""
+    reads = Counter()
+    inside = []
+
+    def counting(name):
+        method = getattr(Path, name)
+
+        def counted(self, *args, **kwargs):
+            mode = (args[0] if args else kwargs.get("mode", "r")) if name == "open" else "r"
+            if not inside and not set(mode) & set("wax+"):
+                reads[Path(self)] += 1
+            inside.append(name)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                inside.pop()
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("read_bytes", "read_text", "open"):
+            patch.setattr(Path, name, counting(name))
+        yield reads
+
+
 def _served_replay(workdir: Path, cfg: PipelineConfig) -> tuple[list, int, int]:
     """The test split replayed through `serving_factor`: its top-k lists,
     the views stepped and how many of them took the exact `kalman.step`."""
@@ -415,6 +444,36 @@ class TestStages:
                 "collaborative": collaborative,
             }
 
+    def test_each_input_is_read_once(self, tmp_path):
+        # every stage and recommend read each input once, and the manifest
+        # records the SHA-256 of the bytes it read; manifest.json, which is
+        # no stage's input, is read again to be rewritten
+        wd = tmp_path / "wd"
+        cfg = PipelineConfig(seed=3, rank=3, max_iters=20)
+        reads, inputs = {}, {}
+
+        def read_once(stage, call):
+            with _counting_reads() as counts:
+                call()
+            counts.pop(wd / "manifest.json", None)
+            reads[stage] = {path.relative_to(wd).as_posix(): n for path, n in counts.items()}
+            inputs[stage] = json.loads((wd / "manifest.json").read_text())[stage]["inputs"]
+            for name, digest in inputs[stage].items():
+                assert digest == hashlib.sha256((wd / name).read_bytes()).hexdigest(), (stage, name)
+
+        synth_config = synth.SynthConfig(n_users=8, n_reports=40, seed=3)
+        read_once("synth", lambda: pipeline.stage_synth(wd, synth_config))
+        for stage in ("ingest", "graph", "tensor", "factorize", "kalman", "train-rank", "evaluate"):
+            read_once(stage, lambda: getattr(pipeline, f"stage_{stage.replace('-', '_')}")(wd, cfg))
+        graph = json.loads((wd / "graphs.json").read_text())[0]
+        for collaborative in (False, True):
+            stage = f"recommend{' --collaborative' * collaborative}"
+            read_once("recommend", lambda: pipeline.stage_recommend(
+                wd, cfg, graph["user_id"], graph["edges"][0]["from"], collaborative
+            ))
+            reads[stage], inputs[stage] = reads.pop("recommend"), inputs.pop("recommend")
+        assert reads == {stage: dict.fromkeys(names, 1) for stage, names in inputs.items()}
+
     def test_manifest_inputs_are_what_the_stage_read(self, workdir, tmp_path):
         # files read outside a stage, or by a stage that stopped before its
         # manifest entry, are no input of the next stage
@@ -686,15 +745,24 @@ class TestSessionsFile:
             assert manifest[stage]["inputs"]["sessions.npz"] == digest, stage
 
     def test_a_stage_hashes_the_sessions_file_once(self, fitted, tmp_path, monkeypatch):
-        # the manifest takes the digest load_dataset made of the bytes it
-        # read, and hashes only the other inputs again
+        # the manifest takes the digest each reader made of the bytes it
+        # read: every input, sessions.npz and graphs.json included, is
+        # hashed once, and nothing else is hashed
         wd = tmp_path / "wd"
         shutil.copytree(fitted[0], wd)
-        hashed = []
-        sha256 = store._sha256
-        monkeypatch.setattr(store, "_sha256", lambda p: hashed.append(p.name) or sha256(p))
+        names = {p.read_bytes(): p.name for p in wd.iterdir() if p.is_file()}
+        hashed = Counter()
+        sha256 = store.hashlib.sha256
+
+        def counted(data=b"", **kwargs):
+            hashed[names.get(bytes(data))] += 1
+            return sha256(data, **kwargs)
+
+        monkeypatch.setattr(store.hashlib, "sha256", counted)
         pipeline.stage_train_rank(wd, PipelineConfig(seed=3, rank=3))
-        assert "sessions.npz" not in hashed and "graphs.json" in hashed
+        inputs = json.loads((wd / "manifest.json").read_text())["train-rank"]["inputs"]
+        assert {"sessions.npz", "graphs.json"} <= inputs.keys()
+        assert hashed == Counter(dict.fromkeys(inputs, 1))
 
     def test_edited_copy_leaves_later_loads_whole(self, fitted):
         wd, _ = fitted
@@ -858,12 +926,32 @@ class TestCliExitCodes:
         config = cli._pipeline_config(parser.parse_args(argv))
         assert [f.name for f in fields if getattr(config, f.name) == f.default] == []
 
+    def test_every_command_offers_every_config_field(self):
+        # each fitting command, recommend, sweep and run takes one flag per
+        # PipelineConfig field
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        commands = [
+            "ingest", "graph", "tensor", "factorize", "kalman", "train-rank", "evaluate",
+            "recommend", "sweep", "run",
+        ]
+        assert sorted(sub.choices) == sorted(["synth", *commands])
+        flags = {f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(PipelineConfig)}
+        for command in commands:
+            offered = {s for action in sub.choices[command]._actions for s in action.option_strings}
+            assert sorted(flags - offered) == [], command
+
     def test_usage_error(self):
         assert cli.main(["definitely-not-a-command"]) == cli.EXIT_USAGE
 
-    def test_missing_artifact(self, tmp_path):
+    def test_missing_artifact(self, tmp_path, capsys):
         code = cli.main(["graph", "--workdir", str(tmp_path)])
         assert code == cli.EXIT_MISSING_ARTIFACT
+        # a log that no stage writes is named on its own
+        log = tmp_path / "log.csv"
+        capsys.readouterr()
+        code = cli.main(["ingest", "--workdir", str(tmp_path), "--input", str(log)])
+        assert code == cli.EXIT_MISSING_ARTIFACT
+        assert capsys.readouterr().err == f"missing artifact: {log} does not exist\n"
 
     @pytest.fixture
     def ingested(self, tmp_path):
@@ -1188,6 +1276,42 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "missing artifact" in err and str(wd / f"{name}.npz") in err, err
         assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    @pytest.mark.parametrize("command", [
+        ["factorize", "--rank", "3"], ["kalman"], ["train-rank"], ["recommend"],
+    ], ids=["factorize", "kalman", "train-rank", "recommend"])
+    def test_workdir_of_every_cluster_directory_names_the_stage_to_refit_from(
+        self, workdir, tmp_path, capsys, command
+    ):
+        # a workdir fitted by an earlier version, all three of its stage
+        # outputs per-cluster directories: each stage that reads one of the
+        # missing files names `tensor`, the first stage to re-run, at once
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        for name in ("tensors", "factors", "kalman"):
+            (wd / name).mkdir()
+            with np.load(wd / f"{name}.npz") as z:
+                for c in {key.split("/")[0] for key in z.files}:
+                    np.savez(wd / name / f"cluster_{c}.npz", **cluster_arrays(z, c))
+            (wd / f"{name}.npz").unlink()
+        argv = [*command, "--workdir", str(wd)]
+        if command == ["recommend"]:
+            argv += self._request(workdir)
+        before = {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")}
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "missing artifact" in err and str(wd / "tensors.npz") in err, err
+        assert "re-run `intentrec tensor`" in err, err
+        assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    def test_workdir_of_only_the_log_names_ingest(self, tmp_path, capsys):
+        assert cli.main(["synth", "--workdir", str(tmp_path), "--users", "4", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["graph", "--workdir", str(tmp_path)]) == cli.EXIT_MISSING_ARTIFACT
+        err = capsys.readouterr().err
+        assert "missing artifact" in err and str(tmp_path / "sessions.npz") in err, err
+        assert "re-run `intentrec ingest`" in err, err
 
     @pytest.mark.parametrize("collaborative", [False, True], ids=["own", "collaborative"])
     def test_recommend_is_the_numpy_path_bitwise(self, workdir, tmp_path, collaborative):

@@ -117,7 +117,7 @@ class TestReadNpz:
         }
         data = _npz(**arrays)
         dtypes = {name: a.dtype.str for name, a in arrays.items()}
-        got = store.read_npz(tmp_path / "x.npz", "kalman", {"a": 3, "b": None, "c": 0, "d": 5}, data, dtypes)
+        got = store.read_npz(tmp_path / "kalman.npz", {"a": 3, "b": None, "c": 0, "d": 5}, data, dtypes)
         for name, a in arrays.items():
             assert got[name].shape == a.shape and got[name].descr == a.dtype.str
             assert bytes(got[name].data) == a.tobytes()
@@ -130,7 +130,7 @@ class TestReadNpz:
         buf = io.BytesIO()
         with zipfile.ZipFile(buf, "w") as z:
             z.writestr("a.npy", member.getvalue())
-        got = store.read_npz(tmp_path / "x.npz", "kalman", {"a": 2}, buf.getvalue())["a"]
+        got = store.read_npz(tmp_path / "kalman.npz", {"a": 2}, buf.getvalue())["a"]
         assert got.shape == (2, 3) and bytes(got.data) == a.tobytes()
 
     @pytest.mark.parametrize("array,what", [
@@ -142,17 +142,17 @@ class TestReadNpz:
     ], ids=["object", "structured", "fortran", "float32", "big-endian"])
     def test_refuses(self, tmp_path, array, what):
         with pytest.raises(store.StaleArtifact, match=what) as info:
-            store.read_npz(tmp_path / "x.npz", "kalman", {"a": None}, _npz(a=array))
+            store.read_npz(tmp_path / "kalman.npz", {"a": None}, _npz(a=array))
         assert "re-run `intentrec kalman`" in str(info.value)
 
     def test_refuses_a_wrong_row_count_and_a_short_member(self, tmp_path):
         data = _npz(a=np.zeros((3, 2)))
         with pytest.raises(store.StaleArtifact, match=r"not the 4 rows"):
-            store.read_npz(tmp_path / "x.npz", "kalman", {"a": 4}, data)
+            store.read_npz(tmp_path / "kalman.npz", {"a": 4}, data)
         member = io.BytesIO()
         np.lib.format.write_array(member, np.zeros((3, 2)))
         buf = io.BytesIO()
         with zipfile.ZipFile(buf, "w") as z:
             z.writestr("a.npy", member.getvalue()[:-8])
         with pytest.raises(store.StaleArtifact, match="40 bytes for shape"):
-            store.read_npz(tmp_path / "x.npz", "kalman", {"a": 3}, buf.getvalue())
+            store.read_npz(tmp_path / "kalman.npz", {"a": 3}, buf.getvalue())
