@@ -2,6 +2,7 @@
 user clustering, Kalman serving states and rank models."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,30 +27,52 @@ class TrainedModel:
     rank_models: dict[str, ranksvm.RankModel]  # per user; latent spaces differ
     serving: dict[str, UserServing]
     # per user: the graph's targets tuple, those of its targets with rank
-    # weights, and their weights stacked, built on the user's first scoring
-    _weights: dict[str, tuple[tuple[str, ...], tuple[str, ...], np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # weights, their weights stacked and the rows of that stack, built on the
+    # user's first scoring
+    _weights: dict[
+        str, tuple[tuple[str, ...], tuple[str, ...], np.ndarray, tuple[np.ndarray, ...]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _target_weights(self, user_id: str):
+        """The user's `_weights` entry, built on first use or after
+        `detect_targets` re-indexed its graph; None without a rank model."""
+        targets = self.graphs[user_id].targets()
+        model = self.rank_models.get(user_id)
+        if model is None:
+            return None
+        cached = self._weights.get(user_id)
+        if cached is None or cached[0] is not targets:  # detect_targets re-indexes
+            names = tuple(t for t in targets if t in model.weights)
+            W = np.array([model.weights[t].w for t in names])
+            cached = self._weights[user_id] = (targets, names, W, tuple(W))
+        return cached
 
     def intent_scores(self, user_id: str, f: np.ndarray) -> dict[str, float]:
-        """Scores of the user's graph targets under the current factor f."""
-        return self.stacked_intent_scores(user_id, np.asarray(f)[None])[0]
+        """Scores of the user's graph targets under the current factor f,
+        taken at unit norm (a zero factor as it is): each target with rank
+        weights w scores (4 + <w, f>) / 8, clamped to [0, 1], in target
+        order. The norm and each <w, f> are one `ddot` (`x.dot(y)`, as
+        np.linalg.norm takes it), so a factor scores bit for bit as a row of
+        `stacked_intent_scores`."""
+        cached = self._target_weights(user_id)
+        if cached is None:
+            return {}
+        _, names, _, rows = cached
+        f = np.asarray(f)
+        norm = math.sqrt(f.dot(f))
+        if norm > 0:
+            f = f / norm
+        return {t: min(max((4.0 + float(w.dot(f))) / 8.0, 0.0), 1.0) for t, w in zip(names, rows)}
 
     def stacked_intent_scores(self, user_id: str, F: np.ndarray) -> list[dict[str, float]]:
         """The scores of the user's graph targets under each factor (row of
         F), from one stacked product: each factor is taken at unit norm (a
         zero factor as it is), and each target with rank weights scored by
         `ranksvm.stacked_scores`, in the order of the graph's targets."""
-        targets = self.graphs[user_id].targets()
-        model = self.rank_models.get(user_id)
-        if model is None:
+        cached = self._target_weights(user_id)
+        if cached is None:
             return [{} for _ in F]
-        cached = self._weights.get(user_id)
-        if cached is None or cached[0] is not targets:  # detect_targets re-indexes
-            names = tuple(t for t in targets if t in model.weights)
-            W = np.array([model.weights[t].w for t in names])
-            cached = self._weights[user_id] = (targets, names, W)
-        _, names, W = cached
+        _, names, W, _ = cached
         if not names:
             return [{} for _ in F]
         norm = ranksvm.row_norms(F)

@@ -84,52 +84,69 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return _config(PipelineConfig, base)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each command and its help line, in the order `intentrec --help` lists them
+_COMMANDS = {
+    "synth": "generate a synthetic hit log",
+    "ingest": "parse, sessionize and split the hit log",
+    "graph": "build per-user navigation graphs",
+    "tensor": "cluster users and assemble context tensors",
+    "factorize": "PARAFAC2 decomposition per cluster",
+    "kalman": "evolve latent factors with Kalman filtering",
+    "train-rank": "train per-intent ranking weights",
+    "evaluate": "run the benchmark on the test split",
+    "recommend": "top-k recommendations for a user",
+    "sweep": "iterate the factorization rank",
+    "run": "run every stage end to end",
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str):
+    if command == "synth":
+        p.add_argument("--workdir", type=Path, required=True)
+        p.add_argument("--config", type=Path, help="JSON SynthConfig file")
+        p.add_argument("--users", type=int)
+        p.add_argument("--reports", type=int)
+        p.add_argument("--sessions-per-user", type=int, dest="sessions_per_user")
+        p.add_argument("--intents", type=int)
+        p.add_argument("--rho", type=float, help="context signal strength in [0,1]")
+        p.add_argument("--seed", type=int)
+        return
+    _add_common(p)
+    if command == "ingest":
+        p.add_argument("--input", type=Path, help="hit log (jsonl or csv)")
+    elif command == "recommend":
+        p.add_argument("--user", required=True)
+        p.add_argument("--current", required=True, help="report id currently viewed")
+        p.add_argument("--collaborative", action="store_true")
+    elif command == "sweep":
+        p.add_argument("--ranks", type=int, nargs="+", required=True)
+    elif command == "run":
+        p.add_argument("--input", type=Path)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. Given a command, only its subparser gets
+    its flags: argparse reads no other's, so every help page and usage error
+    reads as the full parser's, and a cold `recommend` makes 28
+    `add_argument` calls, not 147."""
     parser = argparse.ArgumentParser(
         prog="intentrec",
         description="Intent-aware report recommendation pipeline",
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic hit log")
-    p.add_argument("--workdir", type=Path, required=True)
-    p.add_argument("--config", type=Path, help="JSON SynthConfig file")
-    p.add_argument("--users", type=int)
-    p.add_argument("--reports", type=int)
-    p.add_argument("--sessions-per-user", type=int, dest="sessions_per_user")
-    p.add_argument("--intents", type=int)
-    p.add_argument("--rho", type=float, help="context signal strength in [0,1]")
-    p.add_argument("--seed", type=int)
-
-    for name, help_text in (
-        ("ingest", "parse, sessionize and split the hit log"),
-        ("graph", "build per-user navigation graphs"),
-        ("tensor", "cluster users and assemble context tensors"),
-        ("factorize", "PARAFAC2 decomposition per cluster"),
-        ("kalman", "evolve latent factors with Kalman filtering"),
-        ("train-rank", "train per-intent ranking weights"),
-        ("evaluate", "run the benchmark on the test split"),
-    ):
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "ingest":
-            p.add_argument("--input", type=Path, help="hit log (jsonl or csv)")
-
-    p = sub.add_parser("recommend", help="top-k recommendations for a user")
-    _add_common(p)
-    p.add_argument("--user", required=True)
-    p.add_argument("--current", required=True, help="report id currently viewed")
-    p.add_argument("--collaborative", action="store_true")
-
-    p = sub.add_parser("sweep", help="iterate the factorization rank")
-    _add_common(p)
-    p.add_argument("--ranks", type=int, nargs="+", required=True)
-
-    p = sub.add_parser("run", help="run every stage end to end")
-    _add_common(p)
-    p.add_argument("--input", type=Path)
+        if command in (None, name):
+            _add_flags(p, name)
     return parser
+
+
+def parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """`build_parser` for the command argv runs. No top-level flag takes a
+    value, so the first word that is no flag is that command, or argparse
+    refuses argv before it reads any command's flags."""
+    return build_parser(next((a for a in argv if not a.startswith("-")), None))
 
 
 def _synth_config(args: argparse.Namespace):
@@ -149,7 +166,8 @@ def _synth_config(args: argparse.Namespace):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = parser_for(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -246,6 +247,29 @@ def stage_graph(workdir: Path, config: PipelineConfig) -> Path:
     return out
 
 
+def _drop_cluster_dir(out: Path):
+    """Remove `<name>/`, the directory of per-cluster files in which earlier
+    versions wrote what out, `<name>.npz`, now holds, if it holds nothing but
+    that layout's `cluster_<c>.npz` and `.json` files; otherwise leave it and
+    log one warning that names it. Called once out is written whole."""
+    old = out.with_suffix("")
+    if not old.is_dir():
+        return
+    files = list(old.iterdir())
+    try:
+        if all(re.fullmatch(r"cluster_\d+\.(npz|json)", f.name) and f.is_file() for f in files):
+            for f in files:
+                f.unlink()
+            old.rmdir()
+            return
+    except OSError:
+        pass
+    log.warning(
+        "%s, the per-cluster directory of an earlier version, is left: "
+        "it holds other files or cannot be removed", old,
+    )
+
+
 def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     t0 = _begin_stage(workdir)
     dataset = load_dataset(workdir / "sessions.npz")
@@ -273,6 +297,7 @@ def stage_tensor(workdir: Path, config: PipelineConfig) -> Path:
     out = workdir / "tensors.npz"
     with _replacing(out) as fh:
         np.savez(fh, **_clustered(tensors))
+    _drop_cluster_dir(out)
     _note_manifest(workdir, "tensor", {"seed": config.seed}, t0)
     return out
 
@@ -320,6 +345,7 @@ def stage_factorize(workdir: Path, config: PipelineConfig) -> Path:
     out = workdir / "factors.npz"
     with _replacing(out) as fh:
         np.savez(fh, **_clustered(fitted))
+    _drop_cluster_dir(out)
     _note_manifest(
         workdir, "factorize", {"rank": config.rank, "seed": config.seed}, t0, clusters=clusters
     )
@@ -379,6 +405,7 @@ def stage_kalman(workdir: Path, config: PipelineConfig) -> Path:
     out = workdir / "kalman.npz"
     with _replacing(out) as fh:
         np.savez(fh, **_clustered(filters))
+    _drop_cluster_dir(out)
     _note_manifest(
         workdir, "kalman", {"process_noise": config.process_noise}, t0,
         views=views, steady_views=steady, missing_views=missing,

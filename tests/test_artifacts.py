@@ -1,8 +1,9 @@
 import copy
 
 import numpy as np
+import pytest
 
-from intentrec import kalman
+from intentrec import kalman, ranksvm, store
 from intentrec.artifacts import TrainedModel, UserServing, serving_factor
 from intentrec.context import FeatureLayout, context_vector
 from intentrec.models import ReportKind
@@ -113,6 +114,44 @@ class TestStackedIntentScores:
             assert _bits(model.intent_scores("ranked", f)) == _bits(got)
         clamped = [s for row in stacked for s in row.values() if s in (0.0, 1.0)]
         assert len(clamped) > 10
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 6, 12])
+    def test_every_form_scores_alike_bitwise(self, rank):
+        # the one-factor dots, the stacked product, the per-target oracle and
+        # the pure-Python scores of a cold `recommend`; at rank 1 each dot is
+        # a plain product
+        rng = np.random.default_rng(rank)
+        model = _scored_model(rng, rank)
+        w = model.rank_models["ranked"].weights["t3"].w
+        w *= 16.0 / np.linalg.norm(w)  # t3 clamps wherever |cos(w, f)| > 1/4
+        targets = model.graphs["ranked"].targets()
+        doc = model.rank_models["ranked"].to_json()
+        F = rng.normal(size=(300, rank)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        F[0] = 0.0
+        F[1] = -0.0
+        F[2, rank // 2] = np.nan
+        stacked = model.stacked_intent_scores("ranked", F)
+        for f, got in zip(F, stacked):
+            assert list(got) == ["t1", "t3"]
+            assert _bits(model.intent_scores("ranked", f)) == _bits(got)
+            assert _bits(per_target_intent_scores(model, "ranked", f)) == _bits(got)
+            assert _bits(store.intent_scores(targets, doc, f.tolist())) == _bits(got)
+        assert stacked[0] == stacked[1] == {"t1": 0.5, "t3": 0.5}
+        assert all(np.isnan(s) for s in stacked[2].values())
+        clamped = [s for row in stacked for s in row.values() if s in (0.0, 1.0)]
+        assert len(clamped) > 10
+
+    def test_one_factor_is_scored_without_the_stack(self, monkeypatch):
+        model = _scored_model(np.random.default_rng(11))
+        f = np.random.default_rng(12).normal(size=4)
+        expected = model.stacked_intent_scores("ranked", f[None])[0]
+
+        def stacked(*args):
+            raise AssertionError("a one-factor score went through the stack")
+
+        monkeypatch.setattr(ranksvm, "stacked_scores", stacked)
+        monkeypatch.setattr(TrainedModel, "stacked_intent_scores", stacked)
+        assert _bits(model.intent_scores("ranked", f)) == _bits(expected)
 
     def test_user_without_rank_model_scores_nothing(self):
         model = _scored_model(np.random.default_rng(9))

@@ -940,6 +940,44 @@ class TestCliExitCodes:
             offered = {s for action in sub.choices[command]._actions for s in action.option_strings}
             assert sorted(flags - offered) == [], command
 
+    def test_a_command_gets_only_its_own_flags(self):
+        sub = next(
+            a for a in cli.parser_for(["recommend"])._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, parser in sub.choices.items():
+            flags = [s for action in parser._actions for s in action.option_strings]
+            assert (flags == ["-h", "--help"]) == (command != "recommend"), command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["--help"], ["--verbose"], ["definitely-not-a-command"],
+            ["--verbose", "recommend", "--help"], ["--verb", "run", "--workdir"],
+            ["-", "recommend"], ["-1", "recommend"], ["--", "recommend", "--help"],
+            ["--verbose=1", "recommend"], ["recommend", "--workdir", "w", "--user", "u"],
+            ["recommend", "--workdir", "w", "--user", "u", "--current", "c", "extra"],
+            ["recommend", "--workdir", "w", "--user", "u", "--current", "c", "--collaborative"],
+            ["evaluate", "--workdir", "w", "--variant", "nope"],
+            ["factorize", "--workdir", "w", "--rank", "x"], ["factorize", "--workdir", "w"],
+            ["sweep", "--workdir", "w", "--ranks"], ["sweep", "--workdir", "w", "--ranks", "2", "3"],
+            ["synth", "--workdir", "w", "--rho", "high"], ["synth", "--workdir", "w", "--seed", "2"],
+            ["run", "--workdir", "w", "--users", "3"], ["ingest", "--workdir", "w", "--input", "h"],
+            *([command, "--help"] for command in cli._COMMANDS),
+            *([command] for command in cli._COMMANDS),
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_each_page_and_error_reads_as_the_full_parser_s(self, argv, capsys):
+        def parse(parser):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                out = capsys.readouterr()
+                return exc.code, out.out, out.err
+
+        assert parse(cli.parser_for(argv)) == parse(cli.build_parser())
+
     def test_usage_error(self):
         assert cli.main(["definitely-not-a-command"]) == cli.EXIT_USAGE
 
@@ -1276,6 +1314,28 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "missing artifact" in err and str(wd / f"{name}.npz") in err, err
         assert {p: p.read_bytes() if p.is_file() else None for p in wd.rglob("*")} == before
+
+    def test_refit_removes_the_cluster_directories_it_replaces(self, workdir, tmp_path, caplog):
+        # a workdir fitted by an earlier version, refit from `tensor`: each
+        # stage that writes <name>.npz removes <name>/ if it holds only that
+        # layout's cluster files, and otherwise leaves it with one warning
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        for name in ("tensors", "factors", "kalman"):
+            (wd / name).mkdir()
+            with np.load(wd / f"{name}.npz") as z:
+                for c in {key.split("/")[0] for key in z.files}:
+                    np.savez(wd / name / f"cluster_{c}.npz", **cluster_arrays(z, c))
+                    (wd / name / f"cluster_{c}.json").write_text("{}")
+            (wd / f"{name}.npz").unlink()
+        (wd / "kalman" / "notes.txt").write_text("kept\n")
+        for command in (["tensor"], ["factorize", "--rank", "3"], ["kalman"], ["train-rank"]):
+            assert cli.main([*command, "--workdir", str(wd), "--seed", "3"]) == cli.EXIT_OK
+        assert sorted(p.name for p in wd.iterdir() if p.is_dir()) == ["kalman"]
+        assert sorted(p.name for p in (wd / "kalman").iterdir())[-1] == "notes.txt"
+        warned = [r.getMessage() for r in caplog.records if "earlier version" in r.getMessage()]
+        assert len(warned) == 1 and str(wd / "kalman") in warned[0], warned
+        assert {p.name for p in workdir.iterdir()} <= {p.name for p in wd.iterdir()}
 
     @pytest.mark.parametrize("command", [
         ["factorize", "--rank", "3"], ["kalman"], ["train-rank"], ["recommend"],
