@@ -465,24 +465,30 @@ def stage_train_rank(workdir: Path, config: PipelineConfig) -> Path:
 
 def load_model(workdir: Path) -> TrainedModel:
     """The model `store.read_model` reads, with each member's filter as
-    `stage_kalman` wrote it and the pseudo-inverse of its loadings."""
+    `stage_kalman` wrote it, the pseudo-inverse of its loadings (one
+    `np.linalg.pinv` per width group of a cluster, a stack) and the
+    clustering's source table (`Clustering.build`)."""
     graphs, doc, rank_docs, filters = read_model(workdir)
     serving: dict[str, UserServing] = {}
     for cluster_id, members in doc["clusters"].items():
         A, Q, psi, Lam, f_post, P_post = map(_array, filters[cluster_id].values())
-        row = 0
+        widths = np.array(_widths(doc, members))
+        first_row = np.cumsum(widths) - widths  # of each member's Lam rows
+        pinvs = {}
+        for width, idx in parafac2.width_groups(widths).items():
+            rows = (first_row[idx, None] + np.arange(width)).ravel()
+            pinvs.update(zip(idx, np.linalg.pinv(Lam[rows].reshape(len(idx), width, -1))))
         for idx, uid in enumerate(members):
             layout = context.FeatureLayout([tuple(p) for p in doc["slots"][uid]])
-            lam = Lam[row : row + layout.width]
-            row += layout.width
+            lam = Lam[first_row[idx] : first_row[idx] + layout.width]
             state = kalman.KalmanState(
                 A=A, Q=Q, Psi=psi[idx] * np.eye(layout.width), Lam=lam,
                 f_post=f_post[idx], P_post=P_post[idx],
             )
-            serving[uid] = UserServing(layout, Lam_pinv=np.linalg.pinv(lam), final_state=state)
+            serving[uid] = UserServing(layout, Lam_pinv=pinvs[idx], final_state=state)
     return TrainedModel(
         graphs=graphs,
-        clustering=Clustering(_assignments(doc)),
+        clustering=Clustering.build(_assignments(doc), graphs),
         rank_models={u: ranksvm.RankModel.from_json(m) for u, m in rank_docs.items()},
         serving=serving,
     )

@@ -196,9 +196,28 @@ def rank(
 
 class Clustering(NamedTuple):
     """The user clustering of a fitted model, all of it that
-    `group_recommend` reads: each user's cluster."""
+    `group_recommend` reads: each user's cluster, and the source table
+    `holders`. For each report, it lists the (user, cluster) of every graph
+    user whose graph holds that report and at least one target, in user id
+    order; an unclustered user is listed as cluster -1. `build` makes both
+    from the model's graphs, once per loaded model. The table stays valid
+    while no graph gains a node or changes a target flag: serving only
+    scales alpha/beta."""
 
     assignments: dict[str, int]
+    holders: dict[str, list[tuple[str, int]]]
+
+    @classmethod
+    def build(cls, assignments: dict[str, int], graphs: dict[str, NavGraph]) -> Clustering:
+        holders: dict[str, list[tuple[str, int]]] = {}
+        for uid in sorted(graphs):
+            nodes = graphs[uid].nodes
+            # the flags, not `targets()`, which would index every graph
+            if any(a.target for a in nodes.values()):
+                entry = (uid, assignments.get(uid, -1))
+                for n in nodes:
+                    holders.setdefault(n, []).append(entry)
+        return cls(assignments, holders)
 
 
 def group_recommend(
@@ -212,27 +231,27 @@ def group_recommend(
     """Source novel candidates from more-experienced users' graphs.
 
     Source users sit in clusters ranked at or above the original user's,
-    contain node u and at least one target. Intent scores stay the original
-    user's; weights, masses and distances come from each source graph. Only
-    nodes absent from the original user's graph are kept.
+    contain node u and at least one target: the `clustering.holders` of u
+    that are in graphs. Intent scores stay the original user's; weights,
+    masses and distances come from each source graph. Only nodes absent from
+    the original user's graph are kept.
     """
     if user_id not in clustering.assignments:
         raise KeyError(f"user {user_id!r} not clustered")
     own_cluster = clustering.assignments[user_id]
     own_graph = graphs.get(user_id)
-    own_nodes = set(own_graph.nodes) if own_graph else set()
+    own_nodes = own_graph.nodes if own_graph is not None else {}
 
     recs: list[Recommendation] = []
-    for other_id in sorted(graphs):
-        if other_id == user_id:
+    for other_id, cluster in clustering.holders.get(u, ()):
+        if other_id == user_id or cluster < own_cluster:
             continue
-        if clustering.assignments.get(other_id, -1) < own_cluster:
-            continue
-        g = graphs[other_id]
-        if u not in g.nodes or not g.targets():
+        g = graphs.get(other_id)
+        if g is None:
             continue
         candidates = [c for c in enumerate_candidates(g, u) if c[0] not in own_nodes]
-        recs += score(g, candidates, intent_scores, variant, collaborative=True)
+        if candidates:
+            recs += score(g, candidates, intent_scores, variant, collaborative=True)
     return recs
 
 

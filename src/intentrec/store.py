@@ -435,9 +435,8 @@ def stage_recommend(
     variant = recommender.RelevanceVariant(config.variant)
     recs = recommender.recommend(graph, current, scores, variant)
     if collaborative:
-        recs += recommender.group_recommend(
-            user, recommender.Clustering(_assignments(doc)), graphs, current, scores, variant
-        )
+        clustering = recommender.Clustering.build(_assignments(doc), graphs)
+        recs += recommender.group_recommend(user, clustering, graphs, current, scores, variant)
     ranked = recommender.rank(recs, k=config.k)
     request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
     out = {**request, "recs": [r.to_json() for r in ranked]}

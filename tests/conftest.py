@@ -1,6 +1,7 @@
 """Shared helpers for building hit records, sessions and workdirs in tests."""
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -108,6 +109,38 @@ def per_target_intent_scores(model, user_id: str, f: np.ndarray) -> dict[str, fl
             raw = float(rank_model.weights[t].w @ unit)
             out[t] = min(max((4.0 + raw) / 8.0, 0.0), 1.0)
     return out
+
+
+def scan_group_recommend(
+    user_id, assignments, graphs, u, intent_scores, variant=recommender.RelevanceVariant.SUM_I
+):
+    """`recommender.group_recommend` as a scan of every graph it is handed,
+    in id order, the oracle of its source table: a source is any other
+    user whose cluster (-1 if unclustered) is at or above user_id's and
+    whose graph holds u and at least one target."""
+    if user_id not in assignments:
+        raise KeyError(f"user {user_id!r} not clustered")
+    own_cluster = assignments[user_id]
+    own_graph = graphs.get(user_id)
+    own_nodes = set(own_graph.nodes) if own_graph else set()
+    recs = []
+    for other_id in sorted(graphs):
+        if other_id == user_id:
+            continue
+        if assignments.get(other_id, -1) < own_cluster:
+            continue
+        g = graphs[other_id]
+        if u not in g.nodes or not g.targets():
+            continue
+        candidates = [c for c in recommender.enumerate_candidates(g, u) if c[0] not in own_nodes]
+        recs += recommender.score(g, candidates, intent_scores, variant, collaborative=True)
+    return recs
+
+
+def rec_fields(recs) -> list[str]:
+    """Every field of each Recommendation, in order, as repr: so two lists
+    compare equal only if each float is equal bit for bit (-0.0 included)."""
+    return [repr(dataclasses.astuple(r)) for r in recs]
 
 
 def numpy_recommend_doc(model, config, user: str, current: str, collaborative: bool) -> dict:

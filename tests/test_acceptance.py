@@ -3,13 +3,14 @@
 Each test prints one PASS/FAIL line for its criterion.
 """
 import copy
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from intentrec import pipeline, synth
+from intentrec import cli, pipeline, synth
 from intentrec.artifacts import serving_factor
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence, initial_state, step
@@ -18,9 +19,9 @@ from intentrec.navgraph import build_graph, detect_targets, intent_distances
 from intentrec.parafac2 import decompose, loading_matrix, stack_panels
 from intentrec.pipeline import PipelineConfig
 from intentrec.ranksvm import RankTrainingSet, solve, stacked_scores
-from intentrec.recommender import RelevanceVariant, recommend
+from intentrec.recommender import RelevanceVariant, group_recommend, recommend
 
-from conftest import per_target_intent_scores, random_sessions
+from conftest import per_target_intent_scores, random_sessions, rec_fields, scan_group_recommend
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -115,6 +116,79 @@ class TestStackedIntentScores:
             "intent scores: stacked product equals the per-target loop",
             differ == 0 and factors > 10_000,
             f"{differ} of {factors} seed-1 Kalman and PARAFAC2 test factors differ",
+        )
+
+
+class TestSourceTable:
+    def test_every_seed1_test_request_sources_as_the_scan(self, fits):
+        wd = fits[0][3]
+        model = pipeline.load_model(wd)
+        dataset = pipeline.load_dataset(wd / "sessions.npz")
+        assignments = model.clustering.assignments
+        requests = sorted({
+            (h.user_id, h.report_id) for sess in dataset.test for h in sess.hits
+            if h.user_id in assignments
+        })
+        differ = sourced = 0
+        for uid, current in requests:
+            serving = model.serving.get(uid)
+            scores = model.intent_scores(uid, serving.final_state.f_post) if serving else {}
+            got = group_recommend(uid, model.clustering, model.graphs, current, scores)
+            expected = scan_group_recommend(uid, assignments, model.graphs, current, scores)
+            differ += rec_fields(got) != rec_fields(expected)
+            sourced += bool(got)
+        _report(
+            "group recommendations: the source table sources as the scan of every graph",
+            differ == 0 and sourced > 1_000,
+            f"{differ} of {len(requests)} seed-1 test requests differ, {sourced} sourced",
+        )
+
+
+def _wide_workdir(wd):
+    """The stage-by-stage CI step's two-width workdir, under wd: an 8-user
+    log in which the first member of the largest cluster also views a
+    second (metric, dimension) pair, fitted at rank 3."""
+    base = wd / "base"
+    assert cli.main(["synth", "--workdir", str(base), "--users", "8", "--reports", "40",
+                     "--sessions-per-user", "6", "--seed", "1"]) == cli.EXIT_OK
+    for argv in (["ingest", "--input", str(base / "hits.jsonl")], ["graph"], ["tensor"]):
+        assert cli.main([*argv, "--workdir", str(base)]) == cli.EXIT_OK
+    rows = [json.loads(line) for line in (base / "hits.jsonl").read_text().splitlines()]
+    clusters = json.loads((base / "clustering.json").read_text())["clusters"]
+    user = max(clusters.values(), key=len)[0]
+    extra = [
+        dict(r, metric="visits", dim_element="mobile", ts=r["ts"] + 1)
+        for r in rows if r["user_id"] == user
+    ][:3]
+    wide = wd / "wide"
+    wide.mkdir()
+    (wide / "hits.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows + extra))
+    for argv in (
+        ["ingest", "--input", str(wide / "hits.jsonl")], ["graph"], ["tensor"],
+        ["factorize", "--rank", "3"], ["kalman"], ["train-rank"],
+    ):
+        assert cli.main([*argv, "--workdir", str(wide)]) == cli.EXIT_OK
+    return wide
+
+
+class TestStackedPinv:
+    def test_each_loading_pinv_is_the_per_member_pinv(self, fits, tmp_path):
+        wide = _wide_workdir(tmp_path)
+        clusters = json.loads((wide / "clustering.json").read_text())["clusters"]
+        models = [pipeline.load_model(wd) for *_, wd in fits] + [pipeline.load_model(wide)]
+        widths = {u: s.layout.width for u, s in models[-1].serving.items()}
+        two_widths = sum(len({widths[u] for u in members}) == 2 for members in clusters.values())
+        differ = users = 0
+        for model in models:
+            for serving in model.serving.values():
+                alone = np.linalg.pinv(serving.final_state.Lam)
+                got = serving.Lam_pinv
+                differ += got.shape != alone.shape or got.tobytes() != alone.tobytes()
+                users += 1
+        _report(
+            "load_model: each width group's stacked pinv equals the per-member pinv",
+            differ == 0 and two_widths == 1 and users > 1_000,
+            f"{differ} of {users} loadings differ, seeds 1-5 and one two-width cluster",
         )
 
 
@@ -359,4 +433,29 @@ class TestDeterminism:
             "determinism: byte-identical results.csv across two runs",
             outputs[0] == outputs[1],
             f"{len(outputs[0])} bytes each",
+        )
+
+    def test_shuffled_log_fits_the_same_model(self, tmp_path):
+        # the order of a log's rows is no input: a shuffled hits.jsonl
+        # yields byte-identical results.csv and rankmodel.json
+        scfg = synth.SynthConfig(
+            n_users=40, n_reports=50, sessions_per_user=10, intent_count=3,
+            context_signal_strength=0.8, seed=5,
+        )
+        cfg = PipelineConfig(seed=5, rank=4, max_iters=30)
+        outputs = []
+        for shuffle in (False, True):
+            wd = tmp_path / ("shuffled" if shuffle else "sorted")
+            wd.mkdir()
+            pipeline.stage_synth(wd, scfg)
+            if shuffle:
+                lines = (wd / "hits.jsonl").read_text().splitlines(keepends=True)
+                order = np.random.default_rng(11).permutation(len(lines))
+                (wd / "hits.jsonl").write_text("".join(lines[i] for i in order))
+            pipeline.run_all(wd, cfg, wd / "hits.jsonl")
+            outputs.append([(wd / name).read_bytes() for name in ("results.csv", "rankmodel.json")])
+        _report(
+            "determinism: a shuffled hits.jsonl fits byte-identical results.csv and rankmodel.json",
+            outputs[0] == outputs[1],
+            f"{len(outputs[0][0])} and {len(outputs[0][1])} bytes",
         )

@@ -88,7 +88,7 @@ def _scored_model(rng, rank=4):
     }
     return TrainedModel(
         graphs=graphs,
-        clustering=Clustering({}),
+        clustering=Clustering({}, {}),
         rank_models={"ranked": RankModel(weights)},
         serving={},
     )

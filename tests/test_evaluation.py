@@ -97,7 +97,7 @@ class TestWeightedAuc:
     def test_empty(self):
         # a run without test sessions gives every method a zero row
         model = TrainedModel(
-            graphs={}, clustering=Clustering({}), rank_models={}, serving={}
+            graphs={}, clustering=Clustering({}, {}), rank_models={}, serving={}
         )
         result = run_benchmark(Dataset(train=[], test=[], split_instant=0), model)
         assert [r.method for r in result.reports] == list(ALL_METHODS)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from intentrec import recommender
 from intentrec.navgraph import NavGraph, NodeAttrs, build_graph, detect_targets
 from intentrec.recommender import (
     Clustering,
@@ -18,7 +19,7 @@ from intentrec.recommender import (
     score,
 )
 
-from conftest import make_session, random_sessions
+from conftest import make_session, random_sessions, rec_fields, scan_group_recommend
 
 
 def _graph(edges, masses=None, targets=()):
@@ -137,7 +138,7 @@ class TestCandidateMemo:
         for g in (novice, expert):
             detect_targets(g)
         graphs = {"novice": novice, "expert": expert}
-        clustering = Clustering({"novice": 0, "expert": 3})
+        clustering = Clustering.build({"novice": 0, "expert": 3}, graphs)
         memo = enumerate_candidates(expert, "hub")
         before = list(memo)
         recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
@@ -249,12 +250,21 @@ class TestGroupRecommend:
         detect_targets(novice)
         detect_targets(expert)
         graphs = {"novice": novice, "expert": expert}
-        clustering = Clustering({"novice": 0, "expert": 3})
-        return graphs, clustering
+        return graphs, {"novice": 0, "expert": 3}
+
+    def _check(self, user_id, assignments, graphs, u, scores=None, table=None):
+        """group_recommend over the source table of `table` (graphs if
+        None), checked field for field against the scan of graphs."""
+        scores = {"t": 0.8} if scores is None else scores
+        clustering = Clustering.build(assignments, graphs if table is None else table)
+        recs = group_recommend(user_id, clustering, graphs, u, scores)
+        expected = scan_group_recommend(user_id, assignments, graphs, u, scores)
+        assert rec_fields(recs) == rec_fields(expected)
+        return recs
 
     def test_sources_novel_nodes_from_experienced_users(self):
-        graphs, clustering = self._setup()
-        recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
+        graphs, assignments = self._setup()
+        recs = self._check("novice", assignments, graphs, "hub")
         nodes = {r.node for r in recs}
         assert "deep" in nodes
         assert all(r.collaborative for r in recs)
@@ -262,13 +272,13 @@ class TestGroupRecommend:
         assert "x" not in nodes  # already known to the novice
 
     def test_ranked_list_holds_distinct_nodes(self):
-        graphs, clustering = self._setup()
+        graphs, assignments = self._setup()
         graphs["expert2"] = build_graph(
             [make_session("expert2", ["hub", "deep", "t"], gap=30)] * 2
         )
         detect_targets(graphs["expert2"])
-        clustering.assignments["expert2"] = 3
-        recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
+        assignments["expert2"] = 3
+        recs = self._check("novice", assignments, graphs, "hub")
         assert [r.node for r in recs].count("deep") == 2
         ranked = rank(recs, k=10)
         nodes = [r.node for r in ranked]
@@ -277,16 +287,83 @@ class TestGroupRecommend:
         assert ranked[nodes.index("deep")].source_user == "expert"
 
     def test_less_experienced_users_excluded(self):
-        graphs, clustering = self._setup()
-        clustering.assignments["expert"] = 0
-        clustering.assignments["novice"] = 3
-        recs = group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
-        assert recs == []
+        graphs, assignments = self._setup()
+        assignments["expert"] = 0
+        assignments["novice"] = 3
+        assert self._check("novice", assignments, graphs, "hub") == []
 
     def test_unclustered_user_rejected(self):
-        graphs, clustering = self._setup()
+        graphs, assignments = self._setup()
         with pytest.raises(KeyError):
-            group_recommend("ghost", clustering, graphs, "hub", {})
+            group_recommend("ghost", Clustering.build(assignments, graphs), graphs, "hub", {})
+
+    def test_table_lists_holders_in_id_order(self):
+        # whatever order the graphs come in, as the scan of sorted ids did
+        graphs, assignments = self._setup()
+        for uid in ("expert3", "expert1", "expert2"):
+            graphs[uid] = build_graph([make_session(uid, ["hub", uid, "t"], gap=30)] * 2)
+            detect_targets(graphs[uid])
+            assignments[uid] = 3
+        clustering = Clustering.build(assignments, graphs)
+        assert clustering.holders["hub"] == [
+            ("expert", 3), ("expert1", 3), ("expert2", 3), ("expert3", 3), ("novice", 0),
+        ]
+        recs = self._check("novice", assignments, graphs, "hub")
+        sources = [r.source_user for r in recs if r.node == "t"]
+        assert sources == ["expert", "expert1", "expert2", "expert3"]
+
+    def test_unclustered_source_sits_below_every_cluster(self):
+        # a graph user without a cluster is listed as cluster -1: a source
+        # only for a user of cluster -1 or below, never for a clustered one
+        graphs, assignments = self._setup()
+        del assignments["expert"]
+        clustering = Clustering.build(assignments, graphs)
+        assert ("expert", -1) in clustering.holders["hub"]
+        assert self._check("novice", assignments, graphs, "hub") == []
+        assignments["novice"] = -1
+        assert {r.node for r in self._check("novice", assignments, graphs, "hub")} == {"deep", "t"}
+
+    def test_source_without_targets_is_not_listed(self):
+        graphs, assignments = self._setup()
+        for attrs in graphs["expert"].nodes.values():
+            attrs.target = 0
+        clustering = Clustering.build(assignments, graphs)
+        assert all(uid != "expert" for uid, _ in clustering.holders.get("hub", ()))
+        assert self._check("novice", assignments, graphs, "hub") == []
+
+    def test_requesting_user_without_a_graph(self):
+        # a clustered user without a graph keeps every source's candidates
+        graphs, assignments = self._setup()
+        graphs["novice"] = build_graph([make_session("novice", ["hub", "deep"])])
+        detect_targets(graphs["novice"])
+        assert {r.node for r in self._check("novice", assignments, graphs, "hub")} == {"t"}
+        del graphs["novice"]
+        assert {r.node for r in self._check("novice", assignments, graphs, "hub")} == {"deep", "t"}
+
+    def test_source_missing_from_the_graphs_handed_in(self):
+        # the table is built from every graph; a call handed fewer graphs
+        # reads only those
+        graphs, assignments = self._setup()
+        graphs["expert2"] = build_graph([make_session("expert2", ["hub", "y", "t"], gap=30)] * 2)
+        detect_targets(graphs["expert2"])
+        assignments["expert2"] = 3
+        table = dict(graphs)
+        del graphs["expert"]
+        recs = self._check("novice", assignments, graphs, "hub", table=table)
+        assert {r.source_user for r in recs} == {"expert2"}
+
+    def test_source_without_novel_candidates_is_not_scored(self, monkeypatch):
+        graphs, assignments = self._setup()
+        graphs["twin"] = build_graph([make_session("twin", ["hub", "x"])] * 2)
+        detect_targets(graphs["twin"])
+        assignments["twin"] = 3
+        clustering = Clustering.build(assignments, graphs)
+        scored = []
+        monkeypatch.setattr(
+            recommender, "score", lambda g, *args, **kw: scored.append(g.user_id) or []
+        )
+        group_recommend("novice", clustering, graphs, "hub", {"t": 0.8})
+        assert scored == ["expert"]
 
 
 class TestFeedback:
@@ -355,12 +432,17 @@ class TestWarmGraphs:
         for uid in users:
             warm[uid] = build_graph(random_sessions(rng, user=uid, n_sessions=6, n_reports=8))
             detect_targets(warm[uid])
-        clustering = Clustering({uid: i % 3 for i, uid in enumerate(users)})
+        assignments = {uid: i % 3 for i, uid in enumerate(users)}
+        clustering = Clustering.build(assignments, warm)
         cold = {uid: NavGraph.from_json(g.to_json()) for uid, g in warm.items()}
 
         def serve(graphs, uid, current, scores):
             recs = recommend(graphs[uid], current, scores)
-            recs += group_recommend(uid, clustering, graphs, current, scores)
+            group = group_recommend(uid, clustering, graphs, current, scores)
+            assert rec_fields(group) == rec_fields(
+                scan_group_recommend(uid, assignments, graphs, current, scores)
+            )
+            recs += group
             shown = rank(recs)
             own = [r for r in shown if r.node in graphs[uid].nodes]
             if own:

@@ -67,7 +67,7 @@ def _model(rng, rank):
     }
     model = TrainedModel(
         graphs={"u": g},
-        clustering=Clustering({}),
+        clustering=Clustering({}, {}),
         rank_models={"u": RankModel(weights)},
         serving={},
     )
