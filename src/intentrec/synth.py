@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,35 +33,48 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.context_signal_strength <= 1.0:
             raise ValueError("context_signal_strength must lie in [0, 1]")
+        # each user's pool holds a hub, a branch and two fillers per intent,
+        # all distinct and none of them an intent report
+        needed = 1 + 3 * self.intent_count
+        if self.n_reports - self.n_intents < needed:
+            raise ValueError(
+                f"n_reports must be >= {self.n_intents + needed} for intent_count "
+                f"{self.intent_count}: {self.n_intents} intent reports and {needed} "
+                "distinct others per user"
+            )
+
+    @property
+    def n_intents(self) -> int:
+        """How many planted intents there are: reports r000 onward, from
+        which each user's intents are drawn."""
+        return max(self.intent_count + 1, self.n_reports // 6)
 
 
-def _report_id(idx: int) -> str:
-    return f"r{idx:03d}"
-
-
-def _report_kind(idx: int) -> ReportKind:
-    return ReportKind.HISTOGRAM if idx % 7 == 3 else ReportKind.TIME_SERIES
-
-
-def _values(
-    report_idx: int, intent_rank: int, rho: float, rng: np.random.Generator
-) -> tuple[float, ...]:
-    """Report observations whose features encode the session intent with
-    strength rho; rho=0 is pure noise, rho=1 is deterministic.
-
-    The intent modulates the shape of the series (amplitude, trend, phase)
-    rather than its overall level, so the signal survives the unit
-    normalization applied to latent factors downstream.
-    """
-    kind = _report_kind(report_idx)
-    length = HIST_LEN if kind is ReportKind.HISTOGRAM else SERIES_LEN
+def _pattern(length: int, intent_rank: int) -> np.ndarray:
+    """The noise-free observations of a report of this length viewed under
+    this intent. The intent modulates the shape of the series (amplitude,
+    trend, phase) rather than its overall level, so the signal survives the
+    unit normalization applied to latent factors downstream."""
     amp = 2.0 + 2.5 * intent_rank
     trend = ((intent_rank % 5) - 2) * 1.5
     steps = np.arange(length)
-    pattern = 30.0 + trend * steps + amp * np.sin(steps + intent_rank)
-    noise = rng.normal(loc=30.0, scale=10.0, size=length)
-    vals = rho * pattern + (1.0 - rho) * noise
-    return tuple(round(float(v), 4) for v in vals)
+    return 30.0 + trend * steps + amp * np.sin(steps + intent_rank)
+
+
+def _shape_table(config: SynthConfig) -> list[list[tuple]]:
+    """For each report and intent rank: the report's id, kind and length and
+    rho times its pattern, the part of its values no draw changes."""
+    rho = config.context_signal_strength
+    bases = {
+        length: [rho * _pattern(length, rank) for rank in range(config.n_intents)]
+        for length in (HIST_LEN, SERIES_LEN)
+    }
+    table = []
+    for idx in range(config.n_reports):
+        kind = ReportKind.HISTOGRAM if idx % 7 == 3 else ReportKind.TIME_SERIES
+        length = HIST_LEN if kind is ReportKind.HISTOGRAM else SERIES_LEN
+        table.append([(f"r{idx:03d}", kind, length, base) for base in bases[length]])
+    return table
 
 
 def generate(config: SynthConfig) -> list[HitRecord]:
@@ -69,13 +83,14 @@ def generate(config: SynthConfig) -> list[HitRecord]:
     Each user navigates hub -> intent-specific branch -> fillers -> intent;
     branch choice frequencies are balanced across the user's intents, so only
     report content (when rho > 0) disambiguates the next step at the hub.
+    A view's values are rho * pattern + (1 - rho) * noise: rho=0 is pure
+    noise, rho=1 is deterministic.
     """
     rng = np.random.default_rng(config.seed)
-    n_intents_global = max(config.intent_count + 1, config.n_reports // 6)
-    intents_global = list(range(n_intents_global))
-    other_reports = list(range(n_intents_global, config.n_reports))
-    if len(other_reports) < 6:
-        raise ValueError("n_reports too small for the planted navigation structure")
+    intents_global = list(range(config.n_intents))
+    other_reports = list(range(config.n_intents, config.n_reports))
+    shapes = _shape_table(config)
+    noise_weight = 1.0 - config.context_signal_strength
 
     hits: list[HitRecord] = []
     for user_idx in range(config.n_users):
@@ -87,23 +102,18 @@ def generate(config: SynthConfig) -> list[HitRecord]:
         intents = sorted(
             rng.choice(intents_global, size=config.intent_count, replace=False).tolist()
         )
-        # hub, one branch per intent, two fillers per intent
-        needed = 1 + 3 * config.intent_count
-        pool = rng.choice(other_reports, size=min(needed, len(other_reports)), replace=False)
+        # hub, then a branch and two fillers per intent
+        pool = rng.choice(other_reports, size=1 + 3 * config.intent_count, replace=False)
         pool = [int(p) for p in pool]
         hub = pool[0]
         branches = {}
         fillers = {}
         for k, intent in enumerate(intents):
-            branches[intent] = pool[(1 + 3 * k) % len(pool)]
-            fillers[intent] = [
-                pool[(2 + 3 * k) % len(pool)],
-                pool[(3 + 3 * k) % len(pool)],
-            ]
+            branches[intent] = pool[1 + 3 * k]
+            fillers[intent] = pool[2 + 3 * k : 4 + 3 * k]
 
         for s in range(n_sessions):
             intent = intents[s % len(intents)]
-            intent_rank = intents_global.index(intent)
             path = [hub, branches[intent]]
             order = [0, 1] if rng.random() < 0.5 else [1, 0]
             n_fill = int(rng.integers(0, 3))
@@ -113,25 +123,17 @@ def generate(config: SynthConfig) -> list[HitRecord]:
             t = 1000 + s * (SESSION_GAP + 4000) + user_idx * 7
             hint = f"{uid}-s{s}"
             for report_idx in path:
-                hits.append(
-                    HitRecord(
-                        user_id=uid,
-                        timestamp=t,
-                        report_id=_report_id(report_idx),
-                        report_kind=_report_kind(report_idx),
-                        metric="hits",
-                        dimension_element="all",
-                        values=_values(
-                            report_idx, intent_rank, config.context_signal_strength, rng
-                        ),
-                        session_hint=hint,
-                    )
-                )
+                # an intent's rank among the planted intents is its report index
+                rid, kind, length, base = shapes[report_idx][intent]
+                noise = rng.normal(loc=30.0, scale=10.0, size=length)
+                values = tuple(round(v, 4) for v in (base + noise_weight * noise).tolist())
+                hits.append(HitRecord(uid, t, rid, kind, "hits", "all", values, hint))
                 t += int(rng.integers(30, 300))
 
-    hits.sort(key=lambda h: (h.timestamp, h.user_id))
+    hits.sort(key=itemgetter(1, 0))  # (timestamp, user_id)
     return hits
 
 
 def to_jsonl(hits: list[HitRecord]) -> str:
-    return "\n".join(json.dumps(hit_to_doc(h), sort_keys=True) for h in hits) + "\n"
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return "\n".join(encode(hit_to_doc(h)) for h in hits) + "\n"

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1530,6 +1531,17 @@ class TestCliExitCodes:
         assert "rank_epochs" in err and "n_users" in err
         assert not (tmp_path / "hits.jsonl").exists()
 
+    @pytest.mark.parametrize("counts", [["--reports", "9"], ["--reports", "12"],
+                                        ["--reports", "40", "--intents", "10"]])
+    def test_synth_too_few_reports_writes_nothing(self, tmp_path, capsys, counts):
+        # too few non-intent reports for each user's hub, branches and
+        # fillers to be distinct: refused before the workdir is made
+        wd = tmp_path / "work"
+        assert cli.main(["synth", "--workdir", str(wd), *counts]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "n_reports" in err, err
+        assert not wd.exists()
+
     def test_synth_and_ingest_ok(self, tmp_path):
         assert (
             cli.main(
@@ -1594,3 +1606,27 @@ class TestCliExitCodes:
         ) == cli.EXIT_OK
         for r in (1, 2):
             _assert_serving_shapes(tmp_path / f"sweep_R{r}")
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """Each `intentrec` command of the README's CLI code block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("intentrec ")]
+
+
+class TestReadmeQuickstart:
+    def test_every_command_of_the_cli_block_exits_0(self, tmp_path, monkeypatch, capsys):
+        commands = _readme_cli_commands()
+        assert [argv[0] for argv in commands] == [
+            "synth", "run", "ingest", "graph", "tensor", "factorize", "kalman", "train-rank",
+            "evaluate", "recommend", "sweep",
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+            if argv[0] == "recommend":
+                # the block's user and current report are served, not refused
+                assert json.loads(capsys.readouterr().out)["recs"]
