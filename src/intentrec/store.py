@@ -1,6 +1,8 @@
 """The workdir's artifact files: reading, checking and writing them, the manifest
 that records which files each stage read, `read_model`, the one reader of
-the served model, and `stage_recommend`, which serves one request from it.
+the served model, and `stage_recommend`, which serves one request from it,
+decoding only the requesting user's part of a model whose files still hold
+the bytes `evaluate` checked (by the digests its manifest entry records).
 NumPy-free, so that a cold `intentrec recommend` imports neither NumPy nor
 the fitting layers; `pipeline` reads and writes the same files through
 this module (`load_model` through `read_model`) and re-exports it."""
@@ -61,13 +63,16 @@ def _rerun(path: Path, what: str) -> str:
 # Every file the running stage has read, its manifest inputs, with the
 # SHA-256 of the bytes it read.
 _reads: dict[Path, str] = {}
+# The workdir's manifest as the running stage found it when it began.
+_manifest: dict = {}
 
 
 def _begin_stage(workdir: Path) -> float:
-    """Forget what earlier stages read and check the workdir's manifest, so
+    """Forget what earlier stages read and read the workdir's manifest, so
     a stage refuses a torn one before it writes; the time this one starts."""
     _reads.clear()
-    _read_manifest(workdir)
+    _manifest.clear()
+    _manifest.update(_read_manifest(workdir))
     return time.time()
 
 
@@ -272,9 +277,13 @@ def _read_clustering(workdir: Path) -> dict:
     feature slots, and the k-means diagnostics. Another layout is stale."""
     path = workdir / "clustering.json"
     doc = _read_json(path)
-    if not isinstance(doc, dict) or doc.keys() != _CLUSTERING_KEYS:
+    if not _is_clustering(doc):
         raise StaleArtifact(_rerun(path, "is not this version's layout"))
     return doc
+
+
+def _is_clustering(doc) -> bool:
+    return isinstance(doc, dict) and doc.keys() == _CLUSTERING_KEYS
 
 
 def _assignments(doc: dict) -> dict[str, int]:
@@ -330,12 +339,22 @@ class ModelFiles(NamedTuple):
     filters: dict[str, dict[str, NpyArray]]  # each cluster's kalman.npz filter arrays, by its id
 
 
-def read_model(workdir: Path) -> ModelFiles:
+# The files of the served model, which `evaluate` reads and checks in full.
+_MODEL_FILES = ("graphs.json", "clustering.json", "rankmodel.json", "kalman.npz")
+_DECODER = json.JSONDecoder()
+
+
+def read_model(workdir: Path, user: str | None = None) -> ModelFiles:
     """The files of the served model, each read, checked and recorded as an
     input of the running stage: graphs.json, clustering.json, rankmodel.json
     and every cluster's filter arrays of kalman.npz (not `evolved`). The
     one reader of the model, which both `stage_recommend` and
-    `pipeline.load_model` call."""
+    `pipeline.load_model` call. Given a user, it returns only the user's
+    part (`_read_part`) if the files still hold the bytes `evaluate` read
+    and checked in full; otherwise, and without a user, it checks all of
+    them, so a spoiled file is refused alike on every path."""
+    if user is not None and (part := _read_part(workdir, user)) is not None:
+        return part
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
     rank_path = workdir / "rankmodel.json"
@@ -358,6 +377,75 @@ def read_model(workdir: Path) -> ModelFiles:
     if fault := _rank_fault(rank_models, ranks):
         raise StaleArtifact(_rerun(rank_path, fault))
     return ModelFiles(graphs, doc, rank_models, filters)
+
+
+def _read_part(workdir: Path, user: str) -> ModelFiles | None:
+    """The model narrowed to user: its graph, its rankmodel.json entry (or
+    none) and its cluster's `f_post`, with the whole clustering.json. Each
+    model file is read and hashed as the full read does, and the part is
+    decoded only if every digest is the one the running stage's manifest
+    records for `evaluate`, which records it only after `read_model` has
+    checked those bytes in full; so what spans users is vouched for, and
+    the part itself passes each check the full read applies to it. The
+    parts are found as the writers' `json.dumps(..., sort_keys=True)` lays
+    them out: a graph object from `{"edges": ` to `"user_id": <id>}` and
+    an entry from `<id>: {"intents": `, sequences no string value can hold,
+    as its quotes are escaped. None if a file is missing or differs from
+    evaluate's, or a part is not where the writer puts it: then the caller
+    reads and checks every file, and refuses what evaluate would."""
+    checked = _manifest.get("evaluate", {}).get("inputs", {})
+    if not checked.keys() >= set(_MODEL_FILES):
+        return None
+    data = {}
+    for name in _MODEL_FILES:
+        try:
+            data[name], digest = _read_bytes(workdir / name)
+        except MissingArtifact:
+            return None
+        if digest != checked[name]:
+            return None
+    try:
+        text = data["graphs.json"].decode()
+        tail = f'"user_id": {json.dumps(user)}}}'
+        end = text.rfind(tail)
+        start = text.rfind('{"edges": ', 0, end)
+        if min(start, end) < 0:
+            return None
+        graph_doc, stop = _DECODER.raw_decode(text, start)
+        if stop != end + len(tail):
+            return None
+        graph = NavGraph.from_json(graph_doc)
+        text = data["rankmodel.json"].decode()
+        key = f'{json.dumps(user)}: {{"intents": '
+        at = text.rfind(key)
+        if at < 0:  # no entry: the user is served from its graph alone
+            if user in json.loads(text):
+                return None
+            rank_models = {}
+        else:
+            entry, stop = _DECODER.raw_decode(text, at + len(key) - len('{"intents": '))
+            # a key follows "{" or ", ", not the escaped quote of an id ending in user's
+            if text[at - 1 : at] not in ("{", " ") or not text.startswith((", ", "}"), stop):
+                return None
+            rank_models = {user: entry}
+        doc = json.loads(data["clustering.json"])
+    except (ValueError, KeyError, TypeError):
+        return None
+    if graph.user_id != user or not _is_clustering(doc):
+        return None
+    filters, ranks = {}, {}
+    for cluster_id, members in doc["clusters"].items():
+        if user in members:
+            name = f"{cluster_id}/f_post"
+            try:
+                f_post = read_npz(workdir / "kalman.npz", {name: len(members)}, data["kalman.npz"])[name]
+            except StaleArtifact:
+                return None
+            filters, ranks = {cluster_id: {"f_post": f_post}}, {user: f_post.shape[-1]}
+            break
+    if _rank_fault(rank_models, ranks):
+        return None
+    return ModelFiles({user: graph}, doc, rank_models, filters)
 
 
 # ---------------------------------------------------------------- scoring
@@ -416,11 +504,14 @@ def stage_recommend(
     collaborative: bool = False,
 ) -> dict:
     """The top-k recommendations for user at report current, appended to
-    recommendations.jsonl. The model is read and checked by `read_model`,
-    as `pipeline.load_model` reads it, but only the user's factor is
-    decoded, and scored by `intent_scores`."""
+    recommendations.jsonl. The model is read by `read_model`: a plain
+    request decodes only the user's part if `evaluate` has checked the
+    files as they are, and a collaborative one, which reads every graph
+    holding the current report, reads and checks the whole model as
+    `pipeline.load_model` does. Only the user's factor is decoded, and
+    scored by `intent_scores`."""
     t0 = _begin_stage(workdir)
-    graphs, doc, rank_models, filters = read_model(workdir)
+    graphs, doc, rank_models, filters = read_model(workdir, None if collaborative else user)
     if user not in graphs:
         raise KeyError(f"unknown user: {user!r}")
     graph = graphs[user]

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from intentrec import pipeline, recommender, synth
+from intentrec import pipeline, recommender, store, synth
 from intentrec.models import HitRecord, ReportKind, Session
 
 
@@ -157,3 +161,54 @@ def numpy_recommend_doc(model, config, user: str, current: str, collaborative: b
     ranked = recommender.rank(recs, k=config.k)
     request = {"user": user, "current": current, "k": config.k, "variant": config.variant}
     return {**request, "recs": [r.to_json() for r in ranked]}
+
+
+@contextmanager
+def counting_decodes():
+    """A Counter of the graphs `NavGraph.from_json` builds ("graphs") and of
+    the .npz members `store.read_npz` decodes ("arrays") while the context
+    is open."""
+    from_json, npy = store.NavGraph.from_json, store._npy
+    counts = Counter()
+
+    def graph(doc):
+        counts["graphs"] += 1
+        return from_json(doc)
+
+    def array(raw, dtype):
+        counts["arrays"] += 1
+        return npy(raw, dtype)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store.NavGraph, "from_json", staticmethod(graph))
+        patch.setattr(store, "_npy", array)
+        yield counts
+
+
+def without_evaluate(workdir: Path, copy: Path) -> Path:
+    """A copy of workdir whose manifest has no `evaluate` entry, so that a
+    request on it reads and checks the whole model: the oracle of a
+    request served from the user's part."""
+    shutil.copytree(workdir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    del manifest["evaluate"]
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy
+
+
+def assert_parts_serve_as_the_full_read(workdir: Path, oracle: Path, config, requests):
+    """Each plain (user, current) request on the evaluated workdir decodes
+    one graph and the f_post of the user's cluster, if it has one, and
+    returns the doc the full read returns on oracle (`without_evaluate`);
+    the request's manifest inputs stay evaluate's model inputs."""
+    clusters = json.loads((workdir / "clustering.json").read_text())["clusters"]
+    for user, current in requests:
+        with counting_decodes() as counts:
+            got = pipeline.stage_recommend(workdir, config, user, current)
+        clustered = any(user in members for members in clusters.values())
+        assert (counts["graphs"], counts["arrays"]) == (1, int(clustered)), (user, current, counts)
+        expected = pipeline.stage_recommend(oracle, config, user, current)
+        assert json.dumps(got) == json.dumps(expected), (user, current)
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    model = {k: v for k, v in manifest["evaluate"]["inputs"].items() if k != "sessions.npz"}
+    assert manifest["recommend"]["inputs"] == model

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line for its criterion.
 import copy
 import json
 import math
+import shutil
 import time
 
 import numpy as np
@@ -21,7 +22,14 @@ from intentrec.pipeline import PipelineConfig
 from intentrec.ranksvm import RankTrainingSet, solve, stacked_scores
 from intentrec.recommender import RelevanceVariant, group_recommend, recommend
 
-from conftest import per_target_intent_scores, random_sessions, rec_fields, scan_group_recommend
+from conftest import (
+    assert_parts_serve_as_the_full_read,
+    per_target_intent_scores,
+    random_sessions,
+    rec_fields,
+    scan_group_recommend,
+    without_evaluate,
+)
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -141,6 +149,27 @@ class TestSourceTable:
             "group recommendations: the source table sources as the scan of every graph",
             differ == 0 and sourced > 1_000,
             f"{differ} of {len(requests)} seed-1 test requests differ, {sourced} sourced",
+        )
+
+
+class TestPartRead:
+    def test_seed1_test_requests_serve_as_the_full_read(self, fits, tmp_path):
+        # a plain recommend on the evaluated seed-1 model decodes only the
+        # user's part: every 6th eligible test request, against the full read
+        wd = tmp_path / "wd"
+        shutil.copytree(fits[0][3], wd)
+        model = pipeline.load_model(wd)
+        dataset = pipeline.load_dataset(wd / "sessions.npz")
+        requests = sorted({
+            (h.user_id, h.report_id) for sess in dataset.test for h in sess.hits[:-1]
+            if h.user_id in model.graphs and h.report_id in model.graphs[h.user_id].nodes
+        })[::6]
+        assert len(requests) >= 200
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        assert_parts_serve_as_the_full_read(wd, oracle, PipelineConfig(seed=1), requests)
+        _report(
+            "cold recommend: the user's part serves as the whole model",
+            True, f"{len(requests)} seed-1 test requests, one graph decoded each",
         )
 
 

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cluster_arrays, numpy_recommend_doc
+from conftest import (
+    assert_parts_serve_as_the_full_read,
+    cluster_arrays,
+    counting_decodes,
+    numpy_recommend_doc,
+    without_evaluate,
+)
 
 import intentrec
 from intentrec import cli, kalman, pipeline, store, synth
@@ -1606,6 +1612,117 @@ class TestCliExitCodes:
         ) == cli.EXIT_OK
         for r in (1, 2):
             _assert_serving_shapes(tmp_path / f"sweep_R{r}")
+
+
+def _every_request(wd: Path) -> list[tuple[str, str]]:
+    """Every user of graphs.json at every report of its graph."""
+    graphs = json.loads((wd / "graphs.json").read_text())
+    return [(g["user_id"], node["id"]) for g in graphs for node in g["nodes"]]
+
+
+class TestPartRead:
+    # a plain recommend on a workdir whose model files still hold the bytes
+    # `evaluate` read and checked decodes only the user's part of the model;
+    # on any other workdir it reads and checks the whole model, as before
+
+    @pytest.fixture(scope="class")
+    def evaluated(self, workdir, tmp_path_factory):
+        wd = tmp_path_factory.mktemp("part") / "evaluated"
+        shutil.copytree(workdir, wd)
+        pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
+        return wd
+
+    @staticmethod
+    def _copy(wd: Path, tmp_path: Path) -> Path:
+        shutil.copytree(wd, tmp_path / "wd")
+        return tmp_path / "wd"
+
+    def test_every_request_serves_as_the_full_read(self, evaluated, tmp_path):
+        wd = self._copy(evaluated, tmp_path)
+        cfg = PipelineConfig(seed=3)
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        assert_parts_serve_as_the_full_read(wd, oracle, cfg, _every_request(wd))
+
+    def test_user_without_cluster_or_rank_model_serves_as_the_full_read(self, evaluated, tmp_path):
+        # the fixture fits every user into a cluster and a rank model: drop
+        # the smallest cluster (its users then have no filter) and another
+        # user's rank model, and evaluate that model
+        wd = self._copy(evaluated, tmp_path)
+        path = wd / "clustering.json"
+        doc = json.loads(path.read_text())
+        dropped = min(doc["clusters"], key=lambda c: len(doc["clusters"][c]))
+        outside = doc["clusters"].pop(dropped)
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with np.load(wd / "kalman.npz") as z:
+            arrays = {k: z[k] for k in z.files if not k.startswith(f"{dropped}/")}
+        np.savez(wd / "kalman.npz", **arrays)
+        path = wd / "rankmodel.json"
+        doc = json.loads(path.read_text())
+        unranked = next(u for u in sorted(doc) if u not in outside)
+        del doc[unranked]
+        path.write_text(json.dumps(doc, sort_keys=True))
+        cfg = PipelineConfig(seed=3)
+        pipeline.stage_evaluate(wd, cfg)
+        requests = _every_request(wd)
+        assert {outside[0], unranked} <= {user for user, _ in requests}
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        assert_parts_serve_as_the_full_read(wd, oracle, cfg, requests)
+
+    @staticmethod
+    def _served(wd: Path, user: str, current: str) -> tuple[dict, int]:
+        """The doc of a plain request and the graphs it built."""
+        with counting_decodes() as counts:
+            doc = pipeline.stage_recommend(wd, PipelineConfig(seed=3), user, current)
+        return doc, counts["graphs"]
+
+    def test_workdir_not_evaluated_serves_alike(self, evaluated, tmp_path):
+        # fitted through train-rank only, the manifest records no evaluate:
+        # the whole model is read and checked
+        wd = without_evaluate(evaluated, tmp_path / "wd")
+        user, current = _every_request(wd)[0]
+        assert self._served(wd, user, current) == (self._served(evaluated, user, current)[0], 8)
+
+    def test_files_of_another_layout_fall_back_to_the_full_read(self, evaluated, tmp_path):
+        # evaluate checked graphs.json and rankmodel.json laid out by another
+        # writer: the digests match, but no part is where the writers put it
+        wd = self._copy(evaluated, tmp_path)
+        for name in ("graphs.json", "rankmodel.json"):
+            path = wd / name
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True))
+        pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
+        user, current = _every_request(wd)[0]
+        assert self._served(wd, user, current) == (self._served(evaluated, user, current)[0], 8)
+        manifest = json.loads((wd / "manifest.json").read_text())
+        assert manifest["recommend"]["inputs"].items() < manifest["evaluate"]["inputs"].items()
+
+    def test_spoiled_graph_of_another_user_is_refused(self, evaluated, tmp_path):
+        # the requester's own graph is whole, in the writer's layout; the
+        # last user's holds masses as strings, a file evaluate never checked
+        wd = self._copy(evaluated, tmp_path)
+        path = wd / "graphs.json"
+        docs = json.loads(path.read_text())
+        for node in docs[-1]["nodes"]:
+            node["mass"] = str(node["mass"])
+        path.write_text(json.dumps(docs, sort_keys=True))
+        user, current = _every_request(wd)[0]
+        assert user != docs[-1]["user_id"]
+        errors = []
+        for stage in (
+            lambda: pipeline.stage_recommend(wd, PipelineConfig(seed=3), user, current),
+            lambda: pipeline.stage_evaluate(wd, PipelineConfig(seed=3)),
+        ):
+            with pytest.raises(store.StaleArtifact) as info:
+                stage()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and str(path) in errors[0], errors
+
+    def test_unknown_user_exits_4(self, workdir, evaluated, tmp_path, capsys):
+        # found in neither graphs.json nor its part: the full read names it
+        for wd in (self._copy(evaluated, tmp_path), workdir):
+            capsys.readouterr()
+            argv = ["recommend", "--workdir", str(wd), "--user", "nobody", "--current", "r000"]
+            assert cli.main(argv) == cli.EXIT_DATA
+            assert capsys.readouterr().err == "error: \"unknown user: 'nobody'\"\n"
 
 
 def _readme_cli_commands() -> list[list[str]]:
