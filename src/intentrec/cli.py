@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 import typing
 from pathlib import Path
@@ -19,7 +18,6 @@ EXIT_USAGE = 2
 EXIT_MISSING_ARTIFACT = 3  # also a stale artifact, which its stage must rewrite
 EXIT_DATA = 4
 
-log = logging.getLogger("intentrec")
 # each PipelineConfig field's type, from its annotation: the type of its flag
 _CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
@@ -172,7 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
     try:
         if args.command == "recommend":
@@ -182,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2, sort_keys=True))
             return EXIT_OK
 
+        # nothing on the recommend path logs, so only the other commands import logging
+        import logging
+
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
         from . import evaluation, pipeline
 
         if args.command == "synth":

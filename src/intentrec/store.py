@@ -1,7 +1,8 @@
 """The workdir's artifact files: reading, checking and writing them, the manifest
 that records which files each stage read, `read_model`, the one reader of
 the served model, and `stage_recommend`, which serves one request from it,
-decoding only the requesting user's part of a model whose files still hold
+decoding only the requesting user's part (and, for a collaborative request,
+the graphs naming the current report) of a model whose files still hold
 the bytes `evaluate` checked (by the digests its manifest entry records).
 NumPy-free, so that a cold `intentrec recommend` imports neither NumPy nor
 the fitting layers; `pipeline` reads and writes the same files through
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import time
@@ -344,16 +346,18 @@ _MODEL_FILES = ("graphs.json", "clustering.json", "rankmodel.json", "kalman.npz"
 _DECODER = json.JSONDecoder()
 
 
-def read_model(workdir: Path, user: str | None = None) -> ModelFiles:
+def read_model(workdir: Path, user: str | None = None, current: str | None = None) -> ModelFiles:
     """The files of the served model, each read, checked and recorded as an
     input of the running stage: graphs.json, clustering.json, rankmodel.json
     and every cluster's filter arrays of kalman.npz (not `evolved`). The
     one reader of the model, which both `stage_recommend` and
-    `pipeline.load_model` call. Given a user, it returns only the user's
-    part (`_read_part`) if the files still hold the bytes `evaluate` read
-    and checked in full; otherwise, and without a user, it checks all of
-    them, so a spoiled file is refused alike on every path."""
-    if user is not None and (part := _read_part(workdir, user)) is not None:
+    `pipeline.load_model` call. Given a user, it returns only the part a
+    request of that user at report current needs (`_read_part`: the
+    user's part, and the graphs naming current if current is given) if the
+    files still hold the bytes `evaluate` read and checked in full;
+    otherwise, and without a user, it checks all of them, so a spoiled file
+    is refused alike on every path."""
+    if user is not None and (part := _read_part(workdir, user, current)) is not None:
         return part
     graphs = load_graphs(workdir)
     doc = _read_clustering(workdir)
@@ -379,20 +383,25 @@ def read_model(workdir: Path, user: str | None = None) -> ModelFiles:
     return ModelFiles(graphs, doc, rank_models, filters)
 
 
-def _read_part(workdir: Path, user: str) -> ModelFiles | None:
-    """The model narrowed to user: its graph, its rankmodel.json entry (or
-    none) and its cluster's `f_post`, with the whole clustering.json. Each
-    model file is read and hashed as the full read does, and the part is
-    decoded only if every digest is the one the running stage's manifest
-    records for `evaluate`, which records it only after `read_model` has
-    checked those bytes in full; so what spans users is vouched for, and
-    the part itself passes each check the full read applies to it. The
-    parts are found as the writers' `json.dumps(..., sort_keys=True)` lays
-    them out: a graph object from `{"edges": ` to `"user_id": <id>}` and
-    an entry from `<id>: {"intents": `, sequences no string value can hold,
-    as its quotes are escaped. None if a file is missing or differs from
-    evaluate's, or a part is not where the writer puts it: then the caller
-    reads and checks every file, and refuses what evaluate would."""
+def _read_part(workdir: Path, user: str, current: str | None = None) -> ModelFiles | None:
+    """The model narrowed to a request of user at report current: the
+    user's graph, its rankmodel.json entry (or none) and its cluster's
+    `f_post`, with the whole clustering.json; given current, also every
+    other graph object naming it, which holds every graph `group_recommend`
+    may source from current (`Clustering.build` over the part lists the
+    same holders of current as over the whole model). Each model file is
+    read and hashed as the full read does, and the part is decoded only if
+    every digest is the one the running stage's manifest records for
+    `evaluate`, which records it only after `read_model` has checked those
+    bytes in full; so what spans users is vouched for, and the part itself
+    passes each check the full read applies to it. The parts are found as
+    the writers' `json.dumps(..., sort_keys=True)` lays them out: a graph
+    object from `{"edges": ` to `"user_id": <id>}` (`_graph_object`) and an
+    entry from `<id>: {"intents": `, sequences no string value can hold, as
+    its quotes are escaped. None if a file is missing or differs from
+    evaluate's, a part is not where the writer puts it, or the part cannot
+    be shown to hold every graph naming current: then the caller reads and
+    checks every file, and refuses what evaluate would."""
     checked = _manifest.get("evaluate", {}).get("inputs", {})
     if not checked.keys() >= set(_MODEL_FILES):
         return None
@@ -408,13 +417,13 @@ def _read_part(workdir: Path, user: str) -> ModelFiles | None:
         text = data["graphs.json"].decode()
         tail = f'"user_id": {json.dumps(user)}}}'
         end = text.rfind(tail)
-        start = text.rfind('{"edges": ', 0, end)
-        if min(start, end) < 0:
+        found = _graph_object(text, end) if end >= 0 else None
+        if found is None or found[2] != end + len(tail) or found[0].user_id != user:
             return None
-        graph_doc, stop = _DECODER.raw_decode(text, start)
-        if stop != end + len(tail):
+        graph, *own = found
+        others = {} if current is None else _graphs_naming(text, current, *own)
+        if others is None:
             return None
-        graph = NavGraph.from_json(graph_doc)
         text = data["rankmodel.json"].decode()
         key = f'{json.dumps(user)}: {{"intents": '
         at = text.rfind(key)
@@ -431,7 +440,7 @@ def _read_part(workdir: Path, user: str) -> ModelFiles | None:
         doc = json.loads(data["clustering.json"])
     except (ValueError, KeyError, TypeError):
         return None
-    if graph.user_id != user or not _is_clustering(doc):
+    if not _is_clustering(doc):
         return None
     filters, ranks = {}, {}
     for cluster_id, members in doc["clusters"].items():
@@ -445,7 +454,53 @@ def _read_part(workdir: Path, user: str) -> ModelFiles | None:
             break
     if _rank_fault(rank_models, ranks):
         return None
-    return ModelFiles({user: graph}, doc, rank_models, filters)
+    return ModelFiles({**others, user: graph}, doc, rank_models, filters)
+
+
+def _graph_object(text: str, at: int) -> tuple[NavGraph, int, int] | None:
+    """The graph of the object of graphs.json text that spans offset at,
+    with the object's start and end offsets: the object from the last
+    `{"edges": ` before at, which must end in `"user_id": <its id>}` past
+    at, as `stage_graph`'s writer lays it out; None if it does not. A
+    decoded object of another layout raises as `NavGraph.from_json` does."""
+    start = text.rfind('{"edges": ', 0, at)
+    if start < 0:
+        return None
+    doc, stop = _DECODER.raw_decode(text, start)
+    if stop <= at or not text.endswith(f'"user_id": {json.dumps(doc.get("user_id"))}}}', start, stop):
+        return None
+    return NavGraph.from_json(doc), start, stop
+
+
+def _graphs_naming(
+    text: str, current: str, own_start: int, own_stop: int
+) -> dict[str, NavGraph] | None:
+    """The graph of every object of graphs.json text naming current but the
+    requesting user's own (the object at own_start:own_stop), each decoded
+    by `_graph_object`, by user id; None unless that is shown to be every
+    graph the full read would hold that names current: every occurrence of
+    current's JSON string lies in a decoded object, the text holds no
+    backslash (an escape could spell an id another way, and without one a
+    quoted id can only be a whole string) and no user id twice (the full
+    read keeps an id's last object)."""
+    if "\\" in text:
+        return None
+    ids = re.findall(r'"user_id"\s*:\s*("[^"]*")', text)
+    if len(set(ids)) != len(ids):
+        return None
+    graphs, name = {}, json.dumps(current)
+    at = text.find(name)
+    while at >= 0:
+        if own_start <= at < own_stop:
+            stop = own_stop
+        else:
+            found = _graph_object(text, at)
+            if found is None:
+                return None
+            graph, _, stop = found
+            graphs[graph.user_id] = graph
+        at = text.find(name, stop)
+    return graphs
 
 
 # ---------------------------------------------------------------- scoring
@@ -504,14 +559,15 @@ def stage_recommend(
     collaborative: bool = False,
 ) -> dict:
     """The top-k recommendations for user at report current, appended to
-    recommendations.jsonl. The model is read by `read_model`: a plain
-    request decodes only the user's part if `evaluate` has checked the
-    files as they are, and a collaborative one, which reads every graph
-    holding the current report, reads and checks the whole model as
+    recommendations.jsonl. The model is read by `read_model`, given the
+    user and, for a collaborative request, current: if `evaluate` has
+    checked the files as they are, a plain request decodes only the user's
+    part and a collaborative one also the graphs naming current, its
+    possible sources; otherwise the whole model is read and checked as
     `pipeline.load_model` does. Only the user's factor is decoded, and
     scored by `intent_scores`."""
     t0 = _begin_stage(workdir)
-    graphs, doc, rank_models, filters = read_model(workdir, None if collaborative else user)
+    graphs, doc, rank_models, filters = read_model(workdir, user, current if collaborative else None)
     if user not in graphs:
         raise KeyError(f"unknown user: {user!r}")
     graph = graphs[user]

@@ -196,18 +196,33 @@ def without_evaluate(workdir: Path, copy: Path) -> Path:
     return copy
 
 
-def assert_parts_serve_as_the_full_read(workdir: Path, oracle: Path, config, requests):
-    """Each plain (user, current) request on the evaluated workdir decodes
-    one graph and the f_post of the user's cluster, if it has one, and
-    returns the doc the full read returns on oracle (`without_evaluate`);
-    the request's manifest inputs stay evaluate's model inputs."""
+def names_report(graph_doc: dict, report: str) -> bool:
+    """Whether a graphs.json object names report: as its user id, a node or
+    an edge's end."""
+    return (
+        report == graph_doc["user_id"]
+        or any(n["id"] == report for n in graph_doc["nodes"])
+        or any(report in (e["from"], e["to"]) for e in graph_doc["edges"])
+    )
+
+
+def assert_parts_serve_as_the_full_read(
+    workdir: Path, oracle: Path, config, requests, collaborative: bool = False
+):
+    """Each (user, current) request on the evaluated workdir decodes the
+    user's graph (and, if collaborative, every other graph naming current)
+    and the f_post of the user's cluster, if it has one, and returns the
+    doc the full read returns on oracle (`without_evaluate`); the request's
+    manifest inputs stay evaluate's model inputs."""
     clusters = json.loads((workdir / "clustering.json").read_text())["clusters"]
+    docs = json.loads((workdir / "graphs.json").read_text())
     for user, current in requests:
         with counting_decodes() as counts:
-            got = pipeline.stage_recommend(workdir, config, user, current)
+            got = pipeline.stage_recommend(workdir, config, user, current, collaborative)
+        others = sum(g["user_id"] != user and names_report(g, current) for g in docs) if collaborative else 0
         clustered = any(user in members for members in clusters.values())
-        assert (counts["graphs"], counts["arrays"]) == (1, int(clustered)), (user, current, counts)
-        expected = pipeline.stage_recommend(oracle, config, user, current)
+        assert (counts["graphs"], counts["arrays"]) == (1 + others, int(clustered)), (user, current, counts)
+        expected = pipeline.stage_recommend(oracle, config, user, current, collaborative)
         assert json.dumps(got) == json.dumps(expected), (user, current)
     manifest = json.loads((workdir / "manifest.json").read_text())
     model = {k: v for k, v in manifest["evaluate"]["inputs"].items() if k != "sessions.npz"}

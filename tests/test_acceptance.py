@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,9 +154,10 @@ class TestSourceTable:
 
 
 class TestPartRead:
-    def test_seed1_test_requests_serve_as_the_full_read(self, fits, tmp_path):
-        # a plain recommend on the evaluated seed-1 model decodes only the
-        # user's part: every 6th eligible test request, against the full read
+    @staticmethod
+    def _requests(fits, tmp_path) -> tuple[Path, Path, list[tuple[str, str]]]:
+        """A copy of the evaluated seed-1 model, its `without_evaluate`
+        oracle, and its distinct eligible test requests."""
         wd = tmp_path / "wd"
         shutil.copytree(fits[0][3], wd)
         model = pipeline.load_model(wd)
@@ -163,13 +165,31 @@ class TestPartRead:
         requests = sorted({
             (h.user_id, h.report_id) for sess in dataset.test for h in sess.hits[:-1]
             if h.user_id in model.graphs and h.report_id in model.graphs[h.user_id].nodes
-        })[::6]
+        })
+        return wd, without_evaluate(wd, tmp_path / "oracle"), requests
+
+    def test_seed1_test_requests_serve_as_the_full_read(self, fits, tmp_path):
+        # a plain recommend on the evaluated seed-1 model decodes only the
+        # user's part: every 6th eligible test request, against the full read
+        wd, oracle, requests = self._requests(fits, tmp_path)
+        requests = requests[::6]
         assert len(requests) >= 200
-        oracle = without_evaluate(wd, tmp_path / "oracle")
         assert_parts_serve_as_the_full_read(wd, oracle, PipelineConfig(seed=1), requests)
         _report(
             "cold recommend: the user's part serves as the whole model",
             True, f"{len(requests)} seed-1 test requests, one graph decoded each",
+        )
+
+    def test_seed1_collaborative_test_requests_serve_as_the_full_read(self, fits, tmp_path):
+        # a collaborative recommend also decodes the graphs naming the
+        # current report: every 24th eligible test request, against the full read
+        wd, oracle, requests = self._requests(fits, tmp_path)
+        requests = requests[::24]
+        assert len(requests) >= 50
+        assert_parts_serve_as_the_full_read(wd, oracle, PipelineConfig(seed=1), requests, collaborative=True)
+        _report(
+            "cold collaborative recommend: the holders of current serve as the whole model",
+            True, f"{len(requests)} seed-1 test requests",
         )
 
 

@@ -20,6 +20,7 @@ from conftest import (
     assert_parts_serve_as_the_full_read,
     cluster_arrays,
     counting_decodes,
+    names_report,
     numpy_recommend_doc,
     without_evaluate,
 )
@@ -1695,7 +1696,8 @@ class TestPartRead:
         manifest = json.loads((wd / "manifest.json").read_text())
         assert manifest["recommend"]["inputs"].items() < manifest["evaluate"]["inputs"].items()
 
-    def test_spoiled_graph_of_another_user_is_refused(self, evaluated, tmp_path):
+    @pytest.mark.parametrize("collaborative", [False, True], ids=["own", "collaborative"])
+    def test_spoiled_graph_of_another_user_is_refused(self, evaluated, tmp_path, collaborative):
         # the requester's own graph is whole, in the writer's layout; the
         # last user's holds masses as strings, a file evaluate never checked
         wd = self._copy(evaluated, tmp_path)
@@ -1708,7 +1710,7 @@ class TestPartRead:
         assert user != docs[-1]["user_id"]
         errors = []
         for stage in (
-            lambda: pipeline.stage_recommend(wd, PipelineConfig(seed=3), user, current),
+            lambda: pipeline.stage_recommend(wd, PipelineConfig(seed=3), user, current, collaborative),
             lambda: pipeline.stage_evaluate(wd, PipelineConfig(seed=3)),
         ):
             with pytest.raises(store.StaleArtifact) as info:
@@ -1716,13 +1718,144 @@ class TestPartRead:
             errors.append(str(info.value))
         assert errors[0] == errors[1] and str(path) in errors[0], errors
 
-    def test_unknown_user_exits_4(self, workdir, evaluated, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--collaborative"]], ids=["own", "collaborative"])
+    def test_unknown_user_exits_4(self, workdir, evaluated, tmp_path, capsys, flags):
         # found in neither graphs.json nor its part: the full read names it
         for wd in (self._copy(evaluated, tmp_path), workdir):
             capsys.readouterr()
-            argv = ["recommend", "--workdir", str(wd), "--user", "nobody", "--current", "r000"]
+            argv = ["recommend", "--workdir", str(wd), "--user", "nobody", "--current", "r000", *flags]
             assert cli.main(argv) == cli.EXIT_DATA
             assert capsys.readouterr().err == "error: \"unknown user: 'nobody'\"\n"
+
+    def test_every_collaborative_request_serves_as_the_full_read(self, evaluated, tmp_path):
+        # each request decodes its user's graph and every other graph naming
+        # the current report, and nothing else of graphs.json
+        wd = self._copy(evaluated, tmp_path)
+        cfg = PipelineConfig(seed=3)
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        assert_parts_serve_as_the_full_read(wd, oracle, cfg, _every_request(wd), collaborative=True)
+
+    @pytest.fixture(scope="class")
+    def group_request(self, evaluated) -> tuple[str, str]:
+        """The first request of the evaluated workdir whose collaborative
+        doc holds a report the user's own graph lacks: one sourced from
+        another user's graph."""
+        model, cfg = pipeline.load_model(evaluated), PipelineConfig(seed=3)
+        for user, current in _every_request(evaluated):
+            recs = numpy_recommend_doc(model, cfg, user, current, collaborative=True)["recs"]
+            if any(r["node"] not in model.graphs[user].nodes for r in recs):
+                return user, current
+        raise AssertionError("no request of the workdir is served from another user's graph")
+
+    @staticmethod
+    def _relay_graphs(wd: Path, user: str, current: str, relay) -> int:
+        """Rewrite graphs.json in the writer's layout, except that each
+        object other than user's that names current is laid out as
+        relay(its text) returns, and re-run evaluate; the number of objects
+        relaid."""
+        path = wd / "graphs.json"
+        texts, relaid = [], 0
+        for doc in json.loads(path.read_text()):
+            text = json.dumps(doc, sort_keys=True)
+            if doc["user_id"] != user and names_report(doc, current):
+                text, relaid = relay(text), relaid + 1
+            texts.append(text)
+        path.write_text("[" + ", ".join(texts) + "]")
+        pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
+        return relaid
+
+    @pytest.mark.parametrize("case", ["node", "object", "escaped"])
+    def test_other_layouts_of_the_sources_serve_as_the_full_read(
+        self, evaluated, group_request, tmp_path, case
+    ):
+        # the graphs naming current, other than the user's, laid out anew
+        # and evaluated: a node without the space after its key (still
+        # found), objects without any (not found where the writer puts them)
+        # and current spelled with an escape (found by no search for it):
+        # the last two take the full read
+        user, current = group_request
+        wd = self._copy(evaluated, tmp_path)
+        name, escaped = json.dumps(current), '"\\u%04x%s"' % (ord(current[0]), current[1:])
+        relay = {
+            "node": lambda text: text.replace(f'"id": {name}', f'"id":{name}'),
+            "object": lambda text: json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")),
+            "escaped": lambda text: text.replace(name, escaped),
+        }[case]
+        sources = self._relay_graphs(wd, user, current, relay)
+        docs = json.loads((wd / "graphs.json").read_text())
+        assert sources >= 1 and json.loads(escaped) == current
+        cfg = PipelineConfig(seed=3)
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        with counting_decodes() as counts:
+            got = pipeline.stage_recommend(wd, cfg, user, current, True)
+        # the fall-back read decodes every graph after the user's own
+        assert counts["graphs"] == 1 + (sources if case == "node" else len(docs))
+        expected = pipeline.stage_recommend(oracle, cfg, user, current, True)
+        assert json.dumps(got) == json.dumps(expected)
+        # the layouts hold the same graphs: served as the fitted model is
+        as_fitted = without_evaluate(evaluated, tmp_path / "as-fitted")
+        assert got == pipeline.stage_recommend(as_fitted, cfg, user, current, True)
+
+    def test_user_id_twice_serves_as_the_full_read(self, evaluated, group_request, tmp_path):
+        # each other graph naming current is followed, at the end of the
+        # list, by a graph of the same id that does not name it, which the
+        # full read keeps: no source is left, and the full read serves that
+        user, current = group_request
+        wd = self._copy(evaluated, tmp_path)
+        path = wd / "graphs.json"
+        docs = json.loads(path.read_text())
+        spare = next(g for g in docs if not names_report(g, current))
+        sources = [g["user_id"] for g in docs if g["user_id"] != user and names_report(g, current)]
+        docs += [{**spare, "user_id": uid} for uid in sources]
+        path.write_text(json.dumps(docs, sort_keys=True))
+        cfg = PipelineConfig(seed=3)
+        pipeline.stage_evaluate(wd, cfg)
+        got = pipeline.stage_recommend(wd, cfg, user, current, True)
+        assert json.dumps(got) == json.dumps(
+            pipeline.stage_recommend(without_evaluate(wd, tmp_path / "oracle"), cfg, user, current, True)
+        )
+        assert got == pipeline.stage_recommend(wd, cfg, user, current)
+
+    @pytest.mark.parametrize("rename", ["report", "prefixed"])
+    def test_user_id_holding_the_report_id_serves_as_the_full_read(
+        self, evaluated, group_request, tmp_path, rename
+    ):
+        # another user renamed to the current report's id, or to an id that
+        # holds it, in every model file, and evaluated: each request at
+        # current is served as the full read serves it
+        user, current = group_request
+        wd = self._copy(evaluated, tmp_path)
+        docs = json.loads((wd / "graphs.json").read_text())
+        other = next(g["user_id"] for g in docs if g["user_id"] != user and names_report(g, current))
+        new = current if rename == "report" else f"{other}-{current}"
+        for name in ("graphs.json", "clustering.json", "rankmodel.json"):
+            path = wd / name
+            path.write_text(path.read_text().replace(json.dumps(other), json.dumps(new)))
+        pipeline.stage_evaluate(wd, PipelineConfig(seed=3))
+        requests = [(u, c) for u, c in _every_request(wd) if c == current]
+        assert (user, current) in requests and (new, current) in requests
+        oracle = without_evaluate(wd, tmp_path / "oracle")
+        assert_parts_serve_as_the_full_read(wd, oracle, PipelineConfig(seed=3), requests, collaborative=True)
+
+    @pytest.mark.parametrize("flags", [[], ["--collaborative"]], ids=["own", "collaborative"])
+    def test_recommend_imports_no_logging(self, evaluated, group_request, tmp_path, flags):
+        # nothing on a cold recommend's path logs, so it loads no logging
+        wd = self._copy(evaluated, tmp_path)
+        user, current = group_request
+        argv = ["recommend", "--workdir", str(wd), "--user", user, "--current", current, *flags]
+        script = (
+            "import json, sys\n"
+            "from intentrec import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, 'logging' in sys.modules]), file=sys.stderr)\n"
+        )
+        src = str(Path(intentrec.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert json.loads(done.stderr.splitlines()[-1]) == [cli.EXIT_OK, False]
+        assert json.loads(done.stdout)["recs"]
 
 
 def _readme_cli_commands() -> list[list[str]]:
