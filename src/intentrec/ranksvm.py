@@ -320,12 +320,23 @@ def solve(
     return out
 
 
+def ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, broadcast over the others, each summed
+    left to right as `store.dot` sums it: one elementwise multiply and add
+    per column, no matmul or reduction, so the bits do not depend on the
+    host's BLAS. Unequal last axes are a ValueError, never broadcast."""
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"vectors of lengths {a.shape[-1]} and {b.shape[-1]}")
+    s = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s += a[..., i] * b[..., i]
+    return s
+
+
 def stacked_scores(W: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Normalized intent scores (4 + <w, f>) / 8, clamped to [0, 1], of every
     factor f (row of F, E x R) under every intent's weights w (row of W,
-    T x R), as an E x T array. Each <w, f> is a one-row product, the dot
-    product that `w @ f` takes; a plain `W @ f` would sum in another order.
-    A NaN score stays NaN."""
-    raw = (W[:, None, :] @ F[:, None, :, None])[..., 0, 0]
+    T x R), as an E x T array, each <w, f> an `ordered_dots` sum. A NaN
+    score stays NaN."""
+    raw = ordered_dots(F[:, None, :], W[None, :, :])
     return np.minimum(np.maximum((4.0 + raw) / 8.0, 0.0), 1.0)
-

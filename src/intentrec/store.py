@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import struct
@@ -506,49 +507,41 @@ def _graphs_naming(
 # ---------------------------------------------------------------- scoring
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter of a 53-bit significand
-
-
-def fma_dot(x: list[float], y: list[float]) -> float:
-    """<x, y> as a chain of fused multiply-adds, s = fma(x_i, y_i, s) from
-    s = +0.0, each step rounded once: the dot product NumPy's BLAS takes of
-    vectors shorter than 16, so that `intent_scores` scores as `TrainedModel.
-    intent_scores` does. NumPy takes one pair's as their product, which
-    differs only in the sign of a zero. Each fma is the correctly rounded
-    sum of s and the product split exactly into p + e (Dekker's TwoProduct
-    over Veltkamp's split), exact unless a product over- or underflows.
-    Vectors of unequal lengths are a ValueError, never truncated."""
-    if len(x) == 1 == len(y):
-        return x[0] * y[0]
-    s = 0.0
-    for a, b in zip(x, y, strict=True):
-        p = a * b
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * b
-        bh = t - (t - b)
-        bl = b - bh
-        s = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, s))
+def dot(x: list[float], y: list[float]) -> float:
+    """<x, y> in the one order every intent score sums it, left to right:
+    ((x0*y0 + x1*y1) + x2*y2) + ..., each product and each sum one IEEE-754
+    double operation, so it has the same bits on every host and Python
+    (built-in `sum` compensates float sums from Python 3.12, and BLAS picks
+    its order by CPU). `ranksvm.ordered_dots` takes the same sums over
+    arrays. Vectors of unequal lengths are a ValueError, never truncated."""
+    if len(x) != len(y):
+        raise ValueError(f"vectors of lengths {len(x)} and {len(y)}")
+    products = map(operator.mul, x, y)
+    s = next(products, 0.0)
+    for p in products:
+        s += p
     return s
 
 
+def factor_scores(weighted: list[tuple[str, list[float]]], f: list[float]) -> dict[str, float]:
+    """The intent scores of one factor f: f is taken at unit norm,
+    divided by sqrt(dot(f, f)) unless that is 0, and each target t with
+    rank weights w (`weighted`, in target order) scored (4 + dot(w, f)) / 8,
+    clamped to [0, 1]. The one scorer of a single factor, bit for bit a row
+    of `ranksvm.stacked_scores`; a NaN score stays NaN."""
+    norm = math.sqrt(dot(f, f))
+    if norm > 0:
+        f = [x / norm for x in f]
+    return {t: min(max((4.0 + dot(w, f)) / 8.0, 0.0), 1.0) for t, w in weighted}
+
+
 def intent_scores(targets: tuple[str, ...], rank_model: dict | None, f: list[float]) -> dict[str, float]:
-    """The scores of a user's graph targets under its factor f, from the
-    user's entry of rankmodel.json (None without one): f is taken at unit
-    norm (a zero factor as it is), and each target with rank weights w
-    scored (4 + <w, f>) / 8, clamped to [0, 1]. Pure Python, bit for bit
-    `TrainedModel.intent_scores`."""
+    """The `factor_scores` of a user's graph targets under its factor f,
+    from the user's entry of rankmodel.json (None without one)."""
     if rank_model is None:
         return {}
     weights = rank_model["intents"]
-    norm = math.sqrt(fma_dot(f, f))
-    if norm > 0:
-        f = [x / norm for x in f]
-    return {
-        t: min(max((4.0 + fma_dot(weights[t]["w"], f)) / 8.0, 0.0), 1.0)
-        for t in targets if t in weights
-    }
+    return factor_scores([(t, weights[t]["w"]) for t in targets if t in weights], f)
 
 
 def stage_recommend(

@@ -96,22 +96,35 @@ def two_width_workdir(workdir: Path) -> tuple[pipeline.PipelineConfig, list[str]
     return cfg, wide
 
 
+def _left_to_right_dot(x, y) -> np.float64:
+    """((x0*y0 + x1*y1) + x2*y2) + ..., one NumPy scalar multiply and add
+    per term."""
+    s = np.multiply(x[0], y[0])
+    for a, b in zip(x[1:], y[1:]):
+        s = np.add(s, np.multiply(a, b))
+    return s
+
+
 def per_target_intent_scores(model, user_id: str, f: np.ndarray) -> dict[str, float]:
-    """`TrainedModel.intent_scores` one target at a time, the bitwise oracle
-    of its stacked product: f at unit norm (a zero factor as it is), then
-    the clamped (4 + <w, f>) / 8 of each of the user's graph targets that
-    has rank weights, in target order."""
+    """The intent scores of f by their definition, one target at a time:
+    the bitwise oracle of `TrainedModel.intent_scores`, its stacked form
+    and `store.intent_scores`, sharing no code with them. f is divided by
+    the square root of its left-to-right dot with itself unless that is 0,
+    and each of the user's graph targets that has rank weights w scores the
+    clamped (4 + <w, f>) / 8, its dot also summed left to right, in target
+    order."""
     graph = model.graphs[user_id]
     rank_model = model.rank_models.get(user_id)
     if rank_model is None:
         return {}
-    norm = float(np.linalg.norm(f))
-    unit = f / norm if norm > 0 else f
+    f = np.asarray(f, dtype=float)
+    norm = np.sqrt(_left_to_right_dot(f, f))
+    unit = np.divide(f, norm) if norm > 0 else f
     out = {}
     for t in graph.targets():
         if t in rank_model.weights:
-            raw = float(rank_model.weights[t].w @ unit)
-            out[t] = min(max((4.0 + raw) / 8.0, 0.0), 1.0)
+            raw = _left_to_right_dot(rank_model.weights[t].w, unit)
+            out[t] = float(np.minimum(np.maximum(np.divide(np.add(4.0, raw), 8.0), 0.0), 1.0))
     return out
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intentrec import cli, pipeline, synth
+from intentrec import cli, pipeline, store, synth
 from intentrec.artifacts import serving_factor
 from intentrec.evaluation import event_auc, ndcg_at_k, precision_recall_at_k
 from intentrec.kalman import evolve_sequence, initial_state, step
@@ -108,21 +108,33 @@ class TestStackedIntentScores:
         wd = fits[0][3]
         model = pipeline.load_model(wd)
         dataset = pipeline.load_dataset(wd / "sessions.npz")
+        rank_docs = json.loads((wd / "rankmodel.json").read_text())
+
+        def bits(scores):
+            return [(t, s.hex()) for t, s in scores.items()]
+
         factors = differ = 0
         for uid, sessions in sorted(group_by_user(dataset.test).items()):
             serving = model.serving.get(uid)
             if serving is None or uid not in model.graphs:
                 continue
+            targets = model.graphs[uid].targets()
             state = copy.deepcopy(serving.final_state)
             F = []
             for hit in (h for sess in sessions for h in sess.hits):
                 f_kal, f_pf2, state = serving_factor(serving, state, hit)
                 F += [f_kal, f_pf2]
             for f, got in zip(F, model.stacked_intent_scores(uid, np.array(F))):
-                differ += list(got.items()) != list(per_target_intent_scores(model, uid, f).items())
+                differ += not (
+                    bits(got)
+                    == bits(per_target_intent_scores(model, uid, f))
+                    == bits(model.intent_scores(uid, f))
+                    == bits(store.intent_scores(targets, rank_docs.get(uid), f.tolist()))
+                )
                 factors += 1
         _report(
-            "intent scores: stacked product equals the per-target loop",
+            "intent scores: the stacked form, the one-factor form and the cold "
+            "`recommend` form equal the per-target definition",
             differ == 0 and factors > 10_000,
             f"{differ} of {factors} seed-1 Kalman and PARAFAC2 test factors differ",
         )

@@ -1,6 +1,5 @@
 import io
 import zipfile
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,49 +7,55 @@ import pytest
 from intentrec import store
 from intentrec.artifacts import TrainedModel
 from intentrec.navgraph import NavGraph, NodeAttrs, detect_targets
-from intentrec.ranksvm import IntentWeights, RankModel
+from intentrec.ranksvm import IntentWeights, RankModel, ordered_dots
 from intentrec.recommender import Clustering
 
 
-def _fraction_fma_dot(x, y) -> float:
-    """The FMA chain in exact arithmetic, each step rounded once by float()
-    (whose zero is +0.0: the vectors here have no zero product)."""
-    s = 0.0
-    for a, b in zip(x, y, strict=True):
-        s = float(Fraction(a) * Fraction(b) + Fraction(s))
-    return s
+def _stacked_dot(x, y) -> float:
+    """The dot of x and y as `ranksvm.ordered_dots` takes it over arrays."""
+    with np.errstate(invalid="ignore"):
+        return float(ordered_dots(np.array(x, dtype=float), np.array(y, dtype=float)))
 
 
-def _vectors(rng, n):
-    """A pair of n-vectors whose entries span several magnitudes and signs,
-    so that the sums cancel and round often."""
-    scale = 10.0 ** rng.integers(-4, 5, size=(2, n))
-    x, y = rng.normal(size=(2, n)) * scale
-    return x, y
+_FORMS = pytest.mark.parametrize("dot", [store.dot, _stacked_dot], ids=["python", "numpy"])
+_INF, _NAN = float("inf"), float("nan")
 
 
-class TestFmaDot:
-    def test_equals_the_correctly_rounded_fma_chain(self):
+class TestDot:
+    @_FORMS
+    @pytest.mark.parametrize("x,y,want", [
+        # an FMA chain, and np.dot on some hosts, give 8.3e-19
+        ([0.1, 0.1], [0.1, -0.1], 0.0),
+        # math.fsum, and built-in sum from Python 3.12, give 1.0
+        ([1e16, 1.0, -1e16], [1.0, 1.0, 1.0], 0.0),
+        ([3.0], [-2.0], -6.0),
+        ([-0.0], [1.0], -0.0),  # R = 1 is the one product, not 0.0 + it
+        ([-0.0, -0.0], [1.0, 1.0], -0.0),
+        ([-0.0, 0.0], [1.0, 1.0], 0.0),
+        ([0.0, -0.0], [-1.0, 1.0], -0.0),
+        ([_INF, 1.0], [1.0, 1.0], _INF),
+        ([_INF, -_INF], [1.0, 1.0], _NAN),
+        ([_INF, 1.0], [0.0, 1.0], _NAN),
+        ([1.0, _NAN, 1.0], [1.0, 1.0, 1.0], _NAN),
+    ])
+    def test_sums_left_to_right(self, dot, x, y, want):
+        assert dot(x, y).hex() == want.hex()
+
+    @_FORMS
+    def test_equals_the_sum_in_its_order(self, dot):
         rng = np.random.default_rng(21)
-        for _ in range(3000):
-            x, y = _vectors(rng, int(rng.integers(1, 16)))
-            got = store.fma_dot(x.tolist(), y.tolist())
-            assert got.hex() == _fraction_fma_dot(x.tolist(), y.tolist()).hex(), (x, y)
+        for _ in range(500):
+            n = int(rng.integers(1, 16))
+            x, y = (rng.normal(size=(2, n)) * 10.0 ** rng.integers(-4, 5, size=(2, n))).tolist()
+            s = x[0] * y[0]
+            for a, b in zip(x[1:], y[1:]):
+                s = s + a * b
+            assert dot(x, y).hex() == s.hex(), (x, y)
 
-    def test_equals_numpy_dot_bitwise_for_short_vectors(self):
-        rng = np.random.default_rng(22)
-        for n in range(1, 16):
-            for _ in range(400):
-                x, y = _vectors(rng, n)
-                assert store.fma_dot(x.tolist(), y.tolist()).hex() == float(np.dot(x, y)).hex()
-            for zero in (np.zeros(n), -np.zeros(n)):
-                for v in (x, y, -y):
-                    got = store.fma_dot(zero.tolist(), v.tolist())
-                    assert got.hex() == float(np.dot(zero, v)).hex(), (zero, v)
-
-    def test_unequal_lengths_never_truncate(self):
+    @_FORMS
+    def test_unequal_lengths_never_truncate(self, dot):
         with pytest.raises(ValueError):
-            store.fma_dot([1.0, 2.0], [1.0])
+            dot([1.0, 2.0], [1.0])
 
 
 def _model(rng, rank):
@@ -91,8 +96,7 @@ class TestIntentScores:
         F[0] = 0.0
         F[1] = -0.0
         clamped = 0
-        for f in F:
-            expected = model.intent_scores("u", f)
+        for f, expected in zip(F, model.stacked_intent_scores("u", F)):
             got = store.intent_scores(targets, doc, f.tolist())
             assert list(got) == list(expected) == ["t1", "t3"]
             assert [s.hex() for s in got.values()] == [s.hex() for s in expected.values()], f
